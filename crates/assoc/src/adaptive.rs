@@ -56,7 +56,7 @@ impl Default for AdaptiveConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Line {
     block: BlockAddr,
     valid: bool,
@@ -80,9 +80,128 @@ impl Line {
 /// LRU set-reference history table, with O(1) touch (see [`LruSet`]).
 type Sht = LruSet;
 
-/// LRU out-of-position directory: block -> set, with O(log n)
-/// eviction (see [`LruDir`]).
+/// LRU out-of-position directory: block -> set, with O(1) lookup,
+/// insert and eviction (see [`LruDir`]).
 type OutDir = LruDir<BlockAddr>;
+
+/// One bit per cache set, set iff that set's line may host a relocated
+/// block: the line is invalid, or its set is outside the SHT and it is
+/// not already hosting an out-of-position block. The cache keeps it
+/// exact after every line write and SHT touch, so the nearest host on
+/// either side of a set is a word-wise bit scan instead of a walk over
+/// up to `2 × relocation_window` lines.
+struct HostMap {
+    words: Vec<u64>,
+}
+
+impl HostMap {
+    /// A map over `n` sets, all hosts (every line starts invalid).
+    fn all_hosts(n: usize) -> Self {
+        let mut m = HostMap {
+            words: vec![0; n.div_ceil(64)],
+        };
+        for set in 0..n {
+            m.put(set, true);
+        }
+        m
+    }
+
+    #[inline]
+    fn put(&mut self, set: usize, host: bool) {
+        let (w, bit) = (set / 64, 1u64 << (set % 64));
+        if host {
+            self.words[w] |= bit;
+        } else {
+            self.words[w] &= !bit;
+        }
+    }
+
+    #[cfg(test)]
+    fn get(&self, set: usize) -> bool {
+        self.words[set / 64] >> (set % 64) & 1 == 1
+    }
+
+    /// Lowest set bit in `lo..hi` (`lo < hi`).
+    fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let mut w = lo / 64;
+        let mut bits = self.words[w] & (!0u64 << (lo % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                return (i < hi).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= hi {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+
+    /// Highest set bit in `lo..hi` (`lo < hi`).
+    fn last_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let mut w = (hi - 1) / 64;
+        let mut bits = self.words[w] & (!0u64 >> (63 - (hi - 1) % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + 63 - bits.leading_zeros() as usize;
+                return (i >= lo).then_some(i);
+            }
+            if w == lo / 64 {
+                return None;
+            }
+            w -= 1;
+            bits = self.words[w];
+        }
+    }
+
+    /// Distance to the nearest host clockwise of `around` (sets
+    /// `around + 1, around + 2, …` modulo `n`), looking at most `len`
+    /// sets (`len < n`) away.
+    fn right(&self, around: usize, n: usize, len: usize) -> Option<usize> {
+        let start = (around + 1) % n;
+        let hit = if start + len <= n {
+            self.first_in(start, start + len)
+        } else {
+            self.first_in(start, n)
+                .or_else(|| self.first_in(0, start + len - n))
+        };
+        hit.map(|i| (i + n - around) % n)
+    }
+
+    /// Distance to the nearest host counter-clockwise of `around`,
+    /// looking at most `len` sets (`len < n`) away.
+    fn left(&self, around: usize, n: usize, len: usize) -> Option<usize> {
+        // Exclusive upper end of the scan, unwrapped for `around == 0`.
+        let end = if around == 0 { n } else { around };
+        let hit = if len <= end {
+            self.last_in(end - len, end)
+        } else {
+            self.last_in(0, end)
+                .or_else(|| self.last_in(n - (len - end), n))
+        };
+        hit.map(|i| (around + n - i) % n)
+    }
+
+    /// The host the outward scan from `around` (distance 1, 2, … up to
+    /// `window`; clockwise before counter-clockwise at each distance,
+    /// `around` itself never) meets first, with its distance.
+    fn nearest(&self, around: usize, n: usize, window: usize) -> Option<(usize, usize)> {
+        // Distances past n - 1 only revisit sets already scanned.
+        let len = window.min(n - 1);
+        if len == 0 {
+            return None;
+        }
+        let r = self.right(around, n, len);
+        let l = self.left(around, n, len);
+        match (r, l) {
+            (Some(dr), Some(dl)) if dl < dr => Some(((around + n - dl) % n, dl)),
+            (Some(dr), _) => Some(((around + dr) % n, dr)),
+            (None, Some(dl)) => Some(((around + n - dl) % n, dl)),
+            (None, None) => None,
+        }
+    }
+}
 
 /// The adaptive group-associative cache.
 pub struct AdaptiveGroupCache {
@@ -90,9 +209,14 @@ pub struct AdaptiveGroupCache {
     lines: Vec<Line>,
     sht: Sht,
     out: OutDir,
+    hosts: HostMap,
     stats: CacheStats,
     window: usize,
     name: String,
+    /// Test builds only: answer relocation searches with the scalar scan
+    /// the host bitmap replaced, as the reference it is checked against.
+    #[cfg(test)]
+    scalar_search: bool,
 }
 
 impl AdaptiveGroupCache {
@@ -121,9 +245,12 @@ impl AdaptiveGroupCache {
             lines: vec![Line::empty(); n],
             sht: Sht::new(n, sht_cap),
             out: OutDir::new(out_cap),
+            hosts: HostMap::all_hosts(n),
             stats: CacheStats::new(n),
             window: cfg.relocation_window.max(1),
             name: format!("adaptive_cache(sht={sht_cap},out={out_cap})"),
+            #[cfg(test)]
+            scalar_search: false,
         })
     }
 
@@ -149,37 +276,66 @@ impl AdaptiveGroupCache {
         self.out.len()
     }
 
-    /// Finds a disposable line near `around` (invalid, or valid with its
-    /// set outside the SHT and not already hosting an out-of-position
-    /// block). Searches outward up to the configured window.
-    fn find_disposable_near(&self, around: usize, exclude: usize) -> Option<usize> {
-        let n = self.lines.len();
-        for d in 1..=self.window {
-            for cand in [(around + d) % n, (around + n - d % n) % n] {
-                if cand == exclude {
-                    continue;
-                }
-                let l = &self.lines[cand];
-                if !l.valid {
-                    unicache_obs::observe(unicache_obs::HistEvent::AdaptiveRelocSearch, d as u64);
-                    return Some(cand);
-                }
-                if !self.sht.contains(cand) && !l.out_of_position {
-                    unicache_obs::observe(unicache_obs::HistEvent::AdaptiveRelocSearch, d as u64);
-                    return Some(cand);
-                }
-            }
+    /// May `set`'s line host a relocated block? It may if it is
+    /// invalid, or valid with its set outside the SHT and not already
+    /// hosting an out-of-position block.
+    #[inline]
+    fn is_host(&self, set: usize) -> bool {
+        let l = &self.lines[set];
+        !l.valid || (!self.sht.contains(set) && !l.out_of_position)
+    }
+
+    /// Writes `line` into `set`, keeping the host bitmap exact.
+    #[inline]
+    fn put_line(&mut self, set: usize, line: Line) {
+        self.lines[set] = line;
+        self.hosts.put(set, self.is_host(set));
+    }
+
+    /// Marks `set` MRU in the SHT, keeping the host bitmap exact for it
+    /// and for the set the touch pushed out of the table.
+    #[inline]
+    fn touch_sht(&mut self, set: usize) {
+        let dropped = self.sht.touch(set);
+        self.hosts.put(set, self.is_host(set));
+        if let Some(d) = dropped {
+            self.hosts.put(d, self.is_host(d));
         }
-        None
+    }
+
+    /// Finds the disposable line nearest `around` (see [`Self::is_host`];
+    /// never `around` itself): the outward scan up to the configured
+    /// window, clockwise first at each distance, answered from the host
+    /// bitmap.
+    fn find_disposable_near(&self, around: usize) -> Option<usize> {
+        let (host, d) = self.nearest_host(around)?;
+        unicache_obs::observe(unicache_obs::HistEvent::AdaptiveRelocSearch, d as u64);
+        Some(host)
+    }
+
+    #[cfg(not(test))]
+    #[inline]
+    fn nearest_host(&self, around: usize) -> Option<(usize, usize)> {
+        self.hosts.nearest(around, self.lines.len(), self.window)
+    }
+
+    #[cfg(test)]
+    fn nearest_host(&self, around: usize) -> Option<(usize, usize)> {
+        let n = self.lines.len();
+        if self.scalar_search {
+            tests::scan_nearest(|s| self.is_host(s), around, n, self.window)
+        } else {
+            self.hosts.nearest(around, n, self.window)
+        }
     }
 
     /// Drops the block hosted out-of-position at `set` (when its OUT entry
     /// is evicted, the line becomes unreachable and must be invalidated to
     /// preserve the single-residency invariant).
     fn invalidate_out_line(&mut self, block: BlockAddr, set: usize) {
-        let l = &mut self.lines[set];
+        let l = &self.lines[set];
         if l.valid && l.block == block && l.out_of_position {
-            *l = Line::empty();
+            self.put_line(set, Line::empty());
         }
     }
 }
@@ -206,7 +362,7 @@ impl CacheModel for AdaptiveGroupCache {
             if is_write {
                 self.lines[p].dirty = true;
             }
-            self.sht.touch(p);
+            self.touch_sht(p);
             self.stats.record(p, HitWhere::Primary);
             return AccessResult {
                 where_hit: HitWhere::Primary,
@@ -229,19 +385,22 @@ impl CacheModel for AdaptiveGroupCache {
                 }
                 let outgoing = self.lines[p];
                 self.out.remove(block);
-                self.lines[p] = incoming;
+                self.put_line(p, incoming);
                 if outgoing.valid {
-                    self.lines[alt] = Line {
-                        out_of_position: true,
-                        ..outgoing
-                    };
+                    self.put_line(
+                        alt,
+                        Line {
+                            out_of_position: true,
+                            ..outgoing
+                        },
+                    );
                     if let Some((evb, evs)) = self.out.insert(outgoing.block, alt) {
                         self.invalidate_out_line(evb, evs);
                     }
                 } else {
-                    self.lines[alt] = Line::empty();
+                    self.put_line(alt, Line::empty());
                 }
-                self.sht.touch(p);
+                self.touch_sht(p);
                 self.stats.record(p, HitWhere::Secondary);
                 unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
                 self.stats.record_relocation();
@@ -276,7 +435,7 @@ impl CacheModel for AdaptiveGroupCache {
                 // line and register it in OUT.
                 unicache_obs::count(unicache_obs::Event::AdaptiveShtHit);
                 where_hit = HitWhere::MissAfterProbe;
-                if let Some(host) = self.find_disposable_near(p, p) {
+                if let Some(host) = self.find_disposable_near(p) {
                     let hosted = self.lines[host];
                     if hosted.valid {
                         if hosted.out_of_position {
@@ -285,10 +444,13 @@ impl CacheModel for AdaptiveGroupCache {
                         evicted = Some(hosted.block);
                         self.stats.record_eviction(host);
                     }
-                    self.lines[host] = Line {
-                        out_of_position: true,
-                        ..resident
-                    };
+                    self.put_line(
+                        host,
+                        Line {
+                            out_of_position: true,
+                            ..resident
+                        },
+                    );
                     if let Some((evb, evs)) = self.out.insert(resident.block, host) {
                         self.invalidate_out_line(evb, evs);
                     }
@@ -305,13 +467,16 @@ impl CacheModel for AdaptiveGroupCache {
 
         // Fill the primary slot. Any stale out-of-position copy of the
         // incoming block was already cleaned above.
-        self.lines[p] = Line {
-            block,
-            valid: true,
-            dirty: is_write,
-            out_of_position: false,
-        };
-        self.sht.touch(p);
+        self.put_line(
+            p,
+            Line {
+                block,
+                valid: true,
+                dirty: is_write,
+                out_of_position: false,
+            },
+        );
+        self.touch_sht(p);
         self.stats.record(p, where_hit);
         AccessResult {
             where_hit,
@@ -334,6 +499,7 @@ impl CacheModel for AdaptiveGroupCache {
         }
         self.sht.clear();
         self.out.clear();
+        self.hosts = HostMap::all_hosts(self.lines.len());
         self.stats.reset();
     }
 
@@ -352,6 +518,7 @@ impl unicache_core::FusedLane for AdaptiveGroupCache {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -503,6 +670,136 @@ mod tests {
         sht.touch(0); // refresh 0
         sht.touch(3); // evicts 1 (LRU)
         assert!(sht.contains(0) && !sht.contains(1) && sht.contains(2) && sht.contains(3));
+    }
+
+    /// The outward scan the host bitmap replaced: distance 1, 2, … up to
+    /// `window`, clockwise before counter-clockwise, `around` skipped.
+    pub(super) fn scan_nearest(
+        is_host: impl Fn(usize) -> bool,
+        around: usize,
+        n: usize,
+        window: usize,
+    ) -> Option<(usize, usize)> {
+        for d in 1..=window {
+            for cand in [(around + d) % n, (around + n - d % n) % n] {
+                if cand != around && is_host(cand) {
+                    return Some((cand, d));
+                }
+            }
+        }
+        None
+    }
+
+    fn host_map_of(bits: &[bool]) -> HostMap {
+        let mut m = HostMap::all_hosts(bits.len());
+        for (s, &b) in bits.iter().enumerate() {
+            m.put(s, b);
+        }
+        m
+    }
+
+    /// Set counts for the bitmap property: the cache sizes the crate
+    /// builds, plus counts that leave the last word partly used.
+    const HOST_MAP_SETS: [usize; 8] = [8, 32, 64, 1024, 1, 2, 3, 100];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn bitmap_search_matches_scalar_scan(
+            k in 0..HOST_MAP_SETS.len(),
+            sparsity in 0u32..8,
+            seed in proptest::num::u64::ANY
+        ) {
+            // Density 1 / 2^sparsity, so both short hits and long misses
+            // (every candidate scanned) are common.
+            let n = HOST_MAP_SETS[k];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bits: Vec<bool> = (0..n)
+                .map(|_| rng.gen_range(0u64..1 << sparsity) == 0)
+                .collect();
+            // Windows from 1 up to past the set count, so the scan wraps
+            // (2 × window + 1 > n) and revisits sets.
+            let window = rng.gen_range(1..=n + 3);
+            let around = rng.gen_range(0..n);
+            let m = host_map_of(&bits);
+            prop_assert_eq!(
+                m.nearest(around, n, window),
+                scan_nearest(|s| bits[s], around, n, window)
+            );
+        }
+    }
+
+    /// Asserts the host bitmap agrees with the line/SHT state it caches.
+    fn assert_host_map_exact(c: &AdaptiveGroupCache) {
+        for s in 0..c.lines.len() {
+            assert_eq!(c.hosts.get(s), c.is_host(s), "host bit of set {s}");
+        }
+    }
+
+    /// Replays `blocks` (every third one a store) through the bitmap
+    /// cache and a scalar-scan reference of the same configuration, and
+    /// requires identical results, statistics, OUT occupancy and lines.
+    fn assert_matches_scalar_reference(sets: usize, cfg: AdaptiveConfig, blocks: &[u64]) {
+        let mut fast = AdaptiveGroupCache::with_config(geom(sets), cfg).unwrap();
+        let mut slow = AdaptiveGroupCache::with_config(geom(sets), cfg).unwrap();
+        slow.scalar_search = true;
+        for (i, &b) in blocks.iter().enumerate() {
+            let is_write = i % 3 == 0;
+            assert_eq!(
+                fast.access_block(b, is_write),
+                slow.access_block(b, is_write),
+                "access {i} (block {b})"
+            );
+            if i % 101 == 0 {
+                assert_host_map_exact(&fast);
+            }
+        }
+        assert_host_map_exact(&fast);
+        assert_eq!(fast.stats(), slow.stats());
+        assert_eq!(fast.out_len(), slow.out_len());
+        assert_eq!(fast.lines, slow.lines);
+        assert!(fast.stats().relocations > 0, "stream never relocated");
+        fast.flush();
+        assert_host_map_exact(&fast);
+    }
+
+    #[test]
+    fn bitmap_cache_matches_scalar_reference_on_random_traffic() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for (sets, window, sht) in [
+            (8, 2, 3.0 / 8.0),
+            (32, 64, 1.0),
+            (64, 5, 0.5),
+            (1024, 64, 3.0 / 8.0),
+        ] {
+            let cfg = AdaptiveConfig {
+                sht_fraction: sht,
+                relocation_window: window,
+                ..Default::default()
+            };
+            let span = 4 * sets as u64;
+            let blocks: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..span)).collect();
+            assert_matches_scalar_reference(sets, cfg, &blocks);
+        }
+    }
+
+    #[test]
+    fn bitmap_cache_matches_scalar_reference_on_a_hot_run_wider_than_the_window() {
+        // Hot sets 100..400 (300 sets, window 64 on either side): victims
+        // near the middle of the run find no host, those near its edges
+        // find one; plus cold traffic over the whole cache.
+        let mut rng = StdRng::seed_from_u64(21);
+        let sets = 1024u64;
+        let blocks: Vec<u64> = (0..60_000)
+            .map(|_| {
+                if rng.gen_bool(0.8) {
+                    rng.gen_range(100..400) + sets * rng.gen_range(0..3)
+                } else {
+                    rng.gen_range(0..64 * sets)
+                }
+            })
+            .collect();
+        assert_matches_scalar_reference(1024, AdaptiveConfig::default(), &blocks);
     }
 
     #[test]

@@ -63,6 +63,11 @@ pub fn min_misses_blocks(blocks: &[BlockAddr], capacity_lines: usize) -> u64 {
     // block (successive stamps for one id strictly increase, so a stale
     // heap entry never matches), or usize::MAX when not resident.
     let mut stamp = vec![usize::MAX; unique];
+    // Every hit pushes an entry and strands the old one, so the heap
+    // would grow with the trace. Past this size it is compacted to its
+    // live entries (at most one per resident block); stale entries never
+    // win a pop, so compaction leaves the eviction sequence unchanged.
+    let compact_above = 2 * capacity_lines.max(64);
     let mut resident = 0usize;
     let mut misses = 0u64;
     for (i, &id) in ids.iter().enumerate() {
@@ -72,6 +77,9 @@ pub fn min_misses_blocks(blocks: &[BlockAddr], capacity_lines: usize) -> u64 {
             // Hit: refresh its priority (lazy: old heap entry goes stale).
             *s = nu;
             heap.push((nu, id));
+            if heap.len() > compact_above {
+                heap.retain(|&(st, cand)| stamp[cand as usize] == st);
+            }
             continue;
         }
         misses += 1;
@@ -204,6 +212,21 @@ mod tests {
             resident.push(b);
         }
         misses
+    }
+
+    #[test]
+    fn heap_compaction_keeps_the_min_miss_count() {
+        // Capacity 3 compacts whenever the heap passes 128 entries, so
+        // this hit-heavy stream compacts many times.
+        let mut rng = StdRng::seed_from_u64(7);
+        for cap in [1usize, 3, 5] {
+            let blocks: Vec<u64> = (0..3000).map(|_| rng.gen_range(0u64..8)).collect();
+            assert_eq!(
+                min_misses_blocks(&blocks, cap),
+                brute_force_min(&blocks, cap),
+                "capacity {cap}"
+            );
+        }
     }
 
     proptest! {

@@ -9,12 +9,15 @@
 //!   hierarchy (the paper reports AMAT from closed-form formulas only).
 
 use crate::figures::paper_geom;
-use crate::{run_model, ExperimentTable, SchemeId, SimStore};
+use crate::{ExperimentTable, SchemeId, SimStore};
+use std::sync::Arc;
 use unicache_assoc::{AdaptiveGroupCache, BCache, ColumnAssociativeCache};
-use unicache_core::{CacheGeometry, CacheModel};
-use unicache_sim::CacheBuilder;
+use unicache_core::{CacheGeometry, CacheModel, FusedLane, IndexFunction, FUSE_CHUNK};
+use unicache_indexing::{ModuloIndex, OddMultiplierIndex, PrimeModuloIndex, XorIndex};
+use unicache_sim::{Cache, CacheBuilder};
 use unicache_stats::Moments;
 use unicache_timing::{Hierarchy, LatencyModel};
+use unicache_trace::synth;
 use unicache_workloads::Workload;
 
 /// Miss rate and miss-kurtosis for 1/2/4/8-way conventional caches (same
@@ -197,26 +200,20 @@ mod tests {
     }
 }
 
-/// L1I study: the paper simulates a split 32 KB instruction cache but
-/// reports only data-side figures. This sweep runs synthetic instruction
-/// streams (mostly-sequential fetch with loops and calls) of growing code
-/// footprint through the L1I under each indexing scheme.
-pub fn icache(store: &SimStore) -> ExperimentTable {
-    use std::sync::Arc;
-    use unicache_core::IndexFunction;
-    use unicache_indexing::{ModuloIndex, OddMultiplierIndex, PrimeModuloIndex, XorIndex};
-    use unicache_trace::synth;
-    let _ = store; // instruction streams are synthetic; store unused
-    let geom = paper_geom();
-    let sets = geom.num_sets();
-    let configs: Vec<(String, usize, u64)> = vec![
-        ("16f_x_2KB".into(), 16, 2048),   // 32 KB of code: fits L1I
-        ("64f_x_2KB".into(), 64, 2048),   // 128 KB: 4x over capacity
-        ("32f_x_8KB".into(), 32, 8192),   // 256 KB, long functions
-        ("256f_x_1KB".into(), 256, 1024), // many small functions
-    ];
-    let rows: Vec<String> = configs.iter().map(|(n, _, _)| n.clone()).collect();
-    let schemes: Vec<(&str, Arc<dyn IndexFunction>)> = vec![
+/// Seed, length and (row name, functions, bytes per function) of the
+/// L1I study's synthetic instruction streams.
+const ICACHE_SEED: u64 = 0x1CACE;
+const ICACHE_FETCHES: usize = 400_000;
+const ICACHE_CONFIGS: [(&str, usize, u64); 4] = [
+    ("16f_x_2KB", 16, 2048),   // 32 KB of code: fits L1I
+    ("64f_x_2KB", 64, 2048),   // 128 KB: 4x over capacity
+    ("32f_x_8KB", 32, 8192),   // 256 KB, long functions
+    ("256f_x_1KB", 256, 1024), // many small functions
+];
+
+/// The L1I study's indexing schemes, by column name.
+fn icache_schemes(sets: usize) -> Vec<(&'static str, Arc<dyn IndexFunction>)> {
+    vec![
         (
             "conventional",
             Arc::new(ModuloIndex::new(sets).expect("pow2")),
@@ -230,27 +227,72 @@ pub fn icache(store: &SimStore) -> ExperimentTable {
             "Prime_Modulo",
             Arc::new(PrimeModuloIndex::new(sets).expect("pow2")),
         ),
-    ];
-    let values: Vec<Vec<f64>> = configs
+    ]
+}
+
+/// Miss rate % of a `geom` cache under each scheme over one synthetic
+/// instruction stream. The fetches are generated and replayed in
+/// `FUSE_CHUNK` blocks, every cache stepping each block in turn, so the
+/// stream is never held whole.
+fn icache_miss_rates(
+    geom: CacheGeometry,
+    schemes: &[(&str, Arc<dyn IndexFunction>)],
+    functions: usize,
+    func_bytes: u64,
+    fetches: usize,
+) -> Vec<f64> {
+    let mut caches: Vec<Cache> = schemes
         .iter()
-        .map(|(_, funcs, fbytes)| {
-            let trace = synth::instruction_stream(0x1CACE, 400_000, *funcs, *fbytes);
-            schemes
-                .iter()
-                .map(|(_, f)| {
-                    let mut cache = CacheBuilder::new(geom)
-                        .index(Arc::clone(f))
-                        .build()
-                        .expect("cache");
-                    100.0 * run_model(&trace, &mut cache).miss_rate()
-                })
-                .collect()
+        .map(|(_, f)| {
+            CacheBuilder::new(geom)
+                .index(Arc::clone(f))
+                .build()
+                .expect("cache")
         })
+        .collect();
+    let mut stream = synth::instruction_fetches(ICACHE_SEED, fetches, functions, func_bytes);
+    let mut blocks = [0u64; FUSE_CHUNK];
+    let mut writes = [false; FUSE_CHUNK];
+    loop {
+        let mut n = 0;
+        // Slots first, so a full chunk stops before drawing a fetch.
+        for ((b, w), rec) in blocks.iter_mut().zip(&mut writes).zip(&mut stream) {
+            *b = geom.block_addr(rec.addr);
+            *w = rec.kind.is_write();
+            n += 1;
+        }
+        if n == 0 {
+            break;
+        }
+        for c in &mut caches {
+            c.step_chunk(&blocks[..n], &writes[..n]);
+        }
+    }
+    caches
+        .iter()
+        .map(|c| 100.0 * c.stats().miss_rate())
+        .collect()
+}
+
+/// L1I study: the paper simulates a split 32 KB instruction cache but
+/// reports only data-side figures. This sweep runs synthetic instruction
+/// streams (mostly-sequential fetch with loops and calls) of growing code
+/// footprint through the L1I under each indexing scheme.
+pub fn icache(store: &SimStore) -> ExperimentTable {
+    let _ = store; // instruction streams are synthetic; store unused
+    let geom = paper_geom();
+    let schemes = icache_schemes(geom.num_sets());
+    let values: Vec<Vec<f64>> = ICACHE_CONFIGS
+        .iter()
+        .map(|&(_, funcs, fbytes)| icache_miss_rates(geom, &schemes, funcs, fbytes, ICACHE_FETCHES))
         .collect();
     ExperimentTable::new(
         "L1I indexing study (synthetic instruction streams)",
         "miss rate % of the 32 KB direct-mapped I-cache per indexing scheme",
-        rows,
+        ICACHE_CONFIGS
+            .iter()
+            .map(|(n, _, _)| n.to_string())
+            .collect(),
         schemes.iter().map(|(n, _)| n.to_string()).collect(),
         values,
     )
@@ -259,6 +301,7 @@ pub fn icache(store: &SimStore) -> ExperimentTable {
 #[cfg(test)]
 mod icache_tests {
     use super::*;
+    use crate::run_model;
     use unicache_workloads::Scale;
 
     #[test]
@@ -276,5 +319,30 @@ mod icache_tests {
         );
         // Over-capacity configurations miss more.
         assert!(t.values[1][0] > t.values[0][0]);
+    }
+
+    #[test]
+    fn streamed_icache_matches_the_materialised_trace() {
+        let geom = paper_geom();
+        let schemes = icache_schemes(geom.num_sets());
+        // Not a multiple of FUSE_CHUNK, so the last block is ragged.
+        let n = 3 * FUSE_CHUNK + 517;
+        for (_, funcs, fbytes) in ICACHE_CONFIGS {
+            let trace = synth::instruction_stream(ICACHE_SEED, n, funcs, fbytes);
+            let materialised: Vec<f64> = schemes
+                .iter()
+                .map(|(_, f)| {
+                    let mut cache = CacheBuilder::new(geom)
+                        .index(Arc::clone(f))
+                        .build()
+                        .unwrap();
+                    100.0 * run_model(&trace, &mut cache).miss_rate()
+                })
+                .collect();
+            assert_eq!(
+                icache_miss_rates(geom, &schemes, funcs, fbytes, n),
+                materialised
+            );
+        }
     }
 }

@@ -88,9 +88,12 @@ pub fn decode(mut buf: &[u8]) -> Result<Trace, DecodeError> {
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let count = buf.get_u64_le() as usize;
-    if buf.len() < count * 10 {
-        return Err(DecodeError::Truncated);
+    let count = usize::try_from(buf.get_u64_le()).map_err(|_| DecodeError::Truncated)?;
+    // A crafted count can make `count * 10` wrap; it then cannot fit the
+    // buffer either.
+    match count.checked_mul(10) {
+        Some(bytes) if bytes <= buf.len() => {}
+        _ => return Err(DecodeError::Truncated),
     }
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
@@ -192,6 +195,20 @@ mod tests {
         // Truncate body.
         let good = encode(&synth::uniform(1, 4, 0, 64));
         assert_eq!(decode(&good[..20]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn decode_rejects_a_count_whose_byte_length_wraps() {
+        // 18 bytes: header, then a count whose `count * 10` wraps to 4 —
+        // exactly the 4 body bytes that follow.
+        let count = u64::MAX / 10 + 1;
+        assert_eq!(count.wrapping_mul(10), 4);
+        let mut buf = b"UCTR".to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf.extend_from_slice(&[0; 4]);
+        assert_eq!(buf.len(), 18);
+        assert_eq!(decode(&buf), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -203,41 +203,84 @@ mod tests {
 /// Knobs follow typical integer-code statistics: ~70% fall-through, ~20%
 /// short backward branch (loops), ~10% call or return.
 pub fn instruction_stream(seed: u64, n: usize, functions: usize, func_bytes: u64) -> Trace {
+    instruction_fetches(seed, n, functions, func_bytes).collect()
+}
+
+/// The fetches of [`instruction_stream`], generated one at a time, for
+/// consumers that need not hold the whole stream.
+pub fn instruction_fetches(
+    seed: u64,
+    n: usize,
+    functions: usize,
+    func_bytes: u64,
+) -> InstructionFetches {
     assert!(functions > 0 && func_bytes >= 64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let text_base: Addr = 0x0040_0000;
-    let func_base = |f: usize| text_base + f as u64 * func_bytes;
-    let mut stack: Vec<(usize, Addr)> = Vec::new(); // (function, return pc)
-    let mut func = 0usize;
-    let mut pc = func_base(0);
-    (0..n)
-        .map(|_| {
-            let rec = MemRecord::fetch(pc);
-            let roll: f64 = rng.gen();
-            if roll < 0.70 {
-                pc += 4;
-            } else if roll < 0.90 {
-                // Loop back-edge: jump back a short distance.
-                let back = rng.gen_range(1..=16) * 4;
-                pc = pc.saturating_sub(back).max(func_base(func));
-            } else if roll < 0.97 && stack.len() < 64 {
-                // Call a random function.
-                stack.push((func, pc + 4));
-                func = rng.gen_range(0..functions);
-                pc = func_base(func);
-            } else if let Some((f, ret)) = stack.pop() {
-                func = f;
-                pc = ret;
-            } else {
-                pc += 4;
-            }
-            // Keep the pc inside the function body.
-            if pc >= func_base(func) + func_bytes {
-                pc = func_base(func);
-            }
-            rec
-        })
-        .collect()
+    InstructionFetches {
+        rng: StdRng::seed_from_u64(seed),
+        remaining: n,
+        functions,
+        func_bytes,
+        stack: Vec::new(),
+        func: 0,
+        pc: InstructionFetches::TEXT_BASE,
+    }
+}
+
+/// Iterator returned by [`instruction_fetches`].
+#[derive(Debug, Clone)]
+pub struct InstructionFetches {
+    rng: StdRng,
+    remaining: usize,
+    functions: usize,
+    func_bytes: u64,
+    /// (function, return pc) of each pending call.
+    stack: Vec<(usize, Addr)>,
+    func: usize,
+    pc: Addr,
+}
+
+impl InstructionFetches {
+    const TEXT_BASE: Addr = 0x0040_0000;
+
+    fn func_base(&self, f: usize) -> Addr {
+        Self::TEXT_BASE + f as u64 * self.func_bytes
+    }
+}
+
+impl Iterator for InstructionFetches {
+    type Item = MemRecord;
+
+    fn next(&mut self) -> Option<MemRecord> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let rec = MemRecord::fetch(self.pc);
+        let roll: f64 = self.rng.gen();
+        if roll < 0.70 {
+            self.pc += 4;
+        } else if roll < 0.90 {
+            // Loop back-edge: jump back a short distance.
+            let back = self.rng.gen_range(1..=16) * 4;
+            self.pc = self.pc.saturating_sub(back).max(self.func_base(self.func));
+        } else if roll < 0.97 && self.stack.len() < 64 {
+            // Call a random function.
+            self.stack.push((self.func, self.pc + 4));
+            self.func = self.rng.gen_range(0..self.functions);
+            self.pc = self.func_base(self.func);
+        } else if let Some((f, ret)) = self.stack.pop() {
+            self.func = f;
+            self.pc = ret;
+        } else {
+            self.pc += 4;
+        }
+        // Keep the pc inside the function body.
+        if self.pc >= self.func_base(self.func) + self.func_bytes {
+            self.pc = self.func_base(self.func);
+        }
+        Some(rec)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
 }
 
 #[cfg(test)]
