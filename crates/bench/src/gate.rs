@@ -194,7 +194,7 @@ const PHASE_SHARE_SLACK: f64 = 0.02;
 
 /// [`compare`] plus per-phase share gating: each named phase's share of
 /// total wall-clock may grow by at most `max_regress` relative (with
-/// [`PHASE_SHARE_SLACK`] absolute slack). A gated phase missing from
+/// `PHASE_SHARE_SLACK` absolute slack). A gated phase missing from
 /// either artifact is an error — the baseline must be regenerated when a
 /// gated experiment is added.
 pub fn compare_with_phases(

@@ -17,10 +17,12 @@
 //! concrete model, so its `access_block` calls inline.
 //!
 //! The pre-decoded form carries no thread ids: SMT models (figs. 13/14)
-//! consume `MemRecord`s directly and are not batched.
+//! consume `MemRecord`s directly and are not batched. Coherent
+//! hierarchies, which route by thread id, read [`CoherentStream`]: the
+//! same packed words plus one thread-id byte per record.
 
 use crate::model::CacheModel;
-use crate::record::MemRecord;
+use crate::record::{MemRecord, ThreadId};
 use crate::BlockAddr;
 
 /// A trace pre-decoded to `(block address, is_write)` pairs for one line
@@ -172,9 +174,7 @@ pub fn run_fused(lanes: &mut [&mut dyn FusedLane], stream: &BlockStream) {
 fn decode_chunk(packed: &[u64], blocks: &mut [u64], writes: &mut [bool]) {
     debug_assert!(blocks.len() == packed.len() && writes.len() == packed.len());
     if crate::SimdLanes::enabled() {
-        for (b, &p) in blocks.iter_mut().zip(packed) {
-            *b = p >> 1;
-        }
+        unpack_blocks(packed, blocks);
         for (w, &p) in writes.iter_mut().zip(packed) {
             *w = p & 1 == 1;
         }
@@ -186,55 +186,156 @@ fn decode_chunk(packed: &[u64], blocks: &mut [u64], writes: &mut [bool]) {
     }
 }
 
-/// Unpacks one chunk of raw [`MemRecord`]s into the coherent kernel's
-/// scratch: block addresses (`addr >> offset_bits`), write flags, and
-/// the serving core (`tid % cores` — the routing rule of
-/// [`crate::CoherentModel::run`]). This is the multi-core counterpart of
-/// `decode_chunk`: unlike [`BlockStream`], the decoded form keeps the
-/// thread id (as a core index), which coherent models need for routing,
-/// so the decode runs straight off the record slice. With the SIMD tier
-/// on, the three fields decode as separate straight-line sweeps (each a
-/// trivially vectorizable map); with it off, one interleaved scalar
-/// loop runs. Both orders write identical bytes.
+/// A merged multi-thread trace pre-decoded for coherent hierarchies:
+/// the [`BlockStream`] packing — `(block << 1) | is_write`, one `u64`
+/// per record — plus one thread-id byte per record, which coherent
+/// models need to route each reference to its serving core.
 ///
-/// # Panics
-/// If `cores` is 0 or exceeds 256 (core indices must fit in the `u8`
-/// scratch), or the scratch slices are shorter than `records`.
-pub fn decode_coherent_chunk(
-    records: &[MemRecord],
-    offset_bits: u32,
-    cores: usize,
-    blocks: &mut [BlockAddr],
-    writes: &mut [bool],
-    core_of: &mut [u8],
-) {
-    assert!(
-        (1..=256).contains(&cores),
-        "core index scratch is u8: cores must be 1..=256, got {cores}"
-    );
-    assert!(
-        blocks.len() >= records.len()
-            && writes.len() >= records.len()
-            && core_of.len() >= records.len(),
-        "decode_coherent_chunk: scratch shorter than record chunk"
-    );
-    if crate::SimdLanes::enabled() {
-        for (b, r) in blocks.iter_mut().zip(records) {
-            *b = r.addr >> offset_bits;
-        }
-        for (w, r) in writes.iter_mut().zip(records) {
-            *w = r.kind.is_write();
-        }
-        for (c, r) in core_of.iter_mut().zip(records) {
-            *c = (r.tid as usize % cores) as u8;
-        }
-    } else {
-        for (i, r) in records.iter().enumerate() {
-            blocks[i] = r.addr >> offset_bits;
-            writes[i] = r.kind.is_write();
-            core_of[i] = (r.tid as usize % cores) as u8;
+/// At 9 bytes per record (against 16 for a [`MemRecord`]) one stream
+/// serves every hierarchy replaying the mix at its line size. Each
+/// hierarchy then decodes a chunk with a shift ([`unpack_blocks`]), a
+/// mask (the write flag) and its own thread-to-core table
+/// ([`core_routes`]), so differing core counts share one stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoherentStream {
+    line_bytes: u64,
+    packed: Vec<u64>,
+    tids: Vec<ThreadId>,
+}
+
+impl CoherentStream {
+    /// An empty stream for `line_bytes`-byte lines with room for
+    /// `capacity` records — the streaming builder: [`push`](Self::push)
+    /// each record of a merge as it is produced, so the merged
+    /// `MemRecord` sequence is never materialised.
+    ///
+    /// # Panics
+    /// If `line_bytes` is not a power of two.
+    pub fn with_capacity(line_bytes: u64, capacity: usize) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size {line_bytes} not a power of two"
+        );
+        CoherentStream {
+            line_bytes,
+            packed: Vec::with_capacity(capacity),
+            tids: Vec::with_capacity(capacity),
         }
     }
+
+    /// Decodes `records` for caches with `line_bytes`-byte lines.
+    ///
+    /// # Panics
+    /// As [`with_capacity`](Self::with_capacity) and [`push`](Self::push).
+    pub fn from_records(records: &[MemRecord], line_bytes: u64) -> Self {
+        let mut s = Self::with_capacity(line_bytes, records.len());
+        for &r in records {
+            s.push(r);
+        }
+        s
+    }
+
+    /// Appends one record.
+    ///
+    /// # Panics
+    /// If the record's block number needs all 64 bits (no room for the
+    /// write flag).
+    #[inline]
+    pub fn push(&mut self, rec: MemRecord) {
+        self.packed
+            .push(pack_coherent(&rec, self.line_bytes.trailing_zeros()));
+        self.tids.push(rec.tid);
+    }
+
+    /// The line size this stream was decoded for.
+    #[inline]
+    pub fn line_bytes(&self) -> u64 {
+        self.line_bytes
+    }
+
+    /// Number of references.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.packed.len()
+    }
+
+    /// True when the stream holds no references.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.packed.is_empty()
+    }
+
+    /// The stream in [`FUSE_CHUNK`]-record chunks of `(packed words,
+    /// thread ids)` — the form the coherent chunk kernel consumes.
+    pub fn chunks(&self) -> impl Iterator<Item = (&[u64], &[ThreadId])> + '_ {
+        self.packed
+            .chunks(FUSE_CHUNK)
+            .zip(self.tids.chunks(FUSE_CHUNK))
+    }
+}
+
+/// The coherent stream's encoder: `(block << 1) | is_write` for a line
+/// offset of `shift` bits.
+#[inline]
+fn pack_coherent(rec: &MemRecord, shift: u32) -> u64 {
+    let block = rec.addr >> shift;
+    assert!(
+        block < 1 << 63,
+        "block addresses exceed 63 bits; cannot pack write flag"
+    );
+    (block << 1) | u64::from(rec.kind.is_write())
+}
+
+/// Packs one chunk of raw records into [`CoherentStream`] form — the
+/// same words and thread ids [`CoherentStream::from_records`] stores —
+/// so a caller holding a `&[MemRecord]` drives the same chunk kernel
+/// as one holding a stream.
+///
+/// # Panics
+/// As [`CoherentStream::with_capacity`] and [`CoherentStream::push`],
+/// or if the scratch slices are not exactly `records.len()` long.
+pub fn pack_coherent_chunk(
+    records: &[MemRecord],
+    line_bytes: u64,
+    packed: &mut [u64],
+    tids: &mut [ThreadId],
+) {
+    assert!(
+        line_bytes.is_power_of_two(),
+        "line size {line_bytes} not a power of two"
+    );
+    assert!(
+        packed.len() == records.len() && tids.len() == records.len(),
+        "pack_coherent_chunk: scratch length differs from the record chunk"
+    );
+    let shift = line_bytes.trailing_zeros();
+    for ((p, t), r) in packed.iter_mut().zip(tids.iter_mut()).zip(records) {
+        *p = pack_coherent(r, shift);
+        *t = r.tid;
+    }
+}
+
+/// The block numbers of a chunk of packed `(block << 1) | is_write`
+/// words (the shift half of the decode; the write flag is `word & 1`).
+#[inline]
+pub fn unpack_blocks(packed: &[u64], blocks: &mut [BlockAddr]) {
+    debug_assert_eq!(packed.len(), blocks.len());
+    for (b, &p) in blocks.iter_mut().zip(packed) {
+        *b = p >> 1;
+    }
+}
+
+/// The serving core of every thread id on a `cores`-core model:
+/// `routes[tid] == tid % cores`, the routing rule of
+/// [`crate::CoherentModel::run`], as a table built once per model so
+/// the per-record route is a load, not a division.
+///
+/// # Panics
+/// If `cores` is 0.
+pub fn core_routes(cores: usize) -> [u8; 256] {
+    assert!(cores >= 1, "a coherent model needs at least one core");
+    // tid < 256, so tid % cores < 256 for any core count.
+    std::array::from_fn(|tid| (tid % cores) as u8)
 }
 
 /// Drives several models over `stream` in one traversal (record-outer,
@@ -260,26 +361,6 @@ pub fn run_batch_many(models: &mut [&mut dyn CacheModel], stream: &BlockStream) 
             // Under the `checked` feature, verify the model's reported set
             // stays inside its geometry — the invariant every stats
             // consumer indexes by without re-checking.
-            #[cfg(feature = "checked")]
-            debug_assert!(
-                _r.set < m.geometry().num_sets(),
-                "model '{}' returned out-of-range set {}",
-                m.name(),
-                _r.set
-            );
-        }
-    }
-}
-
-/// Drives several models over raw `records` in one traversal
-/// (record-outer, model-inner). Equivalent to calling [`CacheModel::run`]
-/// on each model, but streams the trace through memory once. This is the
-/// multi-model driver for models that *cannot* be batched — SMT caches
-/// need the thread id, so they take full [`MemRecord`]s.
-pub fn run_many(models: &mut [&mut dyn CacheModel], records: &[MemRecord]) {
-    for rec in records {
-        for m in models.iter_mut() {
-            let _r = m.access(*rec);
             #[cfg(feature = "checked")]
             debug_assert!(
                 _r.set < m.geometry().num_sets(),
@@ -350,6 +431,86 @@ mod tests {
     #[should_panic(expected = "not a power of two")]
     fn rejects_bad_line_size() {
         let _ = BlockStream::from_records(&recs(), 48);
+    }
+
+    /// Records with every access kind, a thread-id sweep over all 256
+    /// values and addresses spread over many lines.
+    fn mixed_records(n: usize) -> Vec<MemRecord> {
+        (0..n as u64)
+            .map(|i| MemRecord {
+                addr: i.wrapping_mul(0x9e37_79b9) % (1 << 40),
+                kind: [AccessKind::Read, AccessKind::Write, AccessKind::InstFetch]
+                    [(i % 3) as usize],
+                tid: (i * 7 % 256) as u8,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn coherent_stream_round_trips_the_per_record_decode() {
+        let ragged = [
+            0,
+            1,
+            7,
+            FUSE_CHUNK - 1,
+            FUSE_CHUNK,
+            FUSE_CHUNK + 1,
+            2 * FUSE_CHUNK + 333,
+        ];
+        for len in ragged {
+            let records = mixed_records(len);
+            for line in [1u64, 32, 64] {
+                let stream = CoherentStream::from_records(&records, line);
+                assert_eq!(stream.len(), len);
+                assert_eq!(stream.line_bytes(), line);
+                let shift = line.trailing_zeros();
+                // The chunk kernel's decode: shift, mask, route table.
+                for cores in 1..=8usize {
+                    let routes = core_routes(cores);
+                    let mut at = 0;
+                    for (packed, tids) in stream.chunks() {
+                        assert!(packed.len() <= FUSE_CHUNK && packed.len() == tids.len());
+                        let mut blocks = vec![0; packed.len()];
+                        unpack_blocks(packed, &mut blocks);
+                        for i in 0..packed.len() {
+                            let r = &records[at + i];
+                            assert_eq!(blocks[i], r.addr >> shift);
+                            assert_eq!(packed[i] & 1 == 1, r.kind.is_write());
+                            assert_eq!(tids[i], r.tid);
+                            assert_eq!(
+                                usize::from(routes[usize::from(tids[i])]),
+                                usize::from(r.tid) % cores,
+                                "cores {cores}"
+                            );
+                        }
+                        at += packed.len();
+                    }
+                    assert_eq!(at, len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_record_chunks_equal_stream_chunks() {
+        let records = mixed_records(2 * FUSE_CHUNK + 77);
+        let stream = CoherentStream::from_records(&records, 32);
+        let mut pushed = CoherentStream::with_capacity(32, 0);
+        records.iter().for_each(|&r| pushed.push(r));
+        assert_eq!(pushed, stream, "streaming build equals from_records");
+        for (chunk, (packed, tids)) in records.chunks(FUSE_CHUNK).zip(stream.chunks()) {
+            let mut p = vec![0; chunk.len()];
+            let mut t = vec![0; chunk.len()];
+            pack_coherent_chunk(chunk, 32, &mut p, &mut t);
+            assert_eq!(p, packed);
+            assert_eq!(t, tids);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed 63 bits")]
+    fn coherent_stream_rejects_64_bit_blocks() {
+        let _ = CoherentStream::from_records(&[MemRecord::read(u64::MAX)], 1);
     }
 
     /// A minimal model that remembers exactly what it was driven with, to

@@ -32,7 +32,8 @@ pub mod record;
 pub mod stats;
 
 pub use batch::{
-    decode_coherent_chunk, run_batch_many, run_fused, run_many, BlockStream, FusedLane, FUSE_CHUNK,
+    core_routes, pack_coherent_chunk, run_batch_many, run_fused, unpack_blocks, BlockStream,
+    CoherentStream, FusedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
 pub use geometry::CacheGeometry;
@@ -69,6 +70,7 @@ const _: () = {
     sendable::<Box<dyn CacheModel>>();
     sendable::<Box<dyn CoherentModel>>();
     shareable::<BlockStream>();
+    shareable::<CoherentStream>();
     shareable::<CacheStats>();
     shareable::<CacheGeometry>();
     shareable::<MemRecord>();

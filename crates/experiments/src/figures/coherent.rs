@@ -22,9 +22,10 @@
 //!
 //! Scheduling is *fused*: the three schemes of each (cores, victim
 //! depth) cell form one [`CoherentGroup`], so the sweep runs 6 chunked
-//! group traversals (each decoding the merged stream once per chunk for
-//! all three member hierarchies) instead of 18 per-record replays —
-//! groups fanned out through `unicache_exec::map` (order-preserving).
+//! groups instead of 18 per-record replays — groups fanned out through
+//! `unicache_exec::map` (order-preserving). All 18 hierarchies read the
+//! store's one packed coherent stream of the mix, built once straight
+//! from the interleave; each hierarchy decodes it per chunk.
 
 use crate::{CoherentGroup, CoherentKey, ExperimentTable, SimStore};
 use unicache_core::CacheGeometry;
@@ -77,7 +78,7 @@ pub fn coherent(store: &SimStore) -> ExperimentTable {
     let geom = sweep_l1_geom();
     let schemes = sweep_schemes();
     // One fuse-group per (cores, victim depth): the three schemes share
-    // a single chunked traversal of the merged stream.
+    // one hierarchy configuration and the store's coherent stream.
     let groups: Vec<CoherentGroup> = CORE_COUNTS
         .iter()
         .flat_map(|&c| {
@@ -176,6 +177,14 @@ mod tests {
         let t1 = coherent(&store);
         let sims = store.sims_run();
         assert_eq!(sims, 18, "one simulation per sweep row");
+        // All 18 hierarchies read one coherent stream, and the trace
+        // store holds only the mix's per-thread traces: no merged trace.
+        assert_eq!(
+            store.streams_decoded(),
+            1,
+            "one stream per (mix, policy, line)"
+        );
+        assert_eq!(store.traces().cached(), coherent_mix().len());
         // A second render re-reads every outcome from the store.
         let t2 = coherent(&store);
         assert_eq!(store.sims_run(), sims, "no re-simulation");

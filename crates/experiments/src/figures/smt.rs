@@ -3,7 +3,7 @@
 use crate::figures::paper_geom;
 use crate::{ExperimentTable, SimStore};
 use std::sync::Arc;
-use unicache_core::{run_many, CacheModel, IndexFunction};
+use unicache_core::{CacheModel, IndexFunction};
 use unicache_indexing::{ModuloIndex, OddMultiplierIndex, RECOMMENDED_MULTIPLIERS};
 use unicache_smt::{
     for_each_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
@@ -52,31 +52,21 @@ fn mix_label(mix: &[Workload]) -> String {
 }
 
 /// Replays the interleaved `mix` through every model in one traversal.
-/// The round-robin merge is streamed straight out of the per-thread
-/// traces (no merged copy is ever allocated); other policies materialize
-/// through the store's memoized merge.
+/// The merge, under either policy, is streamed straight out of the
+/// per-thread traces (no merged copy is ever allocated).
 fn drive_mix(
     store: &SimStore,
     mix: &[Workload],
     policy: InterleavePolicy,
     models: &mut [&mut dyn CacheModel],
 ) {
-    match policy {
-        InterleavePolicy::RoundRobin => {
-            let traces: Vec<Arc<unicache_trace::Trace>> =
-                mix.iter().map(|&w| store.get(w)).collect();
-            let refs: Vec<&unicache_trace::Trace> = traces.iter().map(|t| &**t).collect();
-            for_each_interleaved(&refs, |rec| {
-                for m in models.iter_mut() {
-                    m.access(rec);
-                }
-            });
+    let traces: Vec<Arc<unicache_trace::Trace>> = mix.iter().map(|&w| store.get(w)).collect();
+    let refs: Vec<&unicache_trace::Trace> = traces.iter().map(|t| &**t).collect();
+    for_each_interleaved(&refs, policy, |rec| {
+        for m in models.iter_mut() {
+            m.access(rec);
         }
-        _ => {
-            let merged = store.merged_trace(mix, policy);
-            run_many(models, merged.records());
-        }
-    }
+    });
 }
 
 /// **Figure 13** — % reduction in misses when each thread of a shared

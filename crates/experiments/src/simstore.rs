@@ -40,17 +40,21 @@
 //! Coherent-hierarchy results go through the same machinery: a
 //! [`CoherentKey`] memoizes one `(mix, policy, scheme, geometry, cores,
 //! victim depth, L2)` outcome, keys differing only in scheme share a
-//! [`CoherentGroup`], and every still-missing scheme of a group runs in
-//! one chunked traversal of the merged trace
-//! (`unicache_hierarchy::run_coherent_fused` — the merged stream is
-//! decoded once per chunk per *group* instead of once per scheme).
+//! [`CoherentGroup`], and every still-missing scheme of a group runs
+//! over one memoized [`CoherentStream`] per `(mix, policy, line size)`
+//! (`unicache_hierarchy::run_coherent_stream`). The stream is packed
+//! once per store, straight out of the streaming interleave — the merged
+//! `MemRecord` trace is never materialised — and every hierarchy of
+//! every group decodes its chunks with a shift, a mask and a table
+//! lookup.
 //!
 //! The [`SimStore::hits`]/[`SimStore::sims_run`]/
 //! [`SimStore::streams_decoded`] counters make the exactly-once property
 //! observable (and testable): after any sequence of figure runs,
 //! `sims_run` equals the number of *distinct* keys ever requested, and
 //! `streams_decoded` equals the number of distinct `(workload, line
-//! size)` pairs — no matter how many schemes shared each stream.
+//! size)` and `(mix, policy, line size)` pairs — no matter how many
+//! schemes or hierarchies shared each stream.
 
 use crate::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,14 +63,15 @@ use unicache_assoc::{AdaptiveGroupCache, BCache, ColumnAssociativeCache, SkewedC
 use unicache_core::hasher::det_map;
 use unicache_core::DetHashMap;
 use unicache_core::{
-    run_fused, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats, FusedLane,
+    run_fused, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats, CoherentStream,
+    FusedLane,
 };
 use unicache_hierarchy::{
-    run_coherent_fused, CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode,
+    run_coherent_stream, CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode,
 };
 use unicache_indexing::IndexScheme;
 use unicache_sim::CacheBuilder;
-use unicache_smt::{interleave_refs, InterleavePolicy};
+use unicache_smt::{for_each_interleaved, InterleavePolicy};
 use unicache_stats::{LifetimeTotals, RecencyLens};
 use unicache_trace::{Trace, WorkloadSummary};
 use unicache_workloads::{Scale, Workload};
@@ -160,7 +165,7 @@ type Cell<T> = Arc<OnceLock<Arc<T>>>;
 type StreamKey = (Workload, u64);
 type ResultKey = (Workload, SchemeId, CacheGeometry);
 type GroupKey = (Workload, CacheGeometry);
-type MergedKey = (Vec<Workload>, InterleavePolicy);
+type CohStreamKey = (Vec<Workload>, InterleavePolicy, u64);
 type CohGroupKey = (
     Vec<Workload>,
     InterleavePolicy,
@@ -172,14 +177,14 @@ type CohGroupKey = (
 
 /// Identity of one coherent-hierarchy simulation — the [`SimStore`] key
 /// for `xp coherent` rows. Two keys differing only in `scheme` share a
-/// [`CoherentGroup`] (and its single decode of the merged trace).
+/// [`CoherentGroup`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CoherentKey {
     /// The workload mix interleaved into the shared reference stream.
     pub mix: Vec<Workload>,
     /// How the mix is interleaved.
     pub policy: InterleavePolicy,
-    /// The L1 indexing scheme (must be training-free: the merged trace
+    /// The L1 indexing scheme (must be training-free: the merged mix
     /// has no single-workload training list).
     pub scheme: IndexScheme,
     /// Per-core L1 geometry.
@@ -207,9 +212,10 @@ pub struct CoherentOutcome {
 }
 
 /// One schedulable unit of fused coherent simulation: every scheme in
-/// `schemes` shares one hierarchy configuration and a single chunked
-/// traversal of the merged trace ([`run_coherent_fused`] decodes each
-/// chunk once and steps every member hierarchy over it).
+/// `schemes` shares one hierarchy configuration and the store's one
+/// [`CoherentStream`] of the mix. The members run one at a time over
+/// the stream ([`run_coherent_stream`]), each decoding it per chunk —
+/// a shift, a mask and a core-table lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoherentGroup {
     /// The workload mix of the shared stream.
@@ -275,7 +281,7 @@ pub struct SimStore {
     traces: Arc<TraceStore>,
     streams: Mutex<DetHashMap<StreamKey, Cell<BlockStream>>>,
     summaries: Mutex<DetHashMap<StreamKey, Cell<WorkloadSummary>>>,
-    merged: Mutex<DetHashMap<MergedKey, Cell<Trace>>>,
+    coherent_streams: Mutex<DetHashMap<CohStreamKey, Cell<CoherentStream>>>,
     results: Mutex<DetHashMap<ResultKey, Cell<CacheStats>>>,
     groups: Mutex<DetHashMap<GroupKey, Arc<Mutex<()>>>>,
     coherent: Mutex<DetHashMap<CoherentKey, Cell<CoherentOutcome>>>,
@@ -328,7 +334,7 @@ impl SimStore {
             traces,
             streams: Mutex::new(det_map()),
             summaries: Mutex::new(det_map()),
-            merged: Mutex::new(det_map()),
+            coherent_streams: Mutex::new(det_map()),
             results: Mutex::new(det_map()),
             groups: Mutex::new(det_map()),
             coherent: Mutex::new(det_map()),
@@ -408,15 +414,25 @@ impl SimStore {
         Arc::clone(&self.summary(w, line_bytes).blocks)
     }
 
-    /// The interleaved shared-cache stream of `mix`, merged at most once
-    /// per (mix, policy) — figures 13 and 14 replay mostly the same mixes.
-    pub fn merged_trace(&self, mix: &[Workload], policy: InterleavePolicy) -> Arc<Trace> {
-        let cell = Self::cell_of(&self.merged, (mix.to_vec(), policy));
+    /// The coherent stream of `mix` interleaved under `policy`, packed
+    /// for `line_bytes`-byte lines at most once. The interleave streams
+    /// straight into the packed form, so no merged trace is built.
+    pub fn coherent_stream(
+        &self,
+        mix: &[Workload],
+        policy: InterleavePolicy,
+        line_bytes: u64,
+    ) -> Arc<CoherentStream> {
+        let cell = Self::cell_of(&self.coherent_streams, (mix.to_vec(), policy, line_bytes));
         Arc::clone(cell.get_or_init(|| {
-            let _span = unicache_obs::span("merge-traces");
+            let _span = unicache_obs::span("coherent-stream");
+            self.streams_decoded.fetch_add(1, Ordering::Relaxed);
             let traces: Vec<Arc<Trace>> = mix.iter().map(|&w| self.traces.get(w)).collect();
             let refs: Vec<&Trace> = traces.iter().map(|t| &**t).collect();
-            Arc::new(interleave_refs(&refs, policy))
+            let total = refs.iter().map(|t| t.len()).sum();
+            let mut stream = CoherentStream::with_capacity(line_bytes, total);
+            for_each_interleaved(&refs, policy, |r| stream.push(r));
+            Arc::new(stream)
         }))
     }
 
@@ -542,8 +558,8 @@ impl SimStore {
     }
 
     /// Simulates every scheme of a coherent group whose outcome cell is
-    /// still empty, in one fused chunked traversal of the merged trace,
-    /// under the group lock (exactly-once per key, like
+    /// still empty, each in a chunked pass over the mix's coherent
+    /// stream, under the group lock (exactly-once per key, like
     /// [`SimStore::simulate_group`]).
     fn simulate_coherent_group(&self, g: &CoherentGroup) {
         let cells: Vec<(IndexScheme, Cell<CoherentOutcome>)> = g
@@ -569,7 +585,7 @@ impl SimStore {
         // artifact stays byte-identical across every ablation.
         unicache_obs::count(unicache_obs::Event::CohFusedPass);
         unicache_obs::observe(unicache_obs::HistEvent::CohGroupLanes, pending.len() as u64);
-        let trace = self.merged_trace(&g.mix, g.policy);
+        let stream = self.coherent_stream(&g.mix, g.policy, g.geom.line_bytes());
         let mut hiers: Vec<CoherentHierarchy> = pending
             .iter()
             .map(|(s, _)| {
@@ -588,11 +604,12 @@ impl SimStore {
             .collect();
         // One lane at a time: each hierarchy's working set (3 L1s + L2
         // + lenses) is small enough to stay host-cache-resident for a
-        // whole trace pass, which is worth far more than sharing the
-        // (cheap) chunk decode across lanes would save. The chunked
-        // kernel still batch-decodes and batch-indexes within the lane.
+        // whole stream pass, which is worth more than sharing each
+        // chunk's decode (a shift and a table lookup per record) across
+        // lanes would save. The chunked kernel still batch-indexes
+        // within the lane.
         for h in &mut hiers {
-            run_coherent_fused(&mut [h], trace.records());
+            run_coherent_stream(&mut [h], &stream);
         }
         for ((_, cell), h) in pending.iter().zip(&hiers) {
             use unicache_core::CoherentModel;
@@ -607,7 +624,7 @@ impl SimStore {
         self.sims_run
             .fetch_add(pending.len() as u64, Ordering::Relaxed);
         self.records_simulated.fetch_add(
-            trace.records().len() as u64 * pending.len() as u64,
+            stream.len() as u64 * pending.len() as u64,
             Ordering::Relaxed,
         );
     }
@@ -631,11 +648,9 @@ impl SimStore {
         let pending: Vec<&CoherentGroup> = groups
             .iter()
             .filter(|g| {
-                g.schemes.iter().any(|&s| {
-                    Self::cell_of(&self.coherent, g.key_for(s))
-                        .get()
-                        .is_none()
-                })
+                g.schemes
+                    .iter()
+                    .any(|&s| Self::cell_of(&self.coherent, g.key_for(s)).get().is_none())
             })
             .collect();
         if pending.is_empty() {
@@ -679,9 +694,10 @@ impl SimStore {
         self.records_simulated.load(Ordering::Relaxed) // uca:allow(relaxed-output)
     }
 
-    /// Number of block-stream decodes actually performed (one per
-    /// distinct `(workload, line size)` pair, however many schemes
-    /// shared the stream).
+    /// Number of stream decodes actually performed: one block stream per
+    /// distinct `(workload, line size)` pair and one coherent stream per
+    /// distinct `(mix, policy, line size)`, however many schemes or
+    /// hierarchies shared each.
     pub fn streams_decoded(&self) -> u64 {
         // Allowed Relaxed read: monotone counter, only rendered by
         // `xp --timing` after the worker scope has joined (a happens-before

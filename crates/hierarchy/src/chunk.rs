@@ -3,25 +3,30 @@
 //!
 //! The solo engine's fused kernel decodes each trace chunk once and
 //! replays it through every lane; this module brings the same execution
-//! shape to [`CoherentHierarchy`]. Each chunk of raw `MemRecord`s is
-//! decoded once (`unicache_core::decode_coherent_chunk` — blocks, write
-//! flags, serving cores) into stack scratch shared by every hierarchy in
-//! the fuse group, then each hierarchy runs its single-pass chunk step:
+//! shape to [`CoherentHierarchy`]. The kernel consumes the packed form
+//! of a [`CoherentStream`] — one `(block << 1) | is_write` word and one
+//! thread-id byte per record. [`run_coherent_stream`] reads a stream
+//! built once (the `SimStore` memoizes one per mix, policy and line
+//! size); [`run_coherent_fused`] packs each chunk of raw `MemRecord`s
+//! into the same form first, so there is one kernel and one decoder.
+//! Each hierarchy then runs its single-pass chunk step:
 //!
-//! * The serving core's L1 set for every record comes from one
+//! * The chunk's blocks are unpacked (a shift) into scratch allocated
+//!   once per run, and the set of every record comes from one
 //!   [`IndexFunction::index_many`] call (all cores of a hierarchy share
-//!   the index function, so a block's set is core-independent).
+//!   the index function, so a block's set is core-independent). The
+//!   serving core is a lookup in the hierarchy's thread-to-core table.
 //! * Each record, in trace order, is classified *inline against current
 //!   state* for a *provably bus-free* hit: resident in the packed L1,
 //!   and either a load (hits in any valid state) or a store to a
 //!   core-private line (Exclusive/Modified — SWMR guarantees no other
 //!   copy exists, so the store upgrade is silent). Such records commit
-//!   on the spot with zero bus/snoop bookkeeping; everything else falls
-//!   back to the exact serial MESI walk of [`CoherentModel::access`].
-//!   Because classification happens at commit time, there is no stale
-//!   verdict to defend against — serial side effects (snoops, fills,
-//!   evictions, back-invalidations) are already visible to every later
-//!   record in the chunk.
+//!   on the spot, in one probe of the set, with zero bus/snoop
+//!   bookkeeping; everything else falls back to the exact serial MESI
+//!   walk of [`CoherentModel::access`]. Because classification happens
+//!   at commit time, there is no stale verdict to defend against —
+//!   serial side effects (snoops, fills, evictions, back-invalidations)
+//!   are already visible to every later record in the chunk.
 //!
 //! Byte-identity with the per-record path is pinned by the
 //! `chunked_hierarchy_matches_per_record` property suite and the CI
@@ -32,7 +37,9 @@
 
 use crate::coherent::CoherentHierarchy;
 use std::sync::atomic::{AtomicBool, Ordering};
-use unicache_core::{decode_coherent_chunk, CoherentModel, MemRecord, FUSE_CHUNK};
+use unicache_core::{
+    pack_coherent_chunk, BlockAddr, CoherentModel, CoherentStream, MemRecord, ThreadId, FUSE_CHUNK,
+};
 
 /// Process-wide ablation knob, mirroring `SimdLanes`: CI byte-compares
 /// transcripts with the chunked kernel forced off (`--no-coherent-chunk`).
@@ -58,55 +65,78 @@ impl CoherentChunk {
     /// Force the per-record path (`--no-coherent-chunk`) or restore the
     /// chunked default. Affects hierarchies built afterwards.
     pub fn set_enabled(on: bool) {
-        COHERENT_CHUNK_ENABLED.store(on, Ordering::Relaxed) // uca:allow(relaxed-output);
+        COHERENT_CHUNK_ENABLED.store(on, Ordering::Relaxed); // uca:allow(relaxed-output)
     }
 }
 
-/// Drives every hierarchy in `hiers` over `records` in one fused
-/// traversal: each chunk is decoded exactly once into shared scratch
-/// (chunk-outer, hierarchy-inner), so an `xp coherent` fuse group of
-/// per-scheme hierarchies streams the trace from memory once per group
-/// instead of once per scheme. Statistically equivalent to calling
-/// [`CoherentModel::run`] on each hierarchy alone — every hierarchy sees
-/// the same records in the same order and they never observe each other.
-///
-/// # Panics
-/// If the hierarchies disagree on line size or core count (the shared
-/// decoded chunk would be wrong for them).
-pub fn run_coherent_fused(hiers: &mut [&mut CoherentHierarchy], records: &[MemRecord]) {
-    let Some(first) = hiers.first() else { return };
-    let line = first.geometry().line_bytes();
-    let offset = first.geometry().offset_bits();
-    let cores = first.cores();
-    for h in hiers.iter() {
+/// Per-run scratch of the chunk kernel: the unpacked blocks and the
+/// `index_many` output of one chunk, allocated once per run and reused
+/// by every chunk and every hierarchy of the run.
+pub(crate) struct ChunkScratch {
+    pub(crate) blocks: Vec<BlockAddr>,
+    pub(crate) sets: Vec<usize>,
+}
+
+impl ChunkScratch {
+    fn new() -> Self {
+        ChunkScratch {
+            blocks: vec![0; FUSE_CHUNK],
+            sets: vec![0; FUSE_CHUNK],
+        }
+    }
+}
+
+/// Checks that every hierarchy decodes blocks at `line_bytes`.
+fn assert_line_size(hiers: &[&mut CoherentHierarchy], line_bytes: u64) {
+    for h in hiers {
         assert_eq!(
             h.geometry().line_bytes(),
-            line,
+            line_bytes,
             "hierarchy '{}' line size does not match the fuse group",
             h.name()
         );
-        assert_eq!(
-            h.cores(),
-            cores,
-            "hierarchy '{}' core count does not match the fuse group",
-            h.name()
-        );
     }
-    let mut blocks = [0u64; FUSE_CHUNK];
-    let mut writes = [false; FUSE_CHUNK];
-    let mut core_of = [0u8; FUSE_CHUNK];
+}
+
+/// Drives every hierarchy in `hiers` over `stream` in one fused
+/// traversal (chunk-outer, hierarchy-inner). Statistically equivalent
+/// to calling [`CoherentModel::run`] on each hierarchy alone with the
+/// records the stream was built from — every hierarchy sees the same
+/// records in the same order and they never observe each other. Each
+/// hierarchy routes thread ids to cores by its own core count, so the
+/// group may mix core counts.
+///
+/// # Panics
+/// If a hierarchy's line size differs from the stream's.
+pub fn run_coherent_stream(hiers: &mut [&mut CoherentHierarchy], stream: &CoherentStream) {
+    assert_line_size(hiers, stream.line_bytes());
+    let mut scratch = ChunkScratch::new();
+    for (packed, tids) in stream.chunks() {
+        for h in hiers.iter_mut() {
+            h.step_chunk(packed, tids, &mut scratch);
+        }
+    }
+}
+
+/// [`run_coherent_stream`] over raw `records`: each chunk is packed
+/// once into the stream's form (shared by every hierarchy of the
+/// group), then the same chunk kernel runs.
+///
+/// # Panics
+/// If the hierarchies disagree on line size (the shared packed chunk
+/// would be wrong for them).
+pub fn run_coherent_fused(hiers: &mut [&mut CoherentHierarchy], records: &[MemRecord]) {
+    let Some(first) = hiers.first() else { return };
+    let line = first.geometry().line_bytes();
+    assert_line_size(hiers, line);
+    let mut scratch = ChunkScratch::new();
+    let mut packed = vec![0u64; FUSE_CHUNK];
+    let mut tids: Vec<ThreadId> = vec![0; FUSE_CHUNK];
     for chunk in records.chunks(FUSE_CHUNK) {
         let n = chunk.len();
-        decode_coherent_chunk(
-            chunk,
-            offset,
-            cores,
-            &mut blocks[..n],
-            &mut writes[..n],
-            &mut core_of[..n],
-        );
+        pack_coherent_chunk(chunk, line, &mut packed[..n], &mut tids[..n]);
         for h in hiers.iter_mut() {
-            h.step_chunk(&blocks[..n], &writes[..n], &core_of[..n]);
+            h.step_chunk(&packed[..n], &tids[..n], &mut scratch);
         }
     }
 }
@@ -191,11 +221,50 @@ mod tests {
     }
 
     #[test]
+    fn stream_entry_matches_record_entry_across_core_counts() {
+        let recs = trace(2 * FUSE_CHUNK as u64 + 301);
+        let stream = CoherentStream::from_records(&recs, 32);
+        let build_cores = |cores: usize| {
+            let geom = CacheGeometry::from_sets(16, 32, 2).unwrap();
+            HierarchyBuilder::new(geom, Arc::new(XorIndex::new(16).unwrap()))
+                .cores(cores)
+                .victim_depth(2)
+                .l2(L2Mode::Shared(CacheGeometry::from_sets(64, 32, 4).unwrap()))
+                .build()
+                .unwrap()
+        };
+        // One stream drives a group mixing 1, 3 and 4 cores.
+        let mut group: Vec<CoherentHierarchy> = [1, 3, 4].map(build_cores).into();
+        {
+            let mut refs: Vec<&mut CoherentHierarchy> = group.iter_mut().collect();
+            run_coherent_stream(&mut refs, &stream);
+        }
+        for (h, cores) in group.iter().zip([1, 3, 4]) {
+            let mut solo = build_cores(cores);
+            run_coherent_fused(&mut [&mut solo], &recs);
+            assert_eq!(h.merged_core_stats(), solo.merged_core_stats());
+            assert_eq!(h.coherence_stats(), solo.coherence_stats());
+            assert_eq!(h.shared_l2_stats(), solo.shared_l2_stats());
+            assert_eq!(h.fast_path_commits(), solo.fast_path_commits());
+            assert_eq!(h.now(), recs.len() as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size does not match")]
+    fn stream_entry_rejects_line_size_mismatch() {
+        let stream = CoherentStream::from_records(&trace(10), 64);
+        run_coherent_stream(&mut [&mut build(true)], &stream);
+    }
+
+    #[test]
     fn knob_sets_build_time_default() {
         let geom = CacheGeometry::from_sets(8, 32, 1).unwrap();
         let idx: Arc<dyn unicache_core::IndexFunction> = Arc::new(ModuloIndex::new(8).unwrap());
         CoherentChunk::set_enabled(false);
-        let off = HierarchyBuilder::new(geom, Arc::clone(&idx)).build().unwrap();
+        let off = HierarchyBuilder::new(geom, Arc::clone(&idx))
+            .build()
+            .unwrap();
         CoherentChunk::set_enabled(true);
         let on = HierarchyBuilder::new(geom, idx).build().unwrap();
         assert!(!off.is_chunked());

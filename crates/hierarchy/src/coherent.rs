@@ -23,14 +23,14 @@
 //! `uca check` asserts `misses == interventions + l2_demand_hits +
 //! memory_fetches` over replayed traces, in both L2 modes.
 
-use crate::chunk::CoherentChunk;
+use crate::chunk::{ChunkScratch, CoherentChunk};
 use crate::l1::CoherentL1;
 use crate::l2::PackedL2;
 use crate::mesi::{fill_state, transition, LineEvent, Mesi};
 use std::sync::Arc;
 use unicache_core::{
-    AccessResult, BlockAddr, CacheGeometry, CacheStats, CoherentModel, HitWhere, IndexFunction,
-    MemRecord, Result, FUSE_CHUNK,
+    core_routes, unpack_blocks, AccessResult, BlockAddr, CacheGeometry, CacheStats, CoherentModel,
+    HitWhere, IndexFunction, MemRecord, Result, ThreadId, FUSE_CHUNK,
 };
 use unicache_obs as obs;
 use unicache_sim::VictimBuffer;
@@ -187,6 +187,7 @@ impl HierarchyBuilder {
             coh: CoherenceStats::default(),
             name,
             index: self.index,
+            routes: core_routes(self.cores),
             chunked: self.chunked.unwrap_or_else(CoherentChunk::enabled),
             fast_commits: 0,
             serial_commits: 0,
@@ -206,6 +207,9 @@ pub struct CoherentHierarchy {
     /// batched `index_many` — every core's L1 holds a clone of it, so a
     /// block's set number is core-independent.
     index: Arc<dyn IndexFunction>,
+    /// Serving core of each thread id (`tid % cores`), built once so the
+    /// chunk kernel routes a record with a load instead of a division.
+    routes: [u8; 256],
     /// Whether `step_chunk` runs the classify/commit kernel (resolved at
     /// build time from [`CoherentChunk`] or the builder override).
     chunked: bool,
@@ -396,9 +400,7 @@ impl CoherentHierarchy {
 
     /// Inclusion enforcement: the L2 evicted `block`, so no private
     /// cache may keep it. Dirty copies go straight to memory (the line
-    /// just left the L2). This is the one serial side effect landing at
-    /// a *different* L1 set than the record that caused it, so the
-    /// chunk-staleness filter must see it too.
+    /// just left the L2).
     fn back_invalidate(&mut self, block: BlockAddr, now: u64) {
         let set = self.index.index_block(block);
         for c in 0..self.cores.len() {
@@ -432,73 +434,74 @@ impl CoherentHierarchy {
         }
     }
 
-    /// Commits a chunk-classified hit: exactly the serial hit path
-    /// (tick, write counter, LRU/lens bookkeeping, silent E→M upgrade,
-    /// per-set Primary record) minus the probes the classification
-    /// already proved unnecessary. Emits no obs events — neither does
-    /// the serial hit path, so transcripts and metrics stay identical.
-    #[inline]
-    fn commit_fast(&mut self, core: usize, set: usize, way: usize, is_write: bool) {
-        let now = self.clock.tick();
-        let l1 = &mut self.cores[core].l1;
-        if is_write {
-            l1.stats_mut().record_write();
-        }
-        l1.commit_fast_hit(set, way, is_write, now);
-        l1.stats_mut().record(set, HitWhere::Primary);
-        self.fast_commits += 1;
-    }
-
-    /// Processes one decoded chunk (`blocks[i]` pairs with `writes[i]`
-    /// and `core_of[i]`). With chunking off this is the plain per-record
-    /// loop; with it on, the single-pass fused kernel of DESIGN §16
-    /// runs: one batched `index_many` for the whole chunk, then every
-    /// record is classified *inline, against current state* — a provably
-    /// bus-free private-line hit commits on the fast path, anything else
-    /// falls through to the exact serial MESI walk with its set already
-    /// computed. Because classification happens at commit time there is
-    /// no stale-verdict problem and nothing to track between records.
-    /// Byte-identical either way.
+    /// Processes one chunk of a coherent stream: `packed[i]` is record
+    /// `i`'s `(block << 1) | is_write` word and `tids[i]` its thread id
+    /// (`unicache_core::CoherentStream`'s form). The decode is a shift
+    /// into `scratch`, a mask for the write flag and a lookup in the
+    /// thread-to-core table. With chunking off this is the plain
+    /// per-record loop; with it on, the single-pass fused kernel of
+    /// DESIGN §16 runs: one batched `index_many` for the whole chunk,
+    /// then every record, in trace order, tries the serving L1's fast
+    /// path ([`CoherentL1::try_fast_commit`], classified *inline, against
+    /// current state*), and anything it refuses takes the exact serial
+    /// MESI walk with its set already computed. Because classification
+    /// happens at commit time there is no stale verdict and nothing to
+    /// track between records. Byte-identical either way.
     ///
     /// # Panics
-    /// If the chunk is longer than [`FUSE_CHUNK`] (the stack scratch
-    /// size) or the scratch slices disagree on length.
-    pub fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool], core_of: &[u8]) {
-        let n = blocks.len();
+    /// If the chunk is longer than [`FUSE_CHUNK`] (the scratch size) or
+    /// `packed` and `tids` disagree on length.
+    pub(crate) fn step_chunk(
+        &mut self,
+        packed: &[u64],
+        tids: &[ThreadId],
+        scratch: &mut ChunkScratch,
+    ) {
+        let n = packed.len();
         assert!(n <= FUSE_CHUNK, "chunk of {n} exceeds FUSE_CHUNK");
-        assert!(writes.len() == n && core_of.len() == n);
+        assert_eq!(tids.len(), n, "packed words and thread ids disagree");
         if !self.chunked {
-            for i in 0..n {
-                self.access(core_of[i] as usize, blocks[i], writes[i]);
+            for (&p, &t) in packed.iter().zip(tids) {
+                self.access(usize::from(self.routes[usize::from(t)]), p >> 1, p & 1 == 1);
             }
             return;
         }
+        let blocks = &mut scratch.blocks[..n];
+        let sets = &mut scratch.sets[..n];
+        unpack_blocks(packed, blocks);
         // One batched index computation serves every core: the index
         // function is shared, so set numbers are core-independent.
-        let mut sets = [0usize; FUSE_CHUNK];
-        self.index.index_many(blocks, &mut sets[..n]);
+        self.index.index_many(blocks, sets);
+        let mut fast = 0;
         for i in 0..n {
-            let core = core_of[i] as usize;
-            match self.cores[core].l1.classify_fast(sets[i], blocks[i], writes[i]) {
-                Some(way) => self.commit_fast(core, sets[i], way, writes[i]),
-                None => {
-                    self.access_at(core, sets[i], blocks[i], writes[i]);
-                }
+            let core = usize::from(self.routes[usize::from(tids[i])]);
+            let (set, block, is_write) = (sets[i], blocks[i], packed[i] & 1 == 1);
+            let now = self.clock.tick();
+            if self.cores[core]
+                .l1
+                .try_fast_commit(set, block, is_write, now)
+            {
+                fast += 1;
+            } else {
+                self.access_at(core, set, block, is_write, now);
             }
         }
+        self.fast_commits += fast;
     }
-    /// The exact serial MESI walk with the L1 set already computed —
-    /// the shared tail of [`CoherentModel::access`] and the chunked
-    /// kernel's fallback (which batch-computes sets via `index_many`).
+
+    /// The exact serial MESI walk at tick `now` with the L1 set already
+    /// computed — the shared tail of [`CoherentModel::access`] and the
+    /// chunked kernel's fallback (which batch-computes sets via
+    /// `index_many`).
     fn access_at(
         &mut self,
         core: usize,
         set: usize,
         block: BlockAddr,
         is_write: bool,
+        now: u64,
     ) -> AccessResult {
         self.serial_commits += 1;
-        let now = self.clock.tick();
         if is_write {
             self.cores[core].l1.stats_mut().record_write();
         }
@@ -622,11 +625,12 @@ impl CoherentModel for CoherentHierarchy {
 
     fn access(&mut self, core: usize, block: BlockAddr, is_write: bool) -> AccessResult {
         let set = self.cores[core].l1.set_of(block);
-        self.access_at(core, set, block, is_write)
+        let now = self.clock.tick();
+        self.access_at(core, set, block, is_write, now)
     }
 
-    /// Routes the whole trace through the chunked kernel (decode once
-    /// per chunk, classify, commit) — or, with chunking resolved off,
+    /// Routes the whole trace through the chunked kernel (pack each
+    /// chunk, classify, commit) — or, with chunking resolved off,
     /// through a loop byte-identical to the trait's per-record default.
     fn run(&mut self, trace: &[MemRecord]) {
         crate::chunk::run_coherent_fused(&mut [self], trace);

@@ -9,12 +9,20 @@
 //! index scheme.
 //!
 //! Line state is packed per way: tag, LRU stamp, MESI state *and* the
-//! open dead-time generation live in one 32-byte [`WaySlot`], so a
+//! open dead-time generation live in one 32-byte `WaySlot`, so a
 //! 2-way set — the coherent sweep's geometry — spans a single host
 //! cache line. A hit (the chunked kernel's fast path, DESIGN §16)
 //! touches that line, the set's LRU clock and two small histograms, and
 //! nothing else; the SoA split this replaced scattered the same state
 //! over five arrays and cost a host-cache touch per array.
+//!
+//! The LRU stamps and set clocks are 32-bit, which is what keeps a slot
+//! at 32 bytes (a compile-time assertion below pins the size). As for
+//! the shared L2's packed slots, wrapping a set clock takes 2^32
+//! touches of one set — more records than any in-memory trace or
+//! coherent stream holds — and a debug assertion checks it in test
+//! builds. The fill/touch ticks stay 64-bit: they count accesses to the
+//! whole hierarchy, not to one set.
 //!
 //! The L1 also feeds the two hierarchy uniformity lenses: every fill /
 //! touch / eviction updates the dead-time/live-time accounting
@@ -24,19 +32,19 @@
 
 use crate::mesi::Mesi;
 use std::sync::Arc;
-use unicache_core::{BlockAddr, CacheGeometry, CacheStats, IndexFunction};
+use unicache_core::{BlockAddr, CacheGeometry, CacheStats, HitWhere, IndexFunction};
 use unicache_stats::{LifetimeTotals, RecencyLens};
 
-/// One way's complete hot state. `repr(align(32))` keeps a slot inside
-/// one host cache line and a 2-way set inside (at most) two, whatever
-/// the allocator does; the lifetime-generation fields ride along so a
-/// touch costs no extra line.
+/// One way's complete hot state in 32 bytes. `repr(align(32))` keeps a
+/// slot inside one host cache line and a 2-way set inside one line
+/// whenever the slot array is line-aligned; the lifetime-generation
+/// fields ride along so a touch costs no extra line.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(32))]
 struct WaySlot {
     block: BlockAddr,
     /// LRU stamp: the set clock's value at the last touch.
-    stamp: u64,
+    stamp: u32,
     /// Tick of the fill that opened the current generation
     /// (meaningful only while `state` is valid).
     fill_at: u64,
@@ -55,15 +63,32 @@ impl WaySlot {
     };
 }
 
+// Two slots per 64-byte host line; a field change that grows the slot
+// fails the build.
+const _: () =
+    assert!(std::mem::size_of::<WaySlot>() == 32 && std::mem::align_of::<WaySlot>() == 32);
+
+/// Recency rank of `way` among one set's slots: how many valid ways
+/// were used more recently (0 = MRU). The slots were just scanned by
+/// the probe that found `way`, so this re-walk stays in host cache.
+#[inline]
+fn rank_in(set_slots: &[WaySlot], way: usize) -> usize {
+    let my_stamp = set_slots[way].stamp;
+    set_slots
+        .iter()
+        .filter(|s| s.state.is_valid() & (s.stamp > my_stamp))
+        .count()
+}
+
 /// One core's private cache: `num_sets x ways` MESI lines indexed by any
-/// registry [`IndexFunction`]. Storage is an array of packed
-/// [`WaySlot`]s (`set * ways + way`), plus one LRU clock per set.
+/// registry [`IndexFunction`]. Storage is an array of packed 32-byte
+/// way slots (`set * ways + way`), plus one LRU clock per set.
 pub struct CoherentL1 {
     geom: CacheGeometry,
     index: Arc<dyn IndexFunction>,
     ways: usize,
     slots: Vec<WaySlot>,
-    clocks: Vec<u64>,
+    clocks: Vec<u32>,
     stats: CacheStats,
     /// Dead/live totals over *closed* generations; open ones live in
     /// the slots and are folded in by [`CoherentL1::lifetime`]. A slot's
@@ -111,21 +136,6 @@ impl CoherentL1 {
         self.closed.generations += 1;
     }
 
-    /// Recency rank of `way` in `set`: how many valid ways were used
-    /// more recently (0 = MRU). The slots were just scanned by the
-    /// probe that found `way`, so this re-walk stays in host cache.
-    #[inline]
-    fn rank_of(&self, set: usize, way: usize) -> usize {
-        let base = set * self.ways;
-        let my_stamp = self.slots[base + way].stamp;
-        (0..self.ways)
-            .filter(|&w| {
-                let s = &self.slots[base + w];
-                s.state.is_valid() && s.stamp > my_stamp
-            })
-            .count()
-    }
-
     /// Non-mutating probe: the way and state of `block` if resident.
     pub fn peek(&self, set: usize, block: BlockAddr) -> Option<(usize, Mesi)> {
         let base = set * self.ways;
@@ -135,47 +145,56 @@ impl CoherentL1 {
         })
     }
 
-    /// Read-only classify probe for the chunked kernel: the hit way if
-    /// `block` is resident *and* the access can commit with provably no
-    /// bus traffic. A load hits in any valid state (LoadHit MESI
-    /// transitions are the identity); a store needs the line core-private
-    /// (Exclusive or Modified — SWMR guarantees no other copy), because a
-    /// store hit on Shared raises BusUpgr and must take the serial path.
+    /// The chunked kernel's fast path (DESIGN §16): commits the access
+    /// in place and returns `true` if `block` is resident *and* the
+    /// access provably needs no bus traffic; otherwise changes nothing
+    /// and returns `false`, and the access takes the serial MESI walk.
+    /// A load hits in any valid state (LoadHit MESI transitions are the
+    /// identity); a store needs the line core-private (Exclusive or
+    /// Modified — SWMR guarantees no other copy), because a store hit on
+    /// Shared raises BusUpgr.
+    ///
+    /// The set is probed once: the hit way is picked by a branch-free
+    /// select over the set's slots (a block is resident in at most one
+    /// way), and the commit reproduces the serial hit exactly — recency
+    /// rank before refresh, LRU stamp, lifetime touch, the silent
+    /// Exclusive → Modified upgrade, and the per-set Primary record.
+    /// Byte-identical to `lookup` + `transition` + `set_state` + the
+    /// hierarchy's stats record on the serial path. Emits no obs events
+    /// — neither does the serial hit path, so metrics stay identical.
     #[inline]
-    pub(crate) fn classify_fast(
-        &self,
+    pub(crate) fn try_fast_commit(
+        &mut self,
         set: usize,
         block: BlockAddr,
         is_write: bool,
-    ) -> Option<usize> {
+        now: u64,
+    ) -> bool {
         let base = set * self.ways;
-        for w in 0..self.ways {
-            let s = &self.slots[base + w];
-            if s.state.is_valid() && s.block == block {
-                let private = matches!(s.state, Mesi::Exclusive | Mesi::Modified);
-                return (!is_write || private).then_some(w);
-            }
+        let slots = &mut self.slots[base..base + self.ways];
+        let mut hit = usize::MAX;
+        for (w, s) in slots.iter().enumerate() {
+            let matches = s.state.is_valid() & (s.block == block);
+            hit = if matches { w } else { hit };
         }
-        None
-    }
-
-    /// Commits a hit classified by [`CoherentL1::classify_fast`]:
-    /// reproduces `lookup` bookkeeping (recency rank before refresh,
-    /// lifetime touch, LRU stamp) plus the silent store upgrade
-    /// (Exclusive -> Modified; Modified stays Modified). Byte-identical
-    /// to `lookup` + `transition` + `set_state` on the serial path.
-    #[inline]
-    pub(crate) fn commit_fast_hit(&mut self, set: usize, way: usize, is_write: bool, now: u64) {
-        let rank = self.rank_of(set, way);
-        self.recency.record(rank);
+        let Some(s) = slots.get(hit) else {
+            return false;
+        };
+        if is_write && !matches!(s.state, Mesi::Exclusive | Mesi::Modified) {
+            return false;
+        }
+        self.recency.record(rank_in(slots, hit));
         self.clocks[set] += 1;
-        let clock = self.clocks[set];
-        let s = &mut self.slots[set * self.ways + way];
+        debug_assert!(self.clocks[set] != 0, "32-bit L1 set clock wrapped");
+        let s = &mut slots[hit];
+        s.stamp = self.clocks[set];
         s.last_touch = s.last_touch.max(now);
-        s.stamp = clock;
         if is_write {
             s.state = Mesi::Modified;
         }
+        self.stats.record_writes(u64::from(is_write));
+        self.stats.record(set, HitWhere::Primary);
+        true
     }
 
     /// A demand lookup at tick `now`: on a hit, refreshes LRU recency,
@@ -185,9 +204,11 @@ impl CoherentL1 {
         let (way, _) = self.peek(set, block)?;
         // Rank before refresh: how many valid ways of the set were used
         // more recently than the serving one (0 = MRU).
-        let rank = self.rank_of(set, way);
+        let base = set * self.ways;
+        let rank = rank_in(&self.slots[base..base + self.ways], way);
         self.recency.record(rank);
         self.clocks[set] += 1;
+        debug_assert!(self.clocks[set] != 0, "32-bit L1 set clock wrapped");
         let clock = self.clocks[set];
         let s = &mut self.slots[set * self.ways + way];
         s.last_touch = s.last_touch.max(now);
@@ -243,6 +264,7 @@ impl CoherentL1 {
             self.close_generation(base + way, now);
         }
         self.clocks[set] += 1;
+        debug_assert!(self.clocks[set] != 0, "32-bit L1 set clock wrapped");
         let clock = self.clocks[set];
         self.slots[base + way] = WaySlot {
             block,
@@ -264,12 +286,7 @@ impl CoherentL1 {
     /// [`invalidate`](Self::invalidate) with the set already computed —
     /// the index function is shared across cores, so a snoop initiator's
     /// set number is valid for every peer and need not be re-derived.
-    pub(crate) fn invalidate_at(
-        &mut self,
-        set: usize,
-        block: BlockAddr,
-        now: u64,
-    ) -> Option<Mesi> {
+    pub(crate) fn invalidate_at(&mut self, set: usize, block: BlockAddr, now: u64) -> Option<Mesi> {
         let (way, state) = self.peek(set, block)?;
         let slot = set * self.ways + way;
         self.close_generation(slot, now);
@@ -401,20 +418,24 @@ mod tests {
     }
 
     #[test]
-    fn classify_fast_gates_on_write_privacy() {
+    fn fast_commit_gates_on_write_privacy() {
         let mut c = l1(4, 2);
         let set = c.set_of(5);
         c.fill(set, 5, Mesi::Shared, 1);
         // Loads are fast in any valid state; stores only when private.
-        assert_eq!(c.classify_fast(set, 5, false), Some(0));
-        assert_eq!(c.classify_fast(set, 5, true), None);
+        assert!(c.try_fast_commit(set, 5, false, 2));
+        let before = c.stats().clone();
+        assert!(!c.try_fast_commit(set, 5, true, 3));
+        assert_eq!(c.stats(), &before, "a refused store changes nothing");
+        assert_eq!(c.state(set, 0), Mesi::Shared);
         c.set_state(set, 0, Mesi::Exclusive);
-        assert_eq!(c.classify_fast(set, 5, true), Some(0));
-        assert_eq!(c.classify_fast(set, 7, false), None);
+        assert!(c.try_fast_commit(set, 5, true, 4));
+        assert_eq!(c.state(set, 0), Mesi::Modified, "silent E->M upgrade");
+        assert!(!c.try_fast_commit(set, 7, false, 5), "absent block");
     }
 
     #[test]
-    fn commit_fast_hit_matches_lookup_bookkeeping() {
+    fn fast_commit_matches_lookup_bookkeeping() {
         let mut a = l1(1, 2);
         let mut b = l1(1, 2);
         for c in [&mut a, &mut b] {
@@ -422,17 +443,33 @@ mod tests {
             c.fill(0, 2, Mesi::Exclusive, 2);
         }
         // Store hit on the LRU private line: fast commit vs serial
-        // lookup + upgrade must leave identical state and lenses.
-        let way = a.classify_fast(0, 1, true).unwrap();
-        a.commit_fast_hit(0, way, true, 3);
+        // lookup + upgrade + stats must leave identical state and lenses.
+        assert!(a.try_fast_commit(0, 1, true, 3));
         let w = b.lookup(0, 1, 3).unwrap();
         b.set_state(0, w, Mesi::Modified);
-        assert_eq!(a.state(0, way), Mesi::Modified);
-        assert_eq!(a.state(0, way), b.state(0, w));
+        b.stats_mut().record_write();
+        b.stats_mut().record(0, HitWhere::Primary);
+        assert_eq!(a.peek(0, 1), Some((w, Mesi::Modified)));
         assert_eq!(a.recency().ranks(), b.recency().ranks());
         assert_eq!(a.lifetime(4), b.lifetime(4));
-        let stamps =
-            |c: &CoherentL1| c.slots.iter().map(|s| s.stamp).collect::<Vec<_>>();
+        assert_eq!(a.stats(), b.stats());
+        let stamps = |c: &CoherentL1| c.slots.iter().map(|s| s.stamp).collect::<Vec<_>>();
         assert_eq!(stamps(&a), stamps(&b));
+    }
+
+    #[test]
+    fn fast_commit_finds_every_way() {
+        // Wider than the sweep's 2 ways: the branch-free select must
+        // land on the one resident way wherever it sits.
+        let mut c = l1(1, 8);
+        for b in 0..8u64 {
+            c.fill(0, b, Mesi::Exclusive, b + 1);
+        }
+        for b in (0..8u64).rev() {
+            assert!(c.try_fast_commit(0, b, b % 2 == 0, 10 + b));
+        }
+        assert_eq!(c.stats().primary_hits, 8);
+        assert_eq!(c.stats().writes, 4);
+        assert!(!c.try_fast_commit(0, 8, false, 30));
     }
 }

@@ -53,6 +53,10 @@ impl L2Slot {
     };
 }
 
+// Four slots per 64-byte host line; a field change that grows the slot
+// fails the build.
+const _: () = assert!(std::mem::size_of::<L2Slot>() == 16);
+
 /// What one L2 access did: hit or miss, and the block the fill evicted
 /// (the hierarchy back-invalidates its private copies for inclusion).
 pub(crate) struct L2Access {

@@ -23,8 +23,8 @@
 //!   it);
 //! * [`coherent::CoherentHierarchy`] — the bus + victim buffers + L2
 //!   composition implementing `unicache_core::CoherentModel`;
-//! * [`chunk`] — the chunked fused kernel (DESIGN §16): decode-once
-//!   chunk replay with a private-line fast path, plus the
+//! * [`chunk`] — the chunked fused kernel (DESIGN §16): chunk replay of
+//!   a packed coherent stream with a private-line fast path, plus the
 //!   `--no-coherent-chunk` ablation knob;
 //! * [`model`] — the litmus/model-check suite.
 
@@ -35,7 +35,7 @@ mod l2;
 pub mod mesi;
 pub mod model;
 
-pub use chunk::{run_coherent_fused, CoherentChunk};
+pub use chunk::{run_coherent_fused, run_coherent_stream, CoherentChunk};
 pub use coherent::{CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode};
 pub use l1::CoherentL1;
 pub use mesi::{fill_state, transition, LineEvent, Mesi, Transition};

@@ -3,7 +3,7 @@
 //! Analytical ("predict before you simulate") tier: closed-form
 //! predictions of per-scheme miss rate, expected conflict count, and the
 //! associativity threshold α, computed from a one-pass
-//! [`WorkloadSummary`](unicache_trace::WorkloadSummary) in O(footprint)
+//! [`WorkloadSummary`] in O(footprint)
 //! time instead of O(trace) simulation.
 //!
 //! The model composes three pieces (DESIGN §15):
@@ -11,9 +11,10 @@
 //! * **Placement** ([`placement`]) — a scheme with a closed form
 //!   (modulo, XOR, odd-multiplier, prime-modulo) maps each of the U
 //!   unique blocks of the footprint to its set without replaying the
-//!   trace, via the batched [`IndexFunction::index_many`] path. Schemes
-//!   trained on a trace (Givargis, Givargis-XOR) have no closed form and
-//!   report [`Prediction::Unsupported`] — never a guess.
+//!   trace, via the batched
+//!   [`IndexFunction::index_many`](unicache_core::IndexFunction::index_many)
+//!   path. Schemes trained on a trace (Givargis, Givargis-XOR) have no
+//!   closed form and report [`Prediction::Unsupported`] — never a guess.
 //! * **Per-set steady state** ([`irm`]) — within each set, the
 //!   independent-reference model with the empirical per-block popularity
 //!   vector; steady-state LRU hit probability from the Che

@@ -29,43 +29,38 @@ pub fn interleave(traces: &[Trace], policy: InterleavePolicy) -> Trace {
     interleave_refs(&refs, policy)
 }
 
-/// Feeds the round-robin interleaving of `traces` to `f` record by
-/// record, in exactly the order [`interleave`] with
-/// [`InterleavePolicy::RoundRobin`] would materialize it — but without
-/// allocating the merged stream. The figure runners replay multi-hundred-
-/// megabyte mixes through several models at once; streaming the merge
-/// keeps that working set at zero extra bytes.
+/// Feeds the interleaving of `traces` under `policy` to `f` record by
+/// record, stamping each with its thread index — the order
+/// [`interleave`] materializes, but without allocating the merged
+/// stream. The figure runners replay multi-hundred-megabyte mixes
+/// through several models at once, and the coherent sweep packs the
+/// merge straight into a `CoherentStream`; streaming keeps that working
+/// set at zero extra bytes.
 ///
 /// # Panics
 /// Panics if more than 256 threads are supplied (`ThreadId` is a `u8`).
-pub fn for_each_interleaved(traces: &[&Trace], mut f: impl FnMut(unicache_core::MemRecord)) {
+pub fn for_each_interleaved(
+    traces: &[&Trace],
+    policy: InterleavePolicy,
+    mut f: impl FnMut(unicache_core::MemRecord),
+) {
     assert!(traces.len() <= 256, "ThreadId is u8");
-    let mut cursors = vec![0usize; traces.len()];
-    loop {
-        let mut progressed = false;
-        for (tid, t) in traces.iter().enumerate() {
-            let c = cursors[tid];
-            if c < t.len() {
-                f(t.records()[c].with_tid(tid as u8));
-                cursors[tid] += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-}
-
-/// [`interleave`] over borrowed traces — callers holding `Arc<Trace>`s
-/// (e.g. a trace store) can merge without cloning the input streams.
-pub fn interleave_refs(traces: &[&Trace], policy: InterleavePolicy) -> Trace {
-    assert!(traces.len() <= 256, "ThreadId is u8");
-    let total: usize = traces.iter().map(|t| t.len()).sum();
-    let mut out = Vec::with_capacity(total);
     let mut cursors = vec![0usize; traces.len()];
     match policy {
-        InterleavePolicy::RoundRobin => for_each_interleaved(traces, |r| out.push(r)),
+        InterleavePolicy::RoundRobin => loop {
+            let mut progressed = false;
+            for (tid, t) in traces.iter().enumerate() {
+                let c = cursors[tid];
+                if c < t.len() {
+                    f(t.records()[c].with_tid(tid as u8));
+                    cursors[tid] += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        },
         InterleavePolicy::Stochastic { seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut active: Vec<usize> = (0..traces.len())
@@ -75,7 +70,7 @@ pub fn interleave_refs(traces: &[&Trace], policy: InterleavePolicy) -> Trace {
                 let pick = rng.gen_range(0..active.len());
                 let tid = active[pick];
                 let c = cursors[tid];
-                out.push(traces[tid].records()[c].with_tid(tid as u8));
+                f(traces[tid].records()[c].with_tid(tid as u8));
                 cursors[tid] += 1;
                 if cursors[tid] == traces[tid].len() {
                     active.swap_remove(pick);
@@ -83,6 +78,15 @@ pub fn interleave_refs(traces: &[&Trace], policy: InterleavePolicy) -> Trace {
             }
         }
     }
+}
+
+/// [`interleave`] over borrowed traces — callers holding `Arc<Trace>`s
+/// (e.g. a trace store) can merge without cloning the input streams.
+/// The `collect` of [`for_each_interleaved`].
+pub fn interleave_refs(traces: &[&Trace], policy: InterleavePolicy) -> Trace {
+    let total: usize = traces.iter().map(|t| t.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    for_each_interleaved(traces, policy, |r| out.push(r));
     Trace::from_records(out)
 }
 

@@ -19,9 +19,18 @@
 //! transcript-level cache state (resident lines, victim-buffer
 //! contents) — across every registry scheme, core count, victim depth,
 //! and ragged trace lengths straddling the FUSE_CHUNK boundary.
+//!
+//! A fourth property pins the kernel's two entries: a run over a
+//! pre-packed `CoherentStream` must equal a run over the raw records it
+//! was packed from, commit-path counts included — and the `SimStore`
+//! must build that stream once per (mix, policy, line size), straight
+//! from the interleave, under either interleave policy.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use unicache::experiments::CoherentKey;
 use unicache::prelude::*;
+use unicache::smt::interleave_refs;
 use unicache::trace::synth;
 
 fn reference_geometries() -> [CacheGeometry; 2] {
@@ -213,4 +222,112 @@ proptest! {
             prop_assert_eq!(slow.fast_path_commits(), 0);
         }
     }
+
+    /// Stream entry == `&[MemRecord]` entry, exactly, for every registry
+    /// scheme × {1,2,4} cores × victim depth {0,4}, with thread ids
+    /// beyond the core count (routing wraps) and ragged lengths.
+    #[test]
+    fn stream_entry_matches_record_entry(
+        seed in 0u64..4000,
+        len in 1usize..2600,
+        threads in 1u8..7,
+    ) {
+        let geom = CacheGeometry::from_sets(64, 32, 2).unwrap();
+        let l2 = CacheGeometry::from_sets(256, 32, 4).unwrap();
+        let base = synth::uniform_rw(seed, len, 0, 1 << 13, 0.3);
+        let records: Vec<MemRecord> = base
+            .records()
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| r.with_tid((i % usize::from(threads)) as u8))
+            .collect();
+        let stream = CoherentStream::from_records(&records, geom.line_bytes());
+        let training = base.unique_blocks(geom.line_bytes());
+        for scheme in IndexScheme::all() {
+            let index = scheme.build(geom, Some(&training)).unwrap();
+            for cores in [1usize, 2, 4] {
+                for depth in [0usize, 4] {
+                    let build = || {
+                        HierarchyBuilder::new(geom, index.clone())
+                            .cores(cores)
+                            .victim_depth(depth)
+                            .l2(L2Mode::Shared(l2))
+                            .build()
+                            .unwrap()
+                    };
+                    let mut packed = build();
+                    let mut raw = build();
+                    run_coherent_stream(&mut [&mut packed], &stream);
+                    run_coherent_fused(&mut [&mut raw], &records);
+                    let what = format!("{} cores={cores} depth={depth}", scheme.label());
+                    prop_assert_eq!(packed.merged_core_stats(), raw.merged_core_stats(), "{}", &what);
+                    prop_assert_eq!(packed.coherence_stats(), raw.coherence_stats(), "{}", &what);
+                    prop_assert_eq!(packed.merged_lifetime(), raw.merged_lifetime(), "{}", &what);
+                    prop_assert_eq!(&packed.merged_recency(), &raw.merged_recency(), "{}", &what);
+                    prop_assert_eq!(packed.shared_l2_stats(), raw.shared_l2_stats(), "{}", &what);
+                    prop_assert_eq!(packed.fast_path_commits(), raw.fast_path_commits(), "{}", &what);
+                    prop_assert_eq!(packed.serial_path_commits(), raw.serial_path_commits(), "{}", &what);
+                    prop_assert_eq!(packed.now(), records.len() as u64);
+                }
+            }
+        }
+    }
+}
+
+/// The materialised merge of `mix` — the reference the streamed builds
+/// are compared against.
+fn merged(store: &SimStore, mix: &[Workload], policy: InterleavePolicy) -> Trace {
+    let traces: Vec<Arc<Trace>> = mix.iter().map(|&w| store.get(w)).collect();
+    let refs: Vec<&Trace> = traces.iter().map(|t| &**t).collect();
+    interleave_refs(&refs, policy)
+}
+
+#[test]
+fn store_builds_one_coherent_stream_per_mix_policy_line() {
+    let store = SimStore::new(Scale::Tiny);
+    let mix = [Workload::Crc, Workload::Sha];
+    let rr = InterleavePolicy::RoundRobin;
+    let stream = store.coherent_stream(&mix, rr, 32);
+    assert!(Arc::ptr_eq(&stream, &store.coherent_stream(&mix, rr, 32)));
+    assert_eq!(store.streams_decoded(), 1);
+    // The streamed build packs exactly the materialised merge.
+    let reference = merged(&store, &mix, rr);
+    assert_eq!(
+        *stream,
+        CoherentStream::from_records(reference.records(), 32)
+    );
+    // Another policy or line size is another stream.
+    store.coherent_stream(&mix, InterleavePolicy::Stochastic { seed: 3 }, 32);
+    store.coherent_stream(&mix, rr, 64);
+    assert_eq!(store.streams_decoded(), 3);
+}
+
+#[test]
+fn stochastic_coherent_group_equals_record_replay() {
+    let store = SimStore::new(Scale::Tiny);
+    let policy = InterleavePolicy::Stochastic { seed: 11 };
+    let geom = CacheGeometry::from_sets(64, 32, 2).unwrap();
+    let l2 = CacheGeometry::from_sets(256, 32, 4).unwrap();
+    let key = CoherentKey {
+        mix: vec![Workload::Crc, Workload::Sha],
+        policy,
+        scheme: IndexScheme::Xor,
+        geom,
+        cores: 2,
+        victim_depth: 4,
+        l2: Some(l2),
+    };
+    let out = store.coherent(&key);
+    assert_eq!(store.streams_decoded(), 1);
+    let mut h = HierarchyBuilder::new(geom, IndexScheme::Xor.build(geom, None).unwrap())
+        .cores(2)
+        .victim_depth(4)
+        .l2(L2Mode::Shared(l2))
+        .build()
+        .unwrap();
+    h.run(merged(&store, &key.mix, policy).records());
+    assert_eq!(out.merged, h.merged_core_stats());
+    assert_eq!(out.coh, *h.coherence_stats());
+    assert_eq!(out.lifetime, h.merged_lifetime());
+    assert_eq!(out.recency, h.merged_recency());
 }
