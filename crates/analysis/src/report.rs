@@ -1,10 +1,9 @@
 //! The machine-readable verdict format shared by `uca check` and `uca
 //! lint`.
 //!
-//! The workspace's serde shim provides marker traits only (no real
-//! serialization), so the JSON here is emitted by hand: a small, fully
-//! deterministic subset — object keys in fixed order, entries in check
-//! order, strings escaped per RFC 8259.
+//! There is no JSON crate in the offline workspace, so the JSON here is
+//! emitted by hand: a small, fully deterministic subset — object keys in
+//! fixed order, entries in check order, strings escaped per RFC 8259.
 
 use std::fmt::Write as _;
 
@@ -60,7 +59,7 @@ impl Report {
         self.entries.iter().filter(|e| !e.passed).count()
     }
 
-    /// Serializes the report as a JSON document.
+    /// Renders the report as a JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

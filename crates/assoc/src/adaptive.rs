@@ -28,14 +28,13 @@
 //! resident in at most one location, and every OUT entry points at a set
 //! that actually holds its block.
 
-use serde::{Deserialize, Serialize};
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
     LruSet, MemRecord, Result,
 };
 
 /// Sizing knobs for the SHT and OUT tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// SHT capacity as a fraction of the line count (paper: 3/8).
     pub sht_fraction: f64,

@@ -24,14 +24,13 @@
 //! the uniformity figures (kurtosis/skewness, Figs. 11–12) compare directly
 //! against the baseline's 1024 per-set counters.
 
-use serde::{Deserialize, Serialize};
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere,
     MemRecord, Result,
 };
 
 /// B-cache shape parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BCacheConfig {
     /// Mapping factor `MF` (power of two ≥ 1). The paper/Zhang use 2.
     pub mapping_factor: u32,

@@ -10,14 +10,13 @@
 //! to the primary slot; a miss everywhere cascades the displaced lines one
 //! hop down the chain and evicts from the tail.
 
-use serde::{Deserialize, Serialize};
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere,
     MemRecord, Result,
 };
 
 /// Chain-building knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainConfig {
     /// Accesses between re-chaining decisions.
     pub epoch: u64,

@@ -12,14 +12,13 @@
 //! access/miss counters from the finished epoch are ranked and the top
 //! `max_pairs` missing sets are paired with the least-accessed sets.
 
-use serde::{Deserialize, Serialize};
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere,
     MemRecord, Result,
 };
 
 /// Dynamic-pairing knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartnerConfig {
     /// Accesses between re-pairing decisions.
     pub epoch: u64,

@@ -1,5 +1,5 @@
-//! `innerloop` — criterion-free microbenchmark of the simulation inner
-//! loop, isolating the two mechanisms behind the fused kernel's speedup:
+//! `innerloop` — microbenchmark of the simulation inner loop, isolating
+//! the two mechanisms behind the fused kernel's speedup:
 //!
 //! 1. **SoA vs per-set-struct storage** — the same `Cache` driven over
 //!    the same stream with the contiguous struct-of-arrays set store

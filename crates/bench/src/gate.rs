@@ -32,8 +32,8 @@
 //! and a `--jobs N` artifact it returns the wall-clock ratio, gated at
 //! ≥2x for N ≥ 4 on the small scale.
 //!
-//! Parsing is a hand-rolled key scan ([`json_f64`]) because the vendored
-//! serde shim does not deserialize; the artifacts are machine-written
+//! Parsing is a hand-rolled key scan ([`json_f64`]) because there is no
+//! JSON crate in the offline workspace; the artifacts are machine-written
 //! with known keys, so a scan is exact here.
 
 /// The numeric value of `"key": <number>` in `src`, if present.

@@ -1,61 +1,16 @@
 //! # unicache-bench
 //!
-//! Criterion benchmark harness. Three suites (run with
-//! `cargo bench --workspace`):
+//! Host-time and design-choice tooling around the simulator, as three
+//! binaries:
 //!
-//! * `figures` — regenerates every paper figure end-to-end (trace replay +
-//!   analysis), timing the full pipeline and printing each figure's table
-//!   once so a bench run doubles as a results run;
-//! * `micro` — hot-path microbenches: each index function's hash, each
-//!   cache organisation's access loop;
+//! * `perfgate` — the CI perf-regression gate comparing `xp
+//!   --timing-json` artifacts against the committed baseline; its logic
+//!   lives in [`gate`];
+//! * `innerloop` — the inner-loop microbenchmark (storage layout, fused
+//!   and SIMD traversal, per-phase ns/record, roofline, coherent chunk);
 //! * `ablations` — the design-choice sweeps DESIGN.md calls out
 //!   (replacement policy, odd multiplier, SHT/OUT sizing, B-cache shape,
-//!   Givargis line-size sensitivity), printing the swept miss rates.
-//!
-//! Helpers here are shared by the three suites. The [`gate`] module (and
-//! its `perfgate` binary) is the CI perf-regression gate comparing
-//! `xp --timing-json` artifacts against the committed baseline.
+//!   Givargis line-size sensitivity, partner-chain length), printing the
+//!   swept miss rates.
 
 pub mod gate;
-
-use unicache_core::{CacheGeometry, CacheModel};
-use unicache_trace::Trace;
-
-/// The paper's L1 geometry.
-pub fn geom() -> CacheGeometry {
-    CacheGeometry::paper_l1()
-}
-
-/// Replays a trace and returns the model's miss rate.
-pub fn miss_rate(trace: &Trace, model: &mut dyn CacheModel) -> f64 {
-    model.flush();
-    model.run(trace.records());
-    model.stats().miss_rate()
-}
-
-/// Formats a labelled miss-rate sweep for printing from a bench setup.
-pub fn sweep_line(label: &str, pairs: &[(String, f64)]) -> String {
-    let cells: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("{k}={:.3}%", 100.0 * v))
-        .collect();
-    format!("[ablation] {label}: {}", cells.join("  "))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use unicache_sim::CacheBuilder;
-    use unicache_trace::synth;
-
-    #[test]
-    fn helpers_work() {
-        let t = synth::uniform(1, 2000, 0, 1 << 16);
-        let mut c = CacheBuilder::new(geom()).build().unwrap();
-        let r1 = miss_rate(&t, &mut c);
-        let r2 = miss_rate(&t, &mut c);
-        assert_eq!(r1, r2, "flush makes repeated measurement deterministic");
-        let line = sweep_line("x", &[("a".into(), 0.5)]);
-        assert!(line.contains("a=50.000%"));
-    }
-}

@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unicache_core::BlockAddr;
 
 /// Replacement policies available to [`crate::cache::Cache`] sets.
 ///
 /// The paper's configuration uses LRU (for the L2 and for B-cache clusters);
 /// the others are ablation options (`ablation_replacement` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used way.
     Lru,
@@ -28,7 +27,7 @@ pub enum ReplacementPolicy {
 }
 
 /// One line: resident block plus state bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Line {
     /// Resident block address (valid only if `valid`).
     pub block: BlockAddr,

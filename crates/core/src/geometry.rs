@@ -8,7 +8,6 @@
 use crate::cast;
 use crate::error::{ConfigError, Result};
 use crate::{is_pow2, log2, Addr, BlockAddr};
-use serde::{Deserialize, Serialize};
 
 /// Static shape of a cache: number of sets, ways per set and line size.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.index_bits(), 10);
 /// assert_eq!(g.offset_bits(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     capacity_bytes: u64,
     line_bytes: u64,

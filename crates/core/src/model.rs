@@ -8,7 +8,6 @@ use crate::geometry::CacheGeometry;
 use crate::record::{AccessKind, MemRecord};
 use crate::stats::CacheStats;
 use crate::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 /// Where a reference was satisfied.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Eq. 9) charge different cycle counts for direct hits, hits found in a
 /// secondary location (rehash location, partner line, OUT-directory entry)
 /// and misses with/without a secondary probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitWhere {
     /// Hit in the primary (first-probe) location.
     Primary,

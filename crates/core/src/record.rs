@@ -1,7 +1,6 @@
 //! Memory-reference records — the unit every trace is made of.
 
 use crate::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of the hardware thread/context that issued a reference.
 /// The paper's SMT experiments run 2- and 4-thread mixes, so `u8` suffices.
@@ -11,7 +10,7 @@ pub type ThreadId = u8;
 ///
 /// The paper's cache configuration splits L1 into instruction and data
 /// caches; instruction fetches go to L1I, loads/stores to L1D.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data load.
     Read,
@@ -40,7 +39,7 @@ impl AccessKind {
 /// `MemRecord` is `Copy` and 16 bytes, so traces of tens of millions of
 /// references stay cheap to store and iterate (the hot path of every
 /// experiment is a linear scan over `&[MemRecord]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRecord {
     /// Byte address referenced.
     pub addr: Addr,

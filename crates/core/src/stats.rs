@@ -5,10 +5,9 @@
 //! derived from these counters after a trace-driven run.
 
 use crate::model::HitWhere;
-use serde::{Deserialize, Serialize};
 
 /// Counters for one cache set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SetStats {
     /// References that probed or filled into this set.
     pub accesses: u64,
@@ -29,7 +28,7 @@ pub struct SetStats {
 /// * *fraction of direct hits* (Eq. 8) = `primary_hits / hits`
 /// * *fraction of rehash hits* (Eq. 9) = `secondary_hits / hits`
 /// * *fraction of rehash misses* (Eq. 9) = `misses_after_probe / misses`
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     per_set: Vec<SetStats>,
     /// Hits in the primary probe location.

@@ -330,18 +330,29 @@ mod tests {
     #[test]
     fn workers_actually_run_in_parallel() {
         let seen = Mutex::new(HashSet::new());
+        let distinct = || seen.lock().unwrap_or_else(|p| p.into_inner()).len();
+        // Job 0 (worker 0's first) holds its worker until another worker
+        // has taken a job, so one worker cannot drain every queue before
+        // the rest start. The wait is bounded, so a serial executor still
+        // finishes and then fails the assertion.
+        let spins = if cfg!(miri) { 10_000 } else { 10_000_000 };
         let items: Vec<usize> = (0..256).collect();
         let _ = Executor::new(4).map(&items, |&x| {
             seen.lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .insert(std::thread::current().id());
+            if x == 0 {
+                for _ in 0..spins {
+                    if distinct() > 1 {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            }
             x
         });
         if default_jobs() > 1 {
-            assert!(
-                seen.lock().unwrap_or_else(|p| p.into_inner()).len() > 1,
-                "no parallelism observed"
-            );
+            assert!(distinct() > 1, "no parallelism observed");
         }
     }
 

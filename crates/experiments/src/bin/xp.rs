@@ -108,7 +108,7 @@ fn report_timing(store: &SimStore, phases: &[Phase], total_secs: f64, json_path:
         exec.tasks, exec.busy_seconds, exec.max_task_seconds
     );
     if let Some(path) = json_path {
-        // Hand-rolled JSON: the serde shim does not serialize.
+        // Hand-rolled JSON: there is no JSON crate in the offline workspace.
         let mut out = String::from("{\n  \"phases\": [\n");
         for (i, p) in phases.iter().enumerate() {
             let comma = if i + 1 < phases.len() { "," } else { "" };

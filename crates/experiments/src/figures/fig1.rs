@@ -6,12 +6,11 @@
 
 use crate::figures::paper_geom;
 use crate::{SchemeId, SimStore};
-use serde::{Deserialize, Serialize};
 use unicache_stats::{gini, normalized_entropy, Histogram, Moments, SetClassification};
 use unicache_workloads::Workload;
 
 /// The Figure-1 report: the raw per-set series plus summary statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Report {
     /// Workload plotted (FFT in the paper).
     pub workload: String,

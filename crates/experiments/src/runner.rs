@@ -168,16 +168,4 @@ mod tests {
         let csv = render_experiment(&store, "fig4", true, Workload::Fft).unwrap();
         assert!(csv.starts_with("# "), "csv mode emits the comment header");
     }
-
-    #[test]
-    fn metrics_json_is_valid_and_stable() {
-        let store = SimStore::new(Scale::Tiny);
-        render_experiment(&store, "fig6", false, Workload::Fft).unwrap();
-        let a = metrics_json(&store);
-        let b = metrics_json(&store);
-        assert_eq!(a, b, "rendering twice changes nothing");
-        assert!(a.contains("\"simstore\""));
-        assert!(a.contains("\"sims_run\""));
-        assert!(a.trim_end().ends_with('}'));
-    }
 }

@@ -1,9 +1,7 @@
 //! Result tables: the textual equivalent of the paper's bar charts.
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled 2-D result table (rows = workloads/mixes, columns = schemes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTable {
     /// Table title (figure reference).
     pub title: String,

@@ -7,10 +7,8 @@
 //! accept no events, and the flush/upgrade side-conditions appear
 //! exactly where the protocol requires them.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-line coherence state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mesi {
     /// Sole valid copy, dirty: must be written back or supplied on snoop.
     Modified,

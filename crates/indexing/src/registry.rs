@@ -6,7 +6,6 @@ use crate::modulo::ModuloIndex;
 use crate::oddmul::OddMultiplierIndex;
 use crate::prime::PrimeModuloIndex;
 use crate::xor::XorIndex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use unicache_core::{BlockAddr, CacheGeometry, ConfigError, IndexFunction, Result};
 
@@ -15,7 +14,7 @@ use unicache_core::{BlockAddr, CacheGeometry, ConfigError, IndexFunction, Result
 pub const DEFAULT_TRAIN_BITS: u32 = 28;
 
 /// One of the paper's Section II indexing schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexScheme {
     /// Conventional modulo-2^m (the baseline).
     Conventional,

@@ -253,85 +253,106 @@ mod global_tests {
     /// The sinks are process-global; serialize tests that touch them.
     static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Runs `body` under [`GLOBAL_LOCK`] on a fresh thread and joins it
+    /// before releasing the lock. A test thread drains its shard only as
+    /// it exits, after its test returns; the join makes that drain land
+    /// inside the critical section rather than in the next test's.
+    fn with_global_sinks(body: impl FnOnce() + Send) {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        std::thread::scope(|s| s.spawn(body).join())
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    }
+
     #[test]
     fn count_observe_snapshot_reset_roundtrip() {
-        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        reset();
-        count(Event::ColumnProbe);
-        count_by(Event::ColumnProbe, 4);
-        observe(HistEvent::BcacheWalk, 3);
-        {
-            let _s = span("phase-a");
-        }
-        let snap = snapshot();
-        assert!(snap.enabled);
-        assert_eq!(counter_value(Event::ColumnProbe), 5);
-        assert!(snap.counters.contains(&("column.probe", 5)));
-        assert_eq!(snap.counters.len(), Event::COUNT, "all events present");
-        let (_, walk) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| *n == "bcache.walk")
-            .expect("walk series present");
-        assert_eq!(
-            walk,
-            &vec![HistBucket {
-                lo: 2,
-                hi: 3,
-                count: 1
-            }]
-        );
-        assert_eq!(snap.spans, vec![("phase-a".to_string(), 1)]);
-        assert_eq!(snap.span_events.len(), 1);
-        assert!(snap.span_events[0].begin < snap.span_events[0].end);
-        reset();
-        let snap = snapshot();
-        assert!(snap.counters.iter().all(|&(_, v)| v == 0));
-        assert!(snap.histograms.iter().all(|(_, b)| b.is_empty()));
-        assert!(snap.spans.is_empty());
+        with_global_sinks(|| {
+            reset();
+            count(Event::ColumnProbe);
+            count_by(Event::ColumnProbe, 4);
+            observe(HistEvent::BcacheWalk, 3);
+            {
+                let _s = span("phase-a");
+            }
+            let snap = snapshot();
+            assert!(snap.enabled);
+            assert_eq!(counter_value(Event::ColumnProbe), 5);
+            assert!(snap.counters.contains(&("column.probe", 5)));
+            assert_eq!(snap.counters.len(), Event::COUNT, "all events present");
+            let (_, walk) = snap
+                .histograms
+                .iter()
+                .find(|(n, _)| *n == "bcache.walk")
+                .expect("walk series present");
+            assert_eq!(
+                walk,
+                &vec![HistBucket {
+                    lo: 2,
+                    hi: 3,
+                    count: 1
+                }]
+            );
+            assert_eq!(snap.spans, vec![("phase-a".to_string(), 1)]);
+            assert_eq!(snap.span_events.len(), 1);
+            assert!(snap.span_events[0].begin < snap.span_events[0].end);
+            reset();
+            let snap = snapshot();
+            assert!(snap.counters.iter().all(|&(_, v)| v == 0));
+            assert!(snap.histograms.iter().all(|(_, b)| b.is_empty()));
+            assert!(snap.spans.is_empty());
+        });
     }
 
     #[test]
     fn shards_register_drain_and_merge_across_threads() {
-        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        reset();
-        count_by(Event::ColumnProbe, 1); // registers this thread's shard
-        let live_before = live_shards();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    count_by(Event::ColumnProbe, 10);
-                    observe(HistEvent::BcacheWalk, 5);
-                });
-            }
+        with_global_sinks(|| {
+            reset();
+            count_by(Event::ColumnProbe, 1); // registers this thread's shard
+            let live_before = live_shards();
+            // Joining each handle waits for the thread to exit, and so for
+            // its shard to drain; the scope's implicit wait only waits for
+            // the closures to return.
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            count_by(Event::ColumnProbe, 10);
+                            observe(HistEvent::BcacheWalk, 5);
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    w.join().expect("worker panicked");
+                }
+            });
+            // The four worker shards drained on exit; their totals survive.
+            assert_eq!(live_shards(), live_before, "worker shards drained");
+            assert_eq!(counter_value(Event::ColumnProbe), 41);
+            let snap = snapshot();
+            assert!(snap.counters.contains(&("column.probe", 41)));
+            let (_, walk) = snap
+                .histograms
+                .iter()
+                .find(|(n, _)| *n == "bcache.walk")
+                .expect("walk series present");
+            assert_eq!(walk.iter().map(|b| b.count).sum::<u64>(), 4);
+            reset();
+            assert_eq!(counter_value(Event::ColumnProbe), 0);
         });
-        // The four worker shards drained on exit; their totals survive.
-        assert_eq!(live_shards(), live_before, "worker shards drained");
-        assert_eq!(counter_value(Event::ColumnProbe), 41);
-        let snap = snapshot();
-        assert!(snap.counters.contains(&("column.probe", 41)));
-        let (_, walk) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| *n == "bcache.walk")
-            .expect("walk series present");
-        assert_eq!(walk.iter().map(|b| b.count).sum::<u64>(), 4);
-        reset();
-        assert_eq!(counter_value(Event::ColumnProbe), 0);
     }
 
     #[test]
     fn nested_spans_record_laminar_ticks() {
-        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        reset();
-        {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        let snap = snapshot();
-        let inner = snap.span_events.iter().find(|e| e.name == "inner").unwrap();
-        let outer = snap.span_events.iter().find(|e| e.name == "outer").unwrap();
-        assert!(outer.begin < inner.begin && inner.end < outer.end);
-        reset();
+        with_global_sinks(|| {
+            reset();
+            {
+                let _outer = span("outer");
+                let _inner = span("inner");
+            }
+            let snap = snapshot();
+            let inner = snap.span_events.iter().find(|e| e.name == "inner").unwrap();
+            let outer = snap.span_events.iter().find(|e| e.name == "outer").unwrap();
+            assert!(outer.begin < inner.begin && inner.end < outer.end);
+            reset();
+        });
     }
 }

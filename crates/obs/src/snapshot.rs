@@ -1,9 +1,9 @@
 //! Point-in-time captures of the global sinks, with deterministic
 //! renderings.
 //!
-//! JSON is hand-rolled (the workspace serde shim does not serialize) and
-//! deterministic by construction: counters and histograms are emitted in
-//! name order over the *closed* event registries, and the span section
+//! JSON is hand-rolled (there is no JSON crate in the offline workspace)
+//! and deterministic by construction: counters and histograms are emitted
+//! in name order over the *closed* event registries, and the span section
 //! carries only per-name counts — span tick values depend on thread
 //! interleaving and are confined to the Chrome trace export, which is a
 //! debugging artifact, not a comparison surface.

@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unicache_trace::Trace;
 
 /// How per-thread streams are merged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterleavePolicy {
     /// One reference per thread per cycle (an idealized SMT fetch rotate).
     RoundRobin,

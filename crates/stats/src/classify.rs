@@ -12,12 +12,11 @@
 //! "about 90.43% of the cache sets get less than half of the average
 //! accesses while 6.641% get twice the average accesses".
 
-use serde::{Deserialize, Serialize};
 use unicache_core::CacheStats;
 
 /// Percentages of sets in each of Zhang's classes, plus the Figure-1 style
 /// access-concentration percentages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetClassification {
     /// Total number of sets classified.
     pub num_sets: usize,

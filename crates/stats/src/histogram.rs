@@ -4,10 +4,8 @@
 //! all 1024 L1 sets; `Histogram::render_ascii` produces the terminal
 //! equivalent, and `Histogram::downsample` produces CSV-ready series.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram over per-set counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower edge of the first bin.
     pub min: u64,

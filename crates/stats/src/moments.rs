@@ -6,8 +6,6 @@
 //! (peakedness; high when misses concentrate into sharp peaks with long
 //! tails). More uniform behaviour ⇒ lower skewness and kurtosis.
 
-use serde::{Deserialize, Serialize};
-
 /// First four standardized moments of a sample.
 ///
 /// Conventions:
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///   *percent-change* figures.
 /// * For a zero-variance sample (perfectly uniform counts) skewness and
 ///   kurtosis are defined as `0.0`, the ideal-uniformity value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Moments {
     /// Sample size.
     pub n: usize,

@@ -6,10 +6,8 @@
 //! quantify that: a windowed miss-rate series and a simple
 //! change-point detector over it.
 
-use serde::{Deserialize, Serialize};
-
 /// Windowed series of a boolean outcome stream (e.g. hit/miss per access).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSeries {
     /// Window length in accesses.
     pub window: usize,

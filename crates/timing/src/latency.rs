@@ -1,7 +1,5 @@
 //! Cycle-latency parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency parameters for AMAT computation and hierarchy timing.
 ///
 /// Defaults follow the paper's formulas and era-typical SimpleScalar
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// L2 round trip (the paper leaves the absolute penalty unstated; 18
 /// cycles is the common `sim-outorder` default for L1→L2, and the figures
 /// report *percent* reductions, which are insensitive to the constant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Primary-location hit (cycles).
     pub l1_hit: f64,

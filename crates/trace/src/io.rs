@@ -11,7 +11,6 @@
 //! ```
 
 use crate::trace::Trace;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use unicache_core::{AccessKind, MemRecord};
 
 const MAGIC: &[u8; 4] = b"UCTR";
@@ -60,47 +59,48 @@ fn byte_to_kind(b: u8) -> Result<AccessKind, DecodeError> {
     }
 }
 
-/// Serializes a trace to the compact binary format.
-pub fn encode(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(14 + trace.len() * 10);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(trace.len() as u64);
+/// Encodes a trace in the compact binary format.
+pub fn encode(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(14 + trace.len() * 10);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for r in trace {
-        buf.put_u64_le(r.addr);
-        buf.put_u8(kind_to_byte(r.kind));
-        buf.put_u8(r.tid);
+        buf.extend_from_slice(&r.addr.to_le_bytes());
+        buf.push(kind_to_byte(r.kind));
+        buf.push(r.tid);
     }
-    buf.freeze()
+    buf
 }
 
-/// Decodes a trace from the compact binary format.
-pub fn decode(mut buf: &[u8]) -> Result<Trace, DecodeError> {
-    if buf.len() < 14 {
+/// Decodes a trace from the compact binary format. Bytes past the
+/// declared record count are ignored.
+pub fn decode(buf: &[u8]) -> Result<Trace, DecodeError> {
+    let Some((&header, body)) = buf.split_first_chunk::<14>() else {
         return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    let [m0, m1, m2, m3, v0, v1, count @ ..] = header;
+    if [m0, m1, m2, m3] != *MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes([v0, v1]);
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let count = usize::try_from(buf.get_u64_le()).map_err(|_| DecodeError::Truncated)?;
+    let count = usize::try_from(u64::from_le_bytes(count)).map_err(|_| DecodeError::Truncated)?;
     // A crafted count can make `count * 10` wrap; it then cannot fit the
     // buffer either.
-    match count.checked_mul(10) {
-        Some(bytes) if bytes <= buf.len() => {}
+    let body = match count.checked_mul(10) {
+        Some(bytes) if bytes <= body.len() => &body[..bytes],
         _ => return Err(DecodeError::Truncated),
-    }
+    };
     let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let addr = buf.get_u64_le();
-        let kind = byte_to_kind(buf.get_u8())?;
-        let tid = buf.get_u8();
-        records.push(MemRecord { addr, kind, tid });
+    for &[addr @ .., kind, tid] in body.as_chunks::<10>().0 {
+        records.push(MemRecord {
+            addr: u64::from_le_bytes(addr),
+            kind: byte_to_kind(kind)?,
+            tid,
+        });
     }
     Ok(Trace::from_records(records))
 }
@@ -188,13 +188,68 @@ mod tests {
     fn decode_rejects_garbage() {
         assert_eq!(decode(&[]), Err(DecodeError::Truncated));
         assert_eq!(decode(b"XXXX0000000000"), Err(DecodeError::BadMagic));
-        let mut good = encode(&synth::uniform(1, 4, 0, 64)).to_vec();
+        let mut good = encode(&synth::uniform(1, 4, 0, 64));
         // Flip version.
         good[4] = 9;
         assert_eq!(decode(&good), Err(DecodeError::BadVersion(9)));
         // Truncate body.
         let good = encode(&synth::uniform(1, 4, 0, 64));
         assert_eq!(decode(&good[..20]), Err(DecodeError::Truncated));
+    }
+
+    /// A read, a write and an ifetch with distinct tids, and its exact
+    /// encoding: pins the byte order of every field, which a round trip
+    /// alone cannot (it passes if encode and decode swap order together).
+    fn golden() -> (Trace, [u8; 44]) {
+        let t = Trace::from_records(vec![
+            MemRecord {
+                addr: 0x0123_4567_89AB_CDEF,
+                kind: AccessKind::Read,
+                tid: 1,
+            },
+            MemRecord {
+                addr: 0x1000,
+                kind: AccessKind::Write,
+                tid: 2,
+            },
+            MemRecord {
+                addr: 0xFEDC_BA98_7654_3210,
+                kind: AccessKind::InstFetch,
+                tid: 7,
+            },
+        ]);
+        #[rustfmt::skip]
+        let bytes = [
+            b'U', b'C', b'T', b'R',                         // magic
+            0x01, 0x00,                                     // version 1
+            0x03, 0, 0, 0, 0, 0, 0, 0,                      // count 3
+            0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, // addr
+            0x00, 0x01,                                     // read, tid 1
+            0x00, 0x10, 0, 0, 0, 0, 0, 0,                   // addr
+            0x01, 0x02,                                     // write, tid 2
+            0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE, // addr
+            0x02, 0x07,                                     // ifetch, tid 7
+        ];
+        (t, bytes)
+    }
+
+    #[test]
+    fn encode_matches_golden_bytes() {
+        let (t, bytes) = golden();
+        assert_eq!(encode(&t), bytes);
+        assert_eq!(decode(&bytes), Ok(t));
+    }
+
+    #[test]
+    fn every_proper_prefix_decodes_as_truncated() {
+        let (_, golden) = golden();
+        let synth = encode(&synth::uniform_rw(9, 50, 0x4000, 1 << 16, 0.5));
+        for buf in [&golden[..], &synth[..]] {
+            for n in 0..buf.len() {
+                assert_eq!(decode(&buf[..n]), Err(DecodeError::Truncated), "prefix {n}");
+            }
+            assert!(decode(buf).is_ok());
+        }
     }
 
     #[test]
@@ -213,7 +268,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_kind() {
-        let mut buf = encode(&synth::uniform(1, 1, 0, 64)).to_vec();
+        let mut buf = encode(&synth::uniform(1, 1, 0, 64));
         buf[14 + 8] = 7; // kind byte of record 0
         assert_eq!(decode(&buf), Err(DecodeError::BadKind(7)));
     }

@@ -1,6 +1,5 @@
 //! The [`Trace`] container: an in-memory sequence of memory references.
 
-use serde::{Deserialize, Serialize};
 use unicache_core::{AccessKind, Addr, MemRecord, ThreadId};
 
 /// Per-kind reference counts, computed in one traversal (see
@@ -20,7 +19,7 @@ pub struct AccessMix {
 /// Thin, transparent wrapper over `Vec<MemRecord>` with the query helpers
 /// the experiments need (unique block addresses for Givargis training,
 /// read/write splits, per-thread views).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     records: Vec<MemRecord>,
 }

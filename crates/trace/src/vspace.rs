@@ -8,11 +8,10 @@
 //! simulated image instead of using host pointers (which would change from
 //! run to run and machine to machine — traces must be deterministic).
 
-use serde::{Deserialize, Serialize};
 use unicache_core::Addr;
 
 /// The classic four program regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Program text (instruction fetches).
     Text,
@@ -36,7 +35,7 @@ const STACK_BASE: Addr = 0x7FFF_F000; // grows down from here
 ///
 /// Allocation never frees (workload kernels are single-shot); `reset`
 /// restores the pristine image for a fresh run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VirtualSpace {
     text_cursor: Addr,
     global_cursor: Addr,

@@ -1,7 +1,5 @@
 //! Workload sizing.
 
-use serde::{Deserialize, Serialize};
-
 /// How big a trace a kernel should generate.
 ///
 /// * `Tiny` — unit tests (sub-millisecond, thousands of references);
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 ///   past its capacity and expose steady-state conflict behaviour);
 /// * `Large` — closer-to-paper runs for the `xp --large` flag (millions of
 ///   references).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// Unit-test sized.
     Tiny,

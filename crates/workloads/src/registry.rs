@@ -2,11 +2,10 @@
 
 use crate::params::Scale;
 use crate::{mibench, spec};
-use serde::{Deserialize, Serialize};
 use unicache_trace::Trace;
 
 /// Every workload in the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     // -- MiBench-like (paper Figs. 1, 4, 6, 7, 9-12) --
     /// ADPCM speech codec.
