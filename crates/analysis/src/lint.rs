@@ -8,7 +8,7 @@
 //!   FNV-based `unicache_core::DetHashMap`/`DetHashSet` so iteration
 //!   order, and therefore every byte of experiment output, is stable.
 //! * **`no-unwrap`** — no `.unwrap()`/`.expect(` in the hot-path crates
-//!   (`core`, `assoc`, `indexing`, `cachesim`); fallible paths return
+//!   (`core`, `assoc`, `indexing`, `cachesim`, `smt`); fallible paths return
 //!   `Result` or destructure explicitly.
 //! * **`narrowing-cast`** — no raw `as` integer casts in
 //!   `core/src/geometry.rs` and `core/src/index.rs` (the address-math
@@ -117,7 +117,7 @@ const DEFAULT_HASHER_CRATES: &[&str] = &[
 ];
 
 /// Hot-path crates where `.unwrap()`/`.expect(` are banned.
-const NO_UNWRAP_CRATES: &[&str] = &["assoc", "cachesim", "core", "indexing"];
+const NO_UNWRAP_CRATES: &[&str] = &["assoc", "cachesim", "core", "indexing", "smt"];
 
 /// Address-math kernels where raw `as` integer casts are banned.
 const NARROWING_CAST_FILES: &[&str] = &["crates/core/src/geometry.rs", "crates/core/src/index.rs"];

@@ -1,5 +1,6 @@
 //! Adaptive group-associative cache (paper Section III.B; Peir, Lee & Hsu,
-//! ASPLOS 1998).
+//! ASPLOS 1998), and the adaptive partitioned cache built on the same
+//! engine (Section IV.E, Fig. 14).
 //!
 //! A direct-mapped cache augmented with two tables:
 //!
@@ -24,9 +25,17 @@
 //!   (evicting the LRU OUT entry — and its now-unreachable line — when the
 //!   directory is full).
 //!
-//! Invariant maintained throughout (and property-tested): a block is
-//! resident in at most one location, and every OUT entry points at a set
-//! that actually holds its block.
+//! The partitioned cache splits the sets into equal contiguous per-thread
+//! partitions: thread `t` maps a block into partition `t` and tags its
+//! lines and OUT entries with `t`, so two threads cache the same address
+//! privately. SHT and OUT stay shared, and a displaced block may spill
+//! into a cold set of *any* partition — "thus increasing the cache sizes
+//! available to each thread adaptively". The solo cache is the
+//! one-partition case: every line carries tag 0.
+//!
+//! Invariant maintained throughout (and property-tested): a (tag, block)
+//! pair is resident in at most one location, and every OUT entry points
+//! at a set that actually holds its block.
 
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
@@ -58,6 +67,8 @@ impl Default for AdaptiveConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Line {
     block: BlockAddr,
+    /// Partition (thread) tag of the block; always 0 in the solo cache.
+    tid: u8,
     valid: bool,
     dirty: bool,
     /// True if this line holds a block *out of position* (reachable only
@@ -69,6 +80,7 @@ impl Line {
     fn empty() -> Self {
         Line {
             block: 0,
+            tid: 0,
             valid: false,
             dirty: false,
             out_of_position: false,
@@ -76,19 +88,31 @@ impl Line {
     }
 }
 
+/// How a displaced block looks for a host line, fixed by the constructor.
+#[derive(Debug, Clone, Copy)]
+enum HostSearch {
+    /// Outward from the primary set, up to `window` sets on each side,
+    /// clockwise first at each distance (the solo cache: a *nearby*
+    /// disposable line).
+    Nearest { window: usize },
+    /// Clockwise over every other set of the cache (the partitioned
+    /// cache: a cold set in any partition).
+    Clockwise,
+}
+
 /// LRU set-reference history table, with O(1) touch (see [`LruSet`]).
 type Sht = LruSet;
 
-/// LRU out-of-position directory: block -> set, with O(1) lookup,
+/// LRU out-of-position directory: (tag, block) -> set, with O(1) lookup,
 /// insert and eviction (see [`LruDir`]).
-type OutDir = LruDir<BlockAddr>;
+type OutDir = LruDir<(u8, BlockAddr)>;
 
 /// One bit per cache set, set iff that set's line may host a relocated
 /// block: the line is invalid, or its set is outside the SHT and it is
 /// not already hosting an out-of-position block. The cache keeps it
-/// exact after every line write and SHT touch, so the nearest host on
-/// either side of a set is a word-wise bit scan instead of a walk over
-/// up to `2 × relocation_window` lines.
+/// exact between accesses, so a host search is a word-wise bit scan
+/// instead of a walk over up to `2 × relocation_window` lines (or, in the
+/// partitioned cache, the whole cache).
 struct HostMap {
     words: Vec<u64>,
 }
@@ -107,12 +131,8 @@ impl HostMap {
 
     #[inline]
     fn put(&mut self, set: usize, host: bool) {
-        let (w, bit) = (set / 64, 1u64 << (set % 64));
-        if host {
-            self.words[w] |= bit;
-        } else {
-            self.words[w] &= !bit;
-        }
+        let (w, b) = (set / 64, set % 64);
+        self.words[w] = self.words[w] & !(1 << b) | u64::from(host) << b;
     }
 
     #[cfg(test)]
@@ -182,6 +202,16 @@ impl HostMap {
         hit.map(|i| (around + n - i) % n)
     }
 
+    /// The first host clockwise of `around` over the whole cache
+    /// (`around` itself never), with its distance.
+    fn clockwise(&self, around: usize, n: usize) -> Option<(usize, usize)> {
+        if n == 1 {
+            return None;
+        }
+        let d = self.right(around, n, n - 1)?;
+        Some(((around + d) % n, d))
+    }
+
     /// The host the outward scan from `around` (distance 1, 2, … up to
     /// `window`; clockwise before counter-clockwise at each distance,
     /// `around` itself never) meets first, with its distance.
@@ -202,7 +232,8 @@ impl HostMap {
     }
 }
 
-/// The adaptive group-associative cache.
+/// The adaptive group-associative cache: the SHT/OUT engine behind both
+/// this solo cache and [`AdaptivePartitionedCache`].
 pub struct AdaptiveGroupCache {
     geom: CacheGeometry,
     lines: Vec<Line>,
@@ -210,7 +241,11 @@ pub struct AdaptiveGroupCache {
     out: OutDir,
     hosts: HostMap,
     stats: CacheStats,
-    window: usize,
+    search: HostSearch,
+    /// Sets per partition (all of them in the solo cache).
+    part_sets: usize,
+    /// Highest partition tag; larger thread ids share its partition.
+    top_tid: u8,
     name: String,
     /// Test builds only: answer relocation searches with the scalar scan
     /// the host bitmap replaced, as the reference it is checked against.
@@ -226,11 +261,6 @@ impl AdaptiveGroupCache {
 
     /// Custom table sizing (ablation `ablation_adaptive_tables`).
     pub fn with_config(geom: CacheGeometry, cfg: AdaptiveConfig) -> Result<Self> {
-        if geom.ways() != 1 {
-            return Err(ConfigError::Mismatch {
-                what: "adaptive group-associative cache extends a direct-mapped cache".into(),
-            });
-        }
         if !(0.0..=1.0).contains(&cfg.sht_fraction) || !(0.0..=1.0).contains(&cfg.out_fraction) {
             return Err(ConfigError::InvalidParameter {
                 what: "table fractions must lie in [0, 1]".into(),
@@ -239,6 +269,37 @@ impl AdaptiveGroupCache {
         let n = geom.num_sets();
         let sht_cap = ((n as f64 * cfg.sht_fraction).round() as usize).max(1);
         let out_cap = ((n as f64 * cfg.out_fraction).round() as usize).max(1);
+        Self::build(
+            geom,
+            1,
+            (sht_cap, out_cap),
+            HostSearch::Nearest {
+                window: cfg.relocation_window.max(1),
+            },
+            format!("adaptive_cache(sht={sht_cap},out={out_cap})"),
+        )
+    }
+
+    /// The engine over `threads` equal partitions with SHT and OUT
+    /// capacities `caps`.
+    fn build(
+        geom: CacheGeometry,
+        threads: usize,
+        (sht_cap, out_cap): (usize, usize),
+        search: HostSearch,
+        name: String,
+    ) -> Result<Self> {
+        if geom.ways() != 1 {
+            return Err(ConfigError::Mismatch {
+                what: "adaptive caches extend a direct-mapped cache".into(),
+            });
+        }
+        let n = geom.num_sets();
+        if threads == 0 || !n.is_multiple_of(threads) {
+            return Err(ConfigError::InvalidParameter {
+                what: format!("{n} sets cannot be split across {threads} threads"),
+            });
+        }
         Ok(AdaptiveGroupCache {
             geom,
             lines: vec![Line::empty(); n],
@@ -246,28 +307,37 @@ impl AdaptiveGroupCache {
             out: OutDir::new(out_cap),
             hosts: HostMap::all_hosts(n),
             stats: CacheStats::new(n),
-            window: cfg.relocation_window.max(1),
-            name: format!("adaptive_cache(sht={sht_cap},out={out_cap})"),
+            search,
+            part_sets: n / threads,
+            top_tid: u8::try_from(threads - 1).unwrap_or(u8::MAX),
+            name,
             #[cfg(test)]
             scalar_search: false,
         })
     }
 
+    /// The partition tag of thread `tid` and the primary set it maps
+    /// `block` to: slot `block mod part_sets` of partition `tag`. Sets
+    /// are a power of two and the partition count divides them, so the
+    /// modulo is a mask.
     #[inline]
-    fn primary_of(&self, block: BlockAddr) -> usize {
-        self.geom.conventional_index(self.geom.block_base(block))
+    fn primary_of(&self, tid: u8, block: BlockAddr) -> (u8, usize) {
+        let tag = tid.min(self.top_tid);
+        let slot = block as usize & (self.part_sets - 1);
+        (tag, usize::from(tag) * self.part_sets + slot)
     }
 
     /// True if `block` is resident anywhere (primary or out-of-position).
     pub fn contains_block(&mut self, block: BlockAddr) -> bool {
-        let p = self.primary_of(block);
-        if self.lines[p].valid && self.lines[p].block == block {
+        let (tag, p) = self.primary_of(0, block);
+        let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
+        if holds(&self.lines[p]) {
             return true;
         }
-        if let Some(s) = self.out.get(block) {
-            return self.lines[s].valid && self.lines[s].block == block;
+        match self.out.get((tag, block)) {
+            Some(s) => holds(&self.lines[s]),
+            None => false,
         }
-        false
     }
 
     /// Current number of OUT entries (tests/introspection).
@@ -291,73 +361,74 @@ impl AdaptiveGroupCache {
         self.hosts.put(set, self.is_host(set));
     }
 
-    /// Marks `set` MRU in the SHT, keeping the host bitmap exact for it
-    /// and for the set the touch pushed out of the table.
+    /// Marks the accessed set `p` MRU in the SHT, keeping the host bitmap
+    /// exact for it and for the set the touch pushed out of the table.
+    /// Every access ends here with a valid line at `p`, and a valid line
+    /// in an SHT set never hosts, so `p`'s own line write may skip the
+    /// bitmap. Outside the SHT, only an out-of-position line keeps the
+    /// dropped set from hosting.
     #[inline]
-    fn touch_sht(&mut self, set: usize) {
-        let dropped = self.sht.touch(set);
-        self.hosts.put(set, self.is_host(set));
+    fn touch_sht(&mut self, p: usize) {
+        let dropped = self.sht.touch(p);
+        self.hosts.put(p, false);
         if let Some(d) = dropped {
-            self.hosts.put(d, self.is_host(d));
+            let l = &self.lines[d];
+            self.hosts.put(d, !(l.valid && l.out_of_position));
         }
     }
 
-    /// Finds the disposable line nearest `around` (see [`Self::is_host`];
-    /// never `around` itself): the outward scan up to the configured
-    /// window, clockwise first at each distance, answered from the host
-    /// bitmap.
-    fn find_disposable_near(&self, around: usize) -> Option<usize> {
-        let (host, d) = self.nearest_host(around)?;
+    /// Finds a disposable line to host a block displaced from `around`
+    /// (see [`Self::is_host`]; never `around` itself) in the order of the
+    /// configured [`HostSearch`], answered from the host bitmap.
+    fn find_host(&self, around: usize) -> Option<usize> {
+        let (host, d) = self.search_hosts(around)?;
         unicache_obs::observe(unicache_obs::HistEvent::AdaptiveRelocSearch, d as u64);
         Some(host)
     }
 
-    #[cfg(not(test))]
     #[inline]
-    fn nearest_host(&self, around: usize) -> Option<(usize, usize)> {
-        self.hosts.nearest(around, self.lines.len(), self.window)
-    }
-
-    #[cfg(test)]
-    fn nearest_host(&self, around: usize) -> Option<(usize, usize)> {
+    fn search_hosts(&self, around: usize) -> Option<(usize, usize)> {
         let n = self.lines.len();
+        #[cfg(test)]
         if self.scalar_search {
-            tests::scan_nearest(|s| self.is_host(s), around, n, self.window)
-        } else {
-            self.hosts.nearest(around, n, self.window)
+            let is_host = |s| self.is_host(s);
+            return match self.search {
+                HostSearch::Nearest { window } => tests::scan_nearest(is_host, around, n, window),
+                HostSearch::Clockwise => tests::scan_clockwise(is_host, around, n),
+            };
+        }
+        match self.search {
+            HostSearch::Nearest { window } => self.hosts.nearest(around, n, window),
+            HostSearch::Clockwise => self.hosts.clockwise(around, n),
         }
     }
 
-    /// Drops the block hosted out-of-position at `set` (when its OUT entry
-    /// is evicted, the line becomes unreachable and must be invalidated to
-    /// preserve the single-residency invariant).
-    fn invalidate_out_line(&mut self, block: BlockAddr, set: usize) {
-        let l = &self.lines[set];
-        if l.valid && l.block == block && l.out_of_position {
-            self.put_line(set, Line::empty());
+    /// Registers the out-of-position line at `set` in OUT. When that
+    /// evicts another entry, the line it pointed at becomes unreachable
+    /// and is invalidated to preserve the single-residency invariant.
+    fn out_insert(&mut self, key: (u8, BlockAddr), set: usize) {
+        if let Some(((tid, block), s)) = self.out.insert(key, set) {
+            let l = &self.lines[s];
+            if l.valid && l.block == block && l.tid == tid && l.out_of_position {
+                self.put_line(s, Line::empty());
+            }
         }
     }
-}
 
-impl CacheModel for AdaptiveGroupCache {
-    fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    fn access(&mut self, rec: MemRecord) -> AccessResult {
-        self.access_block(self.geom.block_addr(rec.addr), rec.kind.is_write())
-    }
-
-    fn access_block(&mut self, block: u64, is_write: bool) -> AccessResult {
+    /// Simulates one reference by thread `tid` (clamped to the last
+    /// partition, tag included).
+    #[inline]
+    fn access_tid(&mut self, tid: u8, block: BlockAddr, is_write: bool) -> AccessResult {
         if is_write {
             self.stats.record_write();
         }
         unicache_obs::count(unicache_obs::Event::AdaptiveProbe);
-        let p = self.primary_of(block);
+        let (tag, p) = self.primary_of(tid, block);
+        let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
 
         // Primary probe (OUT is probed in parallel in hardware; a primary
         // hit never waits on it).
-        if self.lines[p].valid && self.lines[p].block == block {
+        if holds(&self.lines[p]) {
             if is_write {
                 self.lines[p].dirty = true;
             }
@@ -371,8 +442,8 @@ impl CacheModel for AdaptiveGroupCache {
         }
 
         // OUT probe: the block may live out of position.
-        if let Some(alt) = self.out.get(block) {
-            if self.lines[alt].valid && self.lines[alt].block == block {
+        if let Some(alt) = self.out.get((tag, block)) {
+            if holds(&self.lines[alt]) {
                 unicache_obs::count(unicache_obs::Event::AdaptiveOutHit);
                 // Swap back toward the primary position to shorten future
                 // hits; the displaced primary resident takes the alternate
@@ -383,8 +454,8 @@ impl CacheModel for AdaptiveGroupCache {
                     incoming.dirty = true;
                 }
                 let outgoing = self.lines[p];
-                self.out.remove(block);
-                self.put_line(p, incoming);
+                self.out.remove((tag, block));
+                self.lines[p] = incoming;
                 if outgoing.valid {
                     self.put_line(
                         alt,
@@ -393,9 +464,7 @@ impl CacheModel for AdaptiveGroupCache {
                             ..outgoing
                         },
                     );
-                    if let Some((evb, evs)) = self.out.insert(outgoing.block, alt) {
-                        self.invalidate_out_line(evb, evs);
-                    }
+                    self.out_insert((outgoing.tid, outgoing.block), alt);
                 } else {
                     self.put_line(alt, Line::empty());
                 }
@@ -411,7 +480,7 @@ impl CacheModel for AdaptiveGroupCache {
             }
             // Stale entry: the alternate line was reclaimed. Clean up.
             unicache_obs::count(unicache_obs::Event::AdaptiveOutStale);
-            self.out.remove(block);
+            self.out.remove((tag, block));
         }
 
         // Miss. Decide the fate of the primary resident.
@@ -425,20 +494,20 @@ impl CacheModel for AdaptiveGroupCache {
                 // Replace in place; OUT untouched (the paper: "the OUT
                 // table is not consulted when the disposable bit is set").
                 if resident.out_of_position {
-                    self.out.remove(resident.block);
+                    self.out.remove((resident.tid, resident.block));
                 }
                 evicted = Some(resident.block);
                 self.stats.record_eviction(p);
             } else {
-                // Keep the MRU-set victim: move it to a nearby disposable
-                // line and register it in OUT.
+                // Keep the MRU-set victim: move it to a disposable line
+                // and register it in OUT.
                 unicache_obs::count(unicache_obs::Event::AdaptiveShtHit);
                 where_hit = HitWhere::MissAfterProbe;
-                if let Some(host) = self.find_disposable_near(p) {
+                if let Some(host) = self.find_host(p) {
                     let hosted = self.lines[host];
                     if hosted.valid {
                         if hosted.out_of_position {
-                            self.out.remove(hosted.block);
+                            self.out.remove((hosted.tid, hosted.block));
                         }
                         evicted = Some(hosted.block);
                         self.stats.record_eviction(host);
@@ -450,13 +519,11 @@ impl CacheModel for AdaptiveGroupCache {
                             ..resident
                         },
                     );
-                    if let Some((evb, evs)) = self.out.insert(resident.block, host) {
-                        self.invalidate_out_line(evb, evs);
-                    }
+                    self.out_insert((resident.tid, resident.block), host);
                     unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
                     self.stats.record_relocation();
                 } else {
-                    // No disposable line in the window: fall back to plain
+                    // No disposable line within reach: fall back to plain
                     // eviction.
                     evicted = Some(resident.block);
                     self.stats.record_eviction(p);
@@ -466,15 +533,13 @@ impl CacheModel for AdaptiveGroupCache {
 
         // Fill the primary slot. Any stale out-of-position copy of the
         // incoming block was already cleaned above.
-        self.put_line(
-            p,
-            Line {
-                block,
-                valid: true,
-                dirty: is_write,
-                out_of_position: false,
-            },
-        );
+        self.lines[p] = Line {
+            block,
+            tid: tag,
+            valid: true,
+            dirty: is_write,
+            out_of_position: false,
+        };
         self.touch_sht(p);
         self.stats.record(p, where_hit);
         AccessResult {
@@ -482,6 +547,20 @@ impl CacheModel for AdaptiveGroupCache {
             set: p,
             evicted,
         }
+    }
+}
+
+impl CacheModel for AdaptiveGroupCache {
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    fn access(&mut self, rec: MemRecord) -> AccessResult {
+        self.access_block(self.geom.block_addr(rec.addr), rec.kind.is_write())
+    }
+
+    fn access_block(&mut self, block: u64, is_write: bool) -> AccessResult {
+        self.access_tid(0, block, is_write)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -514,6 +593,67 @@ impl CacheModel for AdaptiveGroupCache {
 /// decoded stream with the other lanes.
 impl unicache_core::FusedLane for AdaptiveGroupCache {}
 
+/// The paper's **adaptive partitioned** cache (Section IV.E, Fig. 14):
+/// equal static per-thread partitions for isolation, plus shared SHT/OUT
+/// tables, so that a non-disposable victim from one thread's partition
+/// is kept in a cold set anywhere in the cache — including the other
+/// threads' partitions.
+///
+/// Thread ids come from [`MemRecord::tid`], so the cache must be driven
+/// through [`CacheModel::access`]. It is deliberately not a
+/// [`unicache_core::FusedLane`]: the pre-decoded `access_block` form has
+/// no thread id and would fold every thread into partition 0.
+pub struct AdaptivePartitionedCache(AdaptiveGroupCache);
+
+impl AdaptivePartitionedCache {
+    /// Splits `geom.num_sets()` evenly across `threads` (must divide).
+    /// SHT = 3/8 and OUT = 1/4 of the line count, rounded down (the solo
+    /// cache rounds to nearest; the two differ at 4 sets).
+    pub fn new(geom: CacheGeometry, threads: usize) -> Result<Self> {
+        let n = geom.num_sets();
+        AdaptiveGroupCache::build(
+            geom,
+            threads,
+            ((n * 3 / 8).max(1), (n / 4).max(1)),
+            HostSearch::Clockwise,
+            format!("adaptive_partitioned({threads} threads)"),
+        )
+        .map(AdaptivePartitionedCache)
+    }
+
+    /// Current number of OUT entries (tests/introspection).
+    pub fn out_len(&self) -> usize {
+        self.0.out_len()
+    }
+}
+
+impl CacheModel for AdaptivePartitionedCache {
+    fn geometry(&self) -> CacheGeometry {
+        self.0.geom
+    }
+
+    fn access(&mut self, rec: MemRecord) -> AccessResult {
+        let block = self.0.geom.block_addr(rec.addr);
+        self.0.access_tid(rec.tid, block, rec.kind.is_write())
+    }
+
+    fn stats(&self) -> &CacheStats {
+        self.0.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.0.reset_stats();
+    }
+
+    fn flush(&mut self) {
+        self.0.flush();
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,6 +667,19 @@ mod tests {
 
     fn read_block(b: u64) -> MemRecord {
         MemRecord::read(b * 32)
+    }
+
+    fn read(b: u64, tid: u8) -> MemRecord {
+        read_block(b).with_tid(tid)
+    }
+
+    /// Every OUT entry points at an out-of-position line holding its
+    /// (tag, block).
+    fn assert_out_points_at_its_lines(c: &AdaptiveGroupCache) {
+        for ((tid, b), s) in c.out.entries() {
+            let l = &c.lines[s];
+            assert!(l.valid && l.block == b && l.tid == tid && l.out_of_position);
+        }
     }
 
     #[test]
@@ -612,11 +765,7 @@ mod tests {
                 }
             }
         }
-        // Every OUT entry points at a line holding its block.
-        let entries: Vec<(u64, usize)> = c.out.entries().collect();
-        for (b, s) in entries {
-            assert!(c.lines[s].valid && c.lines[s].block == b && c.lines[s].out_of_position);
-        }
+        assert_out_points_at_its_lines(&c);
     }
 
     #[test]
@@ -689,6 +838,22 @@ mod tests {
         None
     }
 
+    /// The clockwise walk the partitioned cache's bitmap search replaced:
+    /// sets `around + 1, around + 2, …` modulo `n`, `around` skipped.
+    pub(super) fn scan_clockwise(
+        is_host: impl Fn(usize) -> bool,
+        around: usize,
+        n: usize,
+    ) -> Option<(usize, usize)> {
+        for d in 1..n {
+            let cand = (around + d) % n;
+            if is_host(cand) {
+                return Some((cand, d));
+            }
+        }
+        None
+    }
+
     fn host_map_of(bits: &[bool]) -> HostMap {
         let mut m = HostMap::all_hosts(bits.len());
         for (s, &b) in bits.iter().enumerate() {
@@ -725,6 +890,7 @@ mod tests {
                 m.nearest(around, n, window),
                 scan_nearest(|s| bits[s], around, n, window)
             );
+            prop_assert_eq!(m.clockwise(around, n), scan_clockwise(|s| bits[s], around, n));
         }
     }
 
@@ -735,19 +901,20 @@ mod tests {
         }
     }
 
-    /// Replays `blocks` (every third one a store) through the bitmap
-    /// cache and a scalar-scan reference of the same configuration, and
-    /// requires identical results, statistics, OUT occupancy and lines.
-    fn assert_matches_scalar_reference(sets: usize, cfg: AdaptiveConfig, blocks: &[u64]) {
-        let mut fast = AdaptiveGroupCache::with_config(geom(sets), cfg).unwrap();
-        let mut slow = AdaptiveGroupCache::with_config(geom(sets), cfg).unwrap();
+    /// Replays `refs` (thread, block; every third one a store) through a
+    /// bitmap cache from `make` and a scalar-scan reference of the same
+    /// configuration, and requires identical results, statistics, OUT
+    /// occupancy and lines.
+    fn assert_matches_scalar_reference(make: impl Fn() -> AdaptiveGroupCache, refs: &[(u8, u64)]) {
+        let mut fast = make();
+        let mut slow = make();
         slow.scalar_search = true;
-        for (i, &b) in blocks.iter().enumerate() {
+        for (i, &(tid, b)) in refs.iter().enumerate() {
             let is_write = i % 3 == 0;
             assert_eq!(
-                fast.access_block(b, is_write),
-                slow.access_block(b, is_write),
-                "access {i} (block {b})"
+                fast.access_tid(tid, b, is_write),
+                slow.access_tid(tid, b, is_write),
+                "access {i} (thread {tid}, block {b})"
             );
             if i % 101 == 0 {
                 assert_host_map_exact(&fast);
@@ -777,8 +944,11 @@ mod tests {
                 ..Default::default()
             };
             let span = 4 * sets as u64;
-            let blocks: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..span)).collect();
-            assert_matches_scalar_reference(sets, cfg, &blocks);
+            let refs: Vec<(u8, u64)> = (0..20_000).map(|_| (0, rng.gen_range(0..span))).collect();
+            assert_matches_scalar_reference(
+                || AdaptiveGroupCache::with_config(geom(sets), cfg).unwrap(),
+                &refs,
+            );
         }
     }
 
@@ -789,28 +959,187 @@ mod tests {
         // find one; plus cold traffic over the whole cache.
         let mut rng = StdRng::seed_from_u64(21);
         let sets = 1024u64;
-        let blocks: Vec<u64> = (0..60_000)
+        let refs: Vec<(u8, u64)> = (0..60_000)
             .map(|_| {
-                if rng.gen_bool(0.8) {
+                let b = if rng.gen_bool(0.8) {
                     rng.gen_range(100..400) + sets * rng.gen_range(0..3)
                 } else {
                     rng.gen_range(0..64 * sets)
-                }
+                };
+                (0, b)
             })
             .collect();
-        assert_matches_scalar_reference(1024, AdaptiveConfig::default(), &blocks);
+        assert_matches_scalar_reference(|| AdaptiveGroupCache::new(geom(1024)).unwrap(), &refs);
+    }
+
+    #[test]
+    fn partitioned_bitmap_cache_matches_scalar_reference_on_mixed_threads() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for (sets, threads) in [(16, 2), (16, 4), (1024, 2), (1024, 4)] {
+            // Thread 0 cycles three conflicting blocks over a run of hot
+            // slots as long as the SHT (its victims spill, those from the
+            // middle of the run far away); the others stream over a wide
+            // span, leaving cold sets to host the spills.
+            let part_sets = (sets / threads) as u64;
+            let hot = part_sets.min(3 * sets as u64 / 8);
+            let refs: Vec<(u8, u64)> = (0..40_000)
+                .map(|_| {
+                    let tid = rng.gen_range(0..threads as u8);
+                    let b = if tid == 0 {
+                        rng.gen_range(0..hot) + part_sets * rng.gen_range(0..3)
+                    } else {
+                        rng.gen_range(0..64 * sets as u64)
+                    };
+                    (tid, b)
+                })
+                .collect();
+            assert_matches_scalar_reference(
+                || {
+                    AdaptivePartitionedCache::new(geom(sets), threads)
+                        .unwrap()
+                        .0
+                },
+                &refs,
+            );
+        }
+    }
+
+    #[test]
+    fn single_residency_per_thread_block() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        for step in 0..3000 {
+            let tid = rng.gen_range(0..2u8);
+            c.access(read(rng.gen_range(0u64..64), tid));
+            if step % 101 == 0 {
+                for tid in 0..2u8 {
+                    for b in 0..64u64 {
+                        let copies =
+                            c.0.lines
+                                .iter()
+                                .filter(|l| l.valid && l.block == b && l.tid == tid)
+                                .count();
+                        assert!(copies <= 1, "({tid},{b}): {copies} copies @ {step}");
+                    }
+                }
+            }
+        }
+        assert_out_points_at_its_lines(&c.0);
+    }
+
+    /// SHT and OUT capacities: fill both tables past the line count and
+    /// read back their sizes.
+    fn table_capacities(c: &mut AdaptiveGroupCache) -> (usize, usize) {
+        let n = c.lines.len();
+        for s in 0..n {
+            c.sht.touch(s);
+        }
+        for b in 0..=n as u64 {
+            c.out.insert((0, b), 0);
+        }
+        (c.sht.len(), c.out.len())
+    }
+
+    #[test]
+    fn table_capacities_per_constructor() {
+        // The solo cache rounds n × 3/8 and n / 4 to nearest, the
+        // partitioned cache rounds down; both keep at least one entry.
+        for (n, solo, partitioned) in [
+            (1, (1, 1), (1, 1)),
+            (2, (1, 1), (1, 1)),
+            (4, (2, 1), (1, 1)),
+            (8, (3, 2), (3, 2)),
+            (1024, (384, 256), (384, 256)),
+        ] {
+            let mut c = AdaptiveGroupCache::new(geom(n)).unwrap();
+            assert_eq!(table_capacities(&mut c), solo, "solo, {n} sets");
+            let threads = n.min(2);
+            let mut c = AdaptivePartitionedCache::new(geom(n), threads).unwrap().0;
+            assert_eq!(
+                table_capacities(&mut c),
+                partitioned,
+                "partitioned, {n} sets"
+            );
+        }
+    }
+
+    #[test]
+    fn partitioned_construction() {
+        let c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        assert_eq!(c.name(), "adaptive_partitioned(2 threads)");
+        assert!(AdaptivePartitionedCache::new(geom(16), 0).is_err());
+        assert!(AdaptivePartitionedCache::new(geom(16), 3).is_err());
+        let two_way = CacheGeometry::from_sets(16, 32, 2).unwrap();
+        assert!(AdaptivePartitionedCache::new(two_way, 2).is_err());
+    }
+
+    #[test]
+    fn partitioned_spills_into_other_partition() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        // Thread 0 hammers two conflicting blocks (both map to its set 0);
+        // thread 1 is idle, so its partition is cold.
+        c.access(read(0, 0));
+        c.access(read(0, 0)); // set 0 hot in SHT
+        let r = c.access(read(8, 0)); // conflicts (8 % 8 == 0)
+        assert_eq!(r.where_hit, HitWhere::MissAfterProbe);
+        assert_eq!(c.out_len(), 1, "victim kept via OUT");
+        // The displaced block is recoverable.
+        let r = c.access(read(0, 0));
+        assert_eq!(r.where_hit, HitWhere::Secondary);
+    }
+
+    #[test]
+    fn partitioned_threads_cache_the_same_block_privately() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        let s0 = c.access(read(3, 0)).set;
+        let s1 = c.access(read(3, 1)).set;
+        assert!(s0 < 8 && s1 >= 8);
+        assert!(c.access(read(3, 0)).is_hit() && c.access(read(3, 1)).is_hit());
+    }
+
+    #[test]
+    fn out_of_range_tid_takes_the_last_partition_and_its_tag() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        let r = c.access(read(3, 7));
+        assert_eq!((r.where_hit, r.set), (HitWhere::MissDirect, 8 + 3));
+        // Thread 1 finds the line thread 7 placed: the tag is clamped too.
+        let r = c.access(read(3, 1));
+        assert_eq!((r.where_hit, r.set), (HitWhere::Primary, 8 + 3));
+    }
+
+    #[test]
+    fn partitioned_out_capacity_bounded() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        for b in 0..500u64 {
+            c.access(read(b, 0));
+            c.access(read(b, 0));
+            c.access(read(b + 8, 0));
+        }
+        assert!(c.out_len() <= 4, "out {}", c.out_len());
+    }
+
+    #[test]
+    fn partitioned_flush_resets_everything() {
+        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
+        c.access(read(0, 0));
+        c.access(read(0, 0));
+        c.access(read(8, 0));
+        c.flush();
+        assert_eq!(c.out_len(), 0);
+        assert!(!c.access(read(0, 0)).is_hit());
     }
 
     #[test]
     fn out_dir_lru_behaviour() {
         let mut out = OutDir::new(2);
-        assert_eq!(out.insert(10, 1), None);
-        assert_eq!(out.insert(20, 2), None);
-        assert_eq!(out.get(10), Some(1)); // refresh 10
-        let ev = out.insert(30, 3);
-        assert_eq!(ev, Some((20, 2)), "20 was LRU");
-        assert_eq!(out.get(20), None);
-        assert_eq!(out.remove(10), Some(1));
+        assert_eq!(out.insert((0, 10), 1), None);
+        assert_eq!(out.insert((0, 20), 2), None);
+        assert_eq!(out.get((0, 10)), Some(1)); // refresh 10
+        assert_eq!(out.get((1, 10)), None, "keys are per tag");
+        let ev = out.insert((0, 30), 3);
+        assert_eq!(ev, Some(((0, 20), 2)), "20 was LRU");
+        assert_eq!(out.get((0, 20)), None);
+        assert_eq!(out.remove((0, 10)), Some(1));
         assert_eq!(out.len(), 1);
     }
 }

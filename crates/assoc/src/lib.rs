@@ -6,6 +6,7 @@
 //! |---------|--------|------|
 //! | III.A   | column-associative cache (Agarwal & Pudar) | [`column::ColumnAssociativeCache`] |
 //! | III.B   | adaptive group-associative cache (Peir et al.) | [`adaptive::AdaptiveGroupCache`] |
+//! | IV.E, Fig. 14 | adaptive partitioned cache: per-thread partitions on the same SHT/OUT engine | [`adaptive::AdaptivePartitionedCache`] |
 //! | III.C   | B-cache / balanced cache (Zhang) | [`bcache::BCache`] |
 //! | §1.2, Fig. 3 | partner-index cache (the paper's illustrative scheme) | [`partner::PartnerIndexCache`] |
 //! | §1.2 (extension) | partner *chains* — linked lists of partner lines | [`chain::PartnerChainCache`] |
@@ -25,7 +26,7 @@ pub mod column;
 pub mod partner;
 pub mod skewed;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveGroupCache};
+pub use adaptive::{AdaptiveConfig, AdaptiveGroupCache, AdaptivePartitionedCache};
 pub use bcache::{BCache, BCacheConfig};
 pub use chain::{ChainConfig, PartnerChainCache};
 pub use column::ColumnAssociativeCache;

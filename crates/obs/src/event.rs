@@ -40,16 +40,18 @@ pub enum Event {
     BcacheLineCompare,
     /// B-cache: a miss fill reprogrammed a line's decoder.
     BcacheDecoderReprogram,
-    /// Adaptive group-associative: primary-set lookup (one per access).
+    /// Adaptive SHT/OUT engine — the group-associative cache and the
+    /// adaptive partitioned cache alike: primary-set lookup (one per
+    /// access).
     AdaptiveProbe,
-    /// Adaptive group-associative: miss whose victim the SHT marked
+    /// Adaptive SHT/OUT engine: miss whose victim the SHT marked
     /// non-disposable (the set-reference history protected it).
     AdaptiveShtHit,
-    /// Adaptive group-associative: hit served through the OUT directory.
+    /// Adaptive SHT/OUT engine: hit served through the OUT directory.
     AdaptiveOutHit,
-    /// Adaptive group-associative: stale OUT entry discarded on probe.
+    /// Adaptive SHT/OUT engine: stale OUT entry discarded on probe.
     AdaptiveOutStale,
-    /// Adaptive group-associative: block moved out of (or back into) its
+    /// Adaptive SHT/OUT engine: block moved out of (or back into) its
     /// primary position.
     AdaptiveRelocation,
     /// Skewed cache: dual-bank lookup (one per access).
@@ -218,8 +220,9 @@ impl Event {
 pub enum HistEvent {
     /// B-cache: lines examined per cluster walk.
     BcacheWalk,
-    /// Adaptive group-associative: search distance (sets) scanned to find
-    /// a disposable relocation host.
+    /// Adaptive SHT/OUT engine: distance (sets) from the primary set to
+    /// the relocation host found — nearest within the window for the
+    /// group-associative cache, first clockwise for the partitioned one.
     AdaptiveRelocSearch,
     /// Partner-index: pairs formed per repartnering decision.
     PartnerEpochPairs,

@@ -10,15 +10,18 @@
 //!   *each hardware thread applies its own index function* (the paper's
 //!   Fig. 5 design and the Fig. 13 experiment);
 //! * [`partition::PartitionedCache`] — static equal division of the sets
-//!   among threads (the Fig. 14 baseline);
-//! * [`partition::AdaptivePartitionedCache`] — the paper's proposal:
-//!   static partitions plus shared Peir-style SHT/OUT tables, letting a
-//!   thread's displaced blocks borrow *cold sets from any partition*.
+//!   among threads (the Fig. 14 baseline): a `PerThreadIndexCache` whose
+//!   threads each index into their own slice;
+//! * [`AdaptivePartitionedCache`] — the paper's proposal, re-exported
+//!   from `unicache-assoc`: static partitions plus shared Peir-style
+//!   SHT/OUT tables, letting a thread's displaced blocks borrow *cold sets
+//!   from any partition*.
 
 pub mod interleave;
 pub mod partition;
 pub mod shared;
 
 pub use interleave::{for_each_interleaved, interleave, interleave_refs, InterleavePolicy};
-pub use partition::{AdaptivePartitionedCache, PartitionedCache};
+pub use partition::PartitionedCache;
 pub use shared::PerThreadIndexCache;
+pub use unicache_assoc::AdaptivePartitionedCache;

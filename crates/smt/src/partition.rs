@@ -1,395 +1,64 @@
-//! Cache partitioning for multiprogrammed threads, with and without the
-//! paper's adaptive spill mechanism (Section IV.E, Fig. 14).
+//! Cache partitioning for multiprogrammed threads (the Fig. 14 baseline).
+//! The adaptive variant, which lets a partition's victims spill into
+//! other partitions' cold sets, is
+//! [`AdaptivePartitionedCache`](crate::AdaptivePartitionedCache), built on
+//! the adaptive group-associative engine of `unicache-assoc`.
 
-use unicache_core::{
-    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
-    LruSet, MemRecord, Result,
-};
-
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    tid: u8,
-    valid: bool,
-    dirty: bool,
-    /// Reachable only through the OUT directory.
-    out_of_position: bool,
-}
-
-impl Line {
-    fn empty() -> Self {
-        Line {
-            block: 0,
-            tid: 0,
-            valid: false,
-            dirty: false,
-            out_of_position: false,
-        }
-    }
-}
+use crate::shared::PerThreadIndexCache;
+use std::sync::Arc;
+use unicache_core::{BlockAddr, CacheGeometry, ConfigError, IndexFunction, Result};
 
 /// Statically partitioned direct-mapped cache: thread `t` owns an equal
 /// contiguous slice of the sets ("thread isolation" in the paper's
-/// conclusion). The Fig. 14 baseline.
-pub struct PartitionedCache {
-    geom: CacheGeometry,
-    lines: Vec<Line>,
-    stats: CacheStats,
-    threads: usize,
-    part_sets: usize,
-    /// `part_sets - 1` when the partition size is a power of two (every
-    /// paper geometry), letting the per-access slot computation use a mask
-    /// instead of a hardware divide.
-    part_mask: Option<usize>,
-    name: String,
-}
-
-/// Slot of `block` within a partition of `part_sets` sets: `% part_sets`,
-/// computed with the precomputed mask when the size is a power of two.
-#[inline]
-fn part_slot(block: BlockAddr, part_sets: usize, part_mask: Option<usize>) -> usize {
-    match part_mask {
-        Some(mask) => block as usize & mask,
-        None => block as usize % part_sets,
-    }
-}
+/// conclusion). It is a [`PerThreadIndexCache`] whose thread `t` indexes
+/// conventionally into its own slice, so lines are tagged by thread and
+/// no thread can evict another's.
+pub enum PartitionedCache {}
 
 impl PartitionedCache {
     /// Splits `geom.num_sets()` evenly across `threads` (must divide).
-    pub fn new(geom: CacheGeometry, threads: usize) -> Result<Self> {
-        if geom.ways() != 1 {
-            return Err(ConfigError::Mismatch {
-                what: "partitioned cache is direct-mapped".into(),
-            });
-        }
-        if threads == 0 || !geom.num_sets().is_multiple_of(threads) {
+    #[allow(clippy::new_ret_no_self)] // a constructor for PerThreadIndexCache
+    pub fn new(geom: CacheGeometry, threads: usize) -> Result<PerThreadIndexCache> {
+        let sets = geom.num_sets();
+        if threads == 0 || !sets.is_multiple_of(threads) {
             return Err(ConfigError::InvalidParameter {
-                what: format!(
-                    "{} sets cannot be split across {threads} threads",
-                    geom.num_sets()
-                ),
+                what: format!("{sets} sets cannot be split across {threads} threads"),
             });
         }
-        let part_sets = geom.num_sets() / threads;
-        Ok(PartitionedCache {
-            geom,
-            lines: vec![Line::empty(); geom.num_sets()],
-            stats: CacheStats::new(geom.num_sets()),
-            threads,
-            part_sets,
-            part_mask: part_sets.is_power_of_two().then(|| part_sets - 1),
-            name: format!("partitioned({threads} threads)"),
-        })
-    }
-
-    /// The set thread `tid` maps `block` to.
-    #[inline]
-    pub fn partition_index(&self, tid: u8, block: BlockAddr) -> usize {
-        let t = (tid as usize).min(self.threads - 1);
-        t * self.part_sets + part_slot(block, self.part_sets, self.part_mask)
-    }
-
-    /// Sets per partition.
-    pub fn partition_sets(&self) -> usize {
-        self.part_sets
+        let part_sets = sets / threads;
+        let fns = (0..threads)
+            .map(|t| {
+                Arc::new(PartitionSlice {
+                    base: t * part_sets,
+                    mask: part_sets - 1,
+                    sets,
+                    name: format!("partition({t}/{threads})"),
+                }) as Arc<dyn IndexFunction>
+            })
+            .collect();
+        PerThreadIndexCache::new(geom, fns)
     }
 }
 
-impl CacheModel for PartitionedCache {
-    fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    fn access(&mut self, rec: MemRecord) -> AccessResult {
-        let block = self.geom.block_addr(rec.addr);
-        let is_write = rec.kind.is_write();
-        if is_write {
-            self.stats.record_write();
-        }
-        let set = self.partition_index(rec.tid, block);
-        let line = &mut self.lines[set];
-        if line.valid && line.block == block && line.tid == rec.tid {
-            if is_write {
-                line.dirty = true;
-            }
-            self.stats.record(set, HitWhere::Primary);
-            return AccessResult {
-                where_hit: HitWhere::Primary,
-                set,
-                evicted: None,
-            };
-        }
-        let evicted = if line.valid { Some(line.block) } else { None };
-        if line.valid {
-            self.stats.record_eviction(set);
-        }
-        *line = Line {
-            block,
-            tid: rec.tid,
-            valid: true,
-            dirty: is_write,
-            out_of_position: false,
-        };
-        self.stats.record(set, HitWhere::MissDirect);
-        AccessResult {
-            where_hit: HitWhere::MissDirect,
-            set,
-            evicted,
-        }
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::empty();
-        }
-        self.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-// ---------------------------------------------------------------------------
-
-/// LRU table of recently used set indexes (shared across partitions).
-/// Set-reference history table: the LRU set of recently-touched cache
-/// sets, with O(1) touch (see [`LruSet`]).
-type Sht = LruSet;
-
-/// The paper's **adaptive partitioned** scheme (Fig. 14): equal static
-/// partitions for isolation, plus shared SHT/OUT tables so that a
-/// non-disposable victim from one thread's partition is kept in a *cold
-/// set anywhere in the cache* — including the other threads' partitions —
-/// "thus increasing the cache sizes available to each thread adaptively".
-pub struct AdaptivePartitionedCache {
-    geom: CacheGeometry,
-    lines: Vec<Line>,
-    stats: CacheStats,
-    threads: usize,
-    part_sets: usize,
-    /// See [`PartitionedCache::part_mask`].
-    part_mask: Option<usize>,
-    sht: Sht,
-    /// (tid, block) -> set; keyed per thread because two threads may
-    /// cache the same block address privately.
-    out: LruDir<(u8, BlockAddr)>,
+/// Conventional indexing into the `mask + 1` sets starting at `base`.
+/// Set counts are powers of two and the thread count divides them, so
+/// every partition size is a power of two too.
+struct PartitionSlice {
+    base: usize,
+    mask: usize,
+    /// Sets of the whole cache (the range the slice lies in).
+    sets: usize,
     name: String,
 }
 
-impl AdaptivePartitionedCache {
-    /// Paper sizing: SHT = 3/8 and OUT = 1/4 of the line count.
-    pub fn new(geom: CacheGeometry, threads: usize) -> Result<Self> {
-        if geom.ways() != 1 {
-            return Err(ConfigError::Mismatch {
-                what: "adaptive partitioned cache is direct-mapped".into(),
-            });
-        }
-        if threads == 0 || !geom.num_sets().is_multiple_of(threads) {
-            return Err(ConfigError::InvalidParameter {
-                what: format!(
-                    "{} sets cannot be split across {threads} threads",
-                    geom.num_sets()
-                ),
-            });
-        }
-        let n = geom.num_sets();
-        let part_sets = n / threads;
-        Ok(AdaptivePartitionedCache {
-            geom,
-            lines: vec![Line::empty(); n],
-            stats: CacheStats::new(n),
-            threads,
-            part_sets,
-            part_mask: part_sets.is_power_of_two().then(|| part_sets - 1),
-            sht: Sht::new(n, (n * 3 / 8).max(1)),
-            out: LruDir::new((n / 4).max(1)),
-            name: format!("adaptive_partitioned({threads} threads)"),
-        })
-    }
-
+impl IndexFunction for PartitionSlice {
     #[inline]
-    fn primary_of(&self, tid: u8, block: BlockAddr) -> usize {
-        let t = (tid as usize).min(self.threads - 1);
-        t * self.part_sets + part_slot(block, self.part_sets, self.part_mask)
+    fn index_block(&self, block: BlockAddr) -> usize {
+        self.base + (block as usize & self.mask)
     }
 
-    /// OUT entries currently live (tests).
-    pub fn out_len(&self) -> usize {
-        self.out.len()
-    }
-
-    fn out_get(&mut self, tid: u8, block: BlockAddr) -> Option<usize> {
-        self.out.get((tid, block))
-    }
-
-    fn out_insert(&mut self, tid: u8, block: BlockAddr, set: usize) {
-        if let Some(((etid, eb), s)) = self.out.insert((tid, block), set) {
-            // The line the evicted entry pointed at becomes unreachable;
-            // invalidate to preserve single residency.
-            let l = &mut self.lines[s];
-            if l.valid && l.out_of_position && l.block == eb && l.tid == etid {
-                *l = Line::empty();
-            }
-        }
-    }
-
-    /// Global cold-set search: any invalid line, or any line whose set is
-    /// outside the SHT and not already hosting a spill. This is what
-    /// differentiates the scheme from `AdaptiveGroupCache` — the search
-    /// spans *all* partitions.
-    fn find_cold_set(&self, around: usize) -> Option<usize> {
-        let n = self.lines.len();
-        for d in 1..n {
-            let cand = (around + d) % n;
-            let l = &self.lines[cand];
-            if !l.valid {
-                return Some(cand);
-            }
-            if !self.sht.contains(cand) && !l.out_of_position {
-                return Some(cand);
-            }
-        }
-        None
-    }
-}
-
-impl CacheModel for AdaptivePartitionedCache {
-    fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    fn access(&mut self, rec: MemRecord) -> AccessResult {
-        let block = self.geom.block_addr(rec.addr);
-        let is_write = rec.kind.is_write();
-        if is_write {
-            self.stats.record_write();
-        }
-        let p = self.primary_of(rec.tid, block);
-
-        // Primary probe.
-        let line = self.lines[p];
-        if line.valid && line.block == block && line.tid == rec.tid {
-            if is_write {
-                self.lines[p].dirty = true;
-            }
-            self.sht.touch(p);
-            self.stats.record(p, HitWhere::Primary);
-            return AccessResult {
-                where_hit: HitWhere::Primary,
-                set: p,
-                evicted: None,
-            };
-        }
-
-        // OUT probe.
-        if let Some(alt) = self.out_get(rec.tid, block) {
-            let al = self.lines[alt];
-            if al.valid && al.block == block && al.tid == rec.tid {
-                // Swap toward the primary slot.
-                let mut incoming = al;
-                incoming.out_of_position = false;
-                if is_write {
-                    incoming.dirty = true;
-                }
-                let outgoing = self.lines[p];
-                self.out.remove((rec.tid, block));
-                self.lines[p] = incoming;
-                if outgoing.valid {
-                    self.lines[alt] = Line {
-                        out_of_position: true,
-                        ..outgoing
-                    };
-                    self.out_insert(outgoing.tid, outgoing.block, alt);
-                } else {
-                    self.lines[alt] = Line::empty();
-                }
-                self.sht.touch(p);
-                self.stats.record(p, HitWhere::Secondary);
-                self.stats.record_relocation();
-                return AccessResult {
-                    where_hit: HitWhere::Secondary,
-                    set: p,
-                    evicted: None,
-                };
-            }
-            self.out.remove((rec.tid, block));
-        }
-
-        // Miss.
-        let resident = self.lines[p];
-        let disposable = !resident.valid || !self.sht.contains(p) || resident.out_of_position;
-        let mut evicted = None;
-        let mut outcome = HitWhere::MissDirect;
-        if resident.valid {
-            if disposable {
-                if resident.out_of_position {
-                    self.out.remove((resident.tid, resident.block));
-                }
-                evicted = Some(resident.block);
-                self.stats.record_eviction(p);
-            } else {
-                outcome = HitWhere::MissAfterProbe;
-                if let Some(host) = self.find_cold_set(p) {
-                    let hosted = self.lines[host];
-                    if hosted.valid {
-                        if hosted.out_of_position {
-                            self.out.remove((hosted.tid, hosted.block));
-                        }
-                        evicted = Some(hosted.block);
-                        self.stats.record_eviction(host);
-                    }
-                    self.lines[host] = Line {
-                        out_of_position: true,
-                        ..resident
-                    };
-                    self.out_insert(resident.tid, resident.block, host);
-                    self.stats.record_relocation();
-                } else {
-                    evicted = Some(resident.block);
-                    self.stats.record_eviction(p);
-                }
-            }
-        }
-        self.lines[p] = Line {
-            block,
-            tid: rec.tid,
-            valid: true,
-            dirty: is_write,
-            out_of_position: false,
-        };
-        self.sht.touch(p);
-        self.stats.record(p, outcome);
-        AccessResult {
-            where_hit: outcome,
-            set: p,
-            evicted,
-        }
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::empty();
-        }
-        self.sht.clear();
-        self.out.clear();
-        self.stats.reset();
+    fn num_sets(&self) -> usize {
+        self.sets
     }
 
     fn name(&self) -> &str {
@@ -400,6 +69,8 @@ impl CacheModel for AdaptivePartitionedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unicache_assoc::AdaptivePartitionedCache;
+    use unicache_core::{CacheModel, MemRecord};
 
     fn geom(sets: usize) -> CacheGeometry {
         CacheGeometry::from_sets(sets, 32, 1).unwrap()
@@ -412,30 +83,15 @@ mod tests {
     #[test]
     fn partition_isolation() {
         let mut c = PartitionedCache::new(geom(16), 2).unwrap();
-        assert_eq!(c.partition_sets(), 8);
         // Same block, two threads: lands in different halves.
         let s0 = c.access(read(3, 0)).set;
         let s1 = c.access(read(3, 1)).set;
-        assert!(s0 < 8 && s1 >= 8);
+        assert_eq!((s0, s1), (3, 8 + 3));
         // Thread 0 can never evict thread 1's line.
         for b in 0..100u64 {
-            c.access(read(b, 0));
+            assert!(c.access(read(b, 0)).set < 8);
         }
         assert!(c.access(read(3, 1)).is_hit());
-    }
-
-    #[test]
-    fn mask_slot_matches_modulo() {
-        for part_sets in [1usize, 2, 4, 8, 256, 512, 3, 6, 9, 1021] {
-            let mask = part_sets.is_power_of_two().then(|| part_sets - 1);
-            for block in (0u64..200).chain([u32::MAX as u64, 1 << 40, (1 << 40) + 12345]) {
-                assert_eq!(
-                    part_slot(block, part_sets, mask),
-                    block as usize % part_sets,
-                    "part_sets {part_sets} block {block}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -443,22 +99,7 @@ mod tests {
         assert!(PartitionedCache::new(geom(16), 0).is_err());
         assert!(PartitionedCache::new(geom(16), 3).is_err());
         assert!(PartitionedCache::new(CacheGeometry::from_sets(16, 32, 2).unwrap(), 2).is_err());
-        assert!(AdaptivePartitionedCache::new(geom(16), 3).is_err());
-    }
-
-    #[test]
-    fn adaptive_spills_into_other_partition() {
-        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
-        // Thread 0 hammers two conflicting blocks (both map to its set 0);
-        // thread 1 is idle, so its partition is cold.
-        c.access(read(0, 0));
-        c.access(read(0, 0)); // set 0 hot in SHT
-        let r = c.access(read(8, 0)); // conflicts (8 % 8 == 0)
-        assert_eq!(r.where_hit, HitWhere::MissAfterProbe);
-        assert_eq!(c.out_len(), 1, "victim kept via OUT");
-        // The displaced block is recoverable.
-        let r = c.access(read(0, 0));
-        assert_eq!(r.where_hit, HitWhere::Secondary);
+        assert!(PartitionedCache::new(geom(1), 1).is_ok());
     }
 
     #[test]
@@ -492,56 +133,5 @@ mod tests {
             adpt.stats().miss_rate(),
             stat.stats().miss_rate()
         );
-    }
-
-    #[test]
-    fn single_residency_per_thread_block() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        for step in 0..3000 {
-            let tid = rng.gen_range(0..2u8);
-            c.access(read(rng.gen_range(0u64..64), tid));
-            if step % 101 == 0 {
-                for tid in 0..2u8 {
-                    for b in 0..64u64 {
-                        let copies = c
-                            .lines
-                            .iter()
-                            .filter(|l| l.valid && l.block == b && l.tid == tid)
-                            .count();
-                        assert!(copies <= 1, "({tid},{b}): {copies} copies @ {step}");
-                    }
-                }
-            }
-        }
-        // OUT entries must point at lines that hold their block.
-        for ((tid, b), s) in c.out.entries() {
-            let l = &c.lines[s];
-            assert!(l.valid && l.block == b && l.tid == tid && l.out_of_position);
-        }
-    }
-
-    #[test]
-    fn out_capacity_bounded() {
-        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
-        for b in 0..500u64 {
-            c.access(read(b, 0));
-            c.access(read(b, 0));
-            c.access(read(b + 8, 0));
-        }
-        assert!(c.out_len() <= 4, "out {}", c.out_len());
-    }
-
-    #[test]
-    fn flush_resets_everything() {
-        let mut c = AdaptivePartitionedCache::new(geom(16), 2).unwrap();
-        c.access(read(0, 0));
-        c.access(read(0, 0));
-        c.access(read(8, 0));
-        c.flush();
-        assert_eq!(c.out_len(), 0);
-        assert!(!c.access(read(0, 0)).is_hit());
     }
 }

@@ -36,6 +36,16 @@ fn drive(model: &mut dyn CacheModel, seed: u64) -> CacheStats {
     model.stats().clone()
 }
 
+/// [`drive`] with the records dealt round-robin to `threads` thread ids.
+fn drive_threads(model: &mut dyn CacheModel, seed: u64, threads: u8) -> CacheStats {
+    unicache_obs::reset();
+    let trace = synth::uniform_rw(seed, 12_000, 0x4000, 1 << 15, 0.25);
+    for (rec, tid) in trace.records().iter().zip((0..threads).cycle()) {
+        model.access(rec.with_tid(tid));
+    }
+    model.stats().clone()
+}
+
 fn outcome_sum(s: &CacheStats) -> u64 {
     s.primary_hits + s.secondary_hits + s.misses_direct + s.misses_after_probe
 }
@@ -119,28 +129,41 @@ fn bcache_walk_histogram_totals_accesses() {
 
 #[test]
 fn adaptive_directory_accounting() {
-    use unicache_obs::Event;
+    use unicache_obs::{Event, HistEvent, BUCKETS};
     let _guard = obs_guard!();
-    let mut c = AdaptiveGroupCache::new(geom()).unwrap();
-    let s = drive(&mut c, 404);
-    assert_eq!(
-        unicache_obs::counter_value(Event::AdaptiveProbe),
-        s.accesses()
-    );
-    // OUT-directory hits are the secondary hits; SHT lookups that still
-    // miss are the probed misses; relocation events match the stats.
-    assert_eq!(
-        unicache_obs::counter_value(Event::AdaptiveOutHit),
-        s.secondary_hits
-    );
-    assert_eq!(
-        unicache_obs::counter_value(Event::AdaptiveShtHit),
-        s.misses_after_probe
-    );
-    assert_eq!(
-        unicache_obs::counter_value(Event::AdaptiveRelocation),
-        s.relocations
-    );
+    let solo = AdaptiveGroupCache::new(geom()).unwrap();
+    let partitioned = AdaptivePartitionedCache::new(geom(), 4).unwrap();
+    let inputs: [(Box<dyn CacheModel>, u64, u8); 2] =
+        [(Box::new(solo), 404, 1), (Box::new(partitioned), 405, 4)];
+    for (mut c, seed, threads) in inputs {
+        let s = drive_threads(&mut *c, seed, threads);
+        assert_eq!(
+            unicache_obs::counter_value(Event::AdaptiveProbe),
+            s.accesses()
+        );
+        // OUT-directory hits are the secondary hits; SHT lookups that
+        // still miss are the probed misses; relocation events match the
+        // stats.
+        assert_eq!(
+            unicache_obs::counter_value(Event::AdaptiveOutHit),
+            s.secondary_hits
+        );
+        assert_eq!(
+            unicache_obs::counter_value(Event::AdaptiveShtHit),
+            s.misses_after_probe
+        );
+        assert_eq!(
+            unicache_obs::counter_value(Event::AdaptiveRelocation),
+            s.relocations
+        );
+        // A relocation is a swap-back (one per secondary hit) or a spill,
+        // and each spill records its host search distance once.
+        let searches: u64 = (0..BUCKETS)
+            .map(|i| unicache_obs::hist_bucket(HistEvent::AdaptiveRelocSearch, i))
+            .sum();
+        assert_eq!(searches, s.relocations - s.secondary_hits, "{}", c.name());
+        assert!(searches > 0, "{}: stream never spilled", c.name());
+    }
 }
 
 #[test]
