@@ -2,13 +2,14 @@
 //! the two mechanisms behind the fused kernel's speedup:
 //!
 //! 1. **SoA vs per-set-struct storage** — the same `Cache` driven over
-//!    the same stream with the contiguous struct-of-arrays set store
-//!    (default) and with the legacy per-set `CacheSet` vector
+//!    the same stream as a one-lane `run_fused` group, with the
+//!    contiguous struct-of-arrays set store (default) and with the
+//!    legacy per-set `CacheSet` vector
 //!    (`CacheBuilder::per_set_storage(true)`).
 //! 2. **Fused vs unfused multi-model traversal** — the same lane group
-//!    driven by `run_fused` (decode each chunk once, step every lane
-//!    over it) and by `run_batch_many` (one virtual call per record per
-//!    model).
+//!    driven by one `run_fused` pass (decode each chunk once, step every
+//!    lane over it) and by one single-lane `run_fused` pass per lane
+//!    (the stream decoded and streamed once per lane).
 //!
 //! Emits a single JSON document on stdout (and optionally to `--out`)
 //! so CI can archive the numbers as an artifact next to the perfgate
@@ -47,8 +48,8 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use unicache_core::{
-    run_batch_many, run_fused, BlockStream, CacheGeometry, CacheModel, CoherentModel, FusedLane,
-    IndexFunction, MemRecord, SimdLanes, FUSE_CHUNK,
+    run_fused, BlockStream, CacheGeometry, CoherentModel, FusedLane, IndexFunction, MemRecord,
+    SimdLanes, FUSE_CHUNK,
 };
 use unicache_hierarchy::{HierarchyBuilder, L2Mode};
 use unicache_indexing::XorIndex;
@@ -172,12 +173,13 @@ fn main() {
         // Interleave the variants so neither owns the warm caches.
         for _ in 0..args.reps {
             let mut soa = CacheBuilder::new(*geom).build().expect("valid cache");
-            soa_best = soa_best.min(min_nanos(1, || soa.run_batch(&stream)));
+            soa_best = soa_best.min(min_nanos(1, || run_fused(&mut [&mut soa], &stream)));
             let mut legacy = CacheBuilder::new(*geom)
                 .per_set_storage(true)
                 .build()
                 .expect("valid cache");
-            per_set_best = per_set_best.min(min_nanos(1, || legacy.run_batch(&stream)));
+            per_set_best =
+                per_set_best.min(min_nanos(1, || run_fused(&mut [&mut legacy], &stream)));
         }
         let _ = write!(
             sections,
@@ -222,13 +224,11 @@ fn main() {
         run_fused(&mut refs, &stream);
         fused_best = fused_best.min(sw.elapsed_nanos());
 
-        let mut models = build_lanes();
-        let mut refs: Vec<&mut dyn CacheModel> = models
-            .iter_mut()
-            .map(|l| l.as_mut() as &mut dyn CacheModel)
-            .collect();
+        let mut lanes = build_lanes();
         let sw = Stopwatch::start();
-        run_batch_many(&mut refs, &stream);
+        for lane in &mut lanes {
+            run_fused(&mut [lane.as_mut()], &stream);
+        }
         unfused_best = unfused_best.min(sw.elapsed_nanos());
     }
     let _ = write!(
@@ -360,7 +360,7 @@ fn main() {
         .index(Arc::clone(&index))
         .build()
         .expect("valid cache");
-    warmed.run_batch(&stream);
+    run_fused(&mut [&mut warmed], &stream);
     let mut hits = vec![false; FUSE_CHUNK];
     let index_classify_ns = min_nanos(args.reps, || {
         for chunk in blocks.chunks(FUSE_CHUNK) {

@@ -630,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_step_chunk_equals_run_batch() {
+    fn fused_step_chunk_equals_run() {
         use unicache_core::{run_fused, BlockStream, FusedLane};
         let geom = CacheGeometry::from_sets(64, 32, 1).unwrap();
         let recs: Vec<MemRecord> = (0..9000u64)
@@ -645,7 +645,7 @@ mod tests {
             .index(Arc::new(XorIndex::new(64).unwrap()))
             .build()
             .unwrap();
-        solo.run_batch(&stream);
+        solo.run(&recs);
         {
             let mut lanes: Vec<&mut dyn FusedLane> = vec![&mut fused];
             run_fused(&mut lanes, &stream);

@@ -9,12 +9,13 @@
 //!
 //! [`BlockStream`] hoists the decode out of the loop: each record becomes
 //! one packed `u64` — `(block_address << 1) | is_write` — computed once
-//! per (trace, line size). Models are then driven with
-//! [`CacheModel::run_batch`], whose per-record work starts directly at
-//! the index function, and which devirtualizes the inner loop: driving a
-//! `&mut dyn CacheModel` costs one virtual call per *batch*, after which
-//! the default `run_batch` body is the monomorphized one compiled for the
-//! concrete model, so its `access_block` calls inline.
+//! per (trace, line size). Models are then driven with [`run_fused`],
+//! the one stream driver: it decodes each chunk once and hands it to
+//! every [`FusedLane`], so per-record work starts directly at the index
+//! function, and driving a `&mut dyn FusedLane` costs one virtual call
+//! per *chunk*, after which the lane's monomorphized `step_chunk` body
+//! runs with its `access_block` calls inlined. A group of one lane is
+//! the solo case.
 //!
 //! The pre-decoded form carries no thread ids: SMT models (figs. 13/14)
 //! consume `MemRecord`s directly and are not batched. Coherent
@@ -137,11 +138,11 @@ impl<T: FusedLane + ?Sized> FusedLane for Box<T> {
 /// Drives all `lanes` over `stream` in one fused traversal: each chunk of
 /// the packed stream is decoded exactly once into shared scratch and then
 /// replayed through every lane (chunk-outer, lane-inner). Statistically
-/// equivalent to running each lane alone with [`CacheModel::run_batch`] —
-/// every lane sees the same references in the same order, and lanes never
-/// observe each other — but the trace is decoded and streamed from memory
-/// once per *group* instead of once per scheme, and the per-record virtual
-/// dispatch of [`run_batch_many`] collapses to one call per (lane × chunk).
+/// equivalent to running each lane alone over the records with
+/// [`CacheModel::run`] — every lane sees the same references in the same
+/// order, and lanes never observe each other — but the trace is decoded
+/// and streamed from memory once per *group* instead of once per scheme,
+/// and virtual dispatch costs one call per (lane × chunk), not per record.
 ///
 /// # Panics
 /// If any lane's line size differs from the stream's (the pre-decoded
@@ -336,40 +337,6 @@ pub fn core_routes(cores: usize) -> [u8; 256] {
     assert!(cores >= 1, "a coherent model needs at least one core");
     // tid < 256, so tid % cores < 256 for any core count.
     std::array::from_fn(|tid| (tid % cores) as u8)
-}
-
-/// Drives several models over `stream` in one traversal (record-outer,
-/// model-inner). Equivalent to calling [`CacheModel::run_batch`] on each
-/// model; preferable when the stream is too large to stay cache-resident
-/// across repeated traversals.
-///
-/// # Panics
-/// If any model's line size differs from the stream's (the pre-decoded
-/// block addresses would be wrong for it).
-pub fn run_batch_many(models: &mut [&mut dyn CacheModel], stream: &BlockStream) {
-    for m in models.iter() {
-        assert_eq!(
-            m.geometry().line_bytes(),
-            stream.line_bytes(),
-            "model '{}' line size does not match stream",
-            m.name()
-        );
-    }
-    for (block, is_write) in stream.iter() {
-        for m in models.iter_mut() {
-            let _r = m.access_block(block, is_write);
-            // Under the `checked` feature, verify the model's reported set
-            // stays inside its geometry — the invariant every stats
-            // consumer indexes by without re-checking.
-            #[cfg(feature = "checked")]
-            debug_assert!(
-                _r.set < m.geometry().num_sets(),
-                "model '{}' returned out-of-range set {}",
-                m.name(),
-                _r.set
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ pub mod record;
 pub mod stats;
 
 pub use batch::{
-    core_routes, pack_coherent_chunk, run_batch_many, run_fused, unpack_blocks, BlockStream,
-    CoherentStream, FusedLane, FUSE_CHUNK,
+    core_routes, pack_coherent_chunk, run_fused, unpack_blocks, BlockStream, CoherentStream,
+    FusedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
 pub use geometry::CacheGeometry;

@@ -3,7 +3,6 @@
 //! direct-mapped baseline to the programmable-associativity schemes of the
 //! paper's Section III.
 
-use crate::batch::BlockStream;
 use crate::geometry::CacheGeometry;
 use crate::record::{AccessKind, MemRecord};
 use crate::stats::CacheStats;
@@ -77,7 +76,8 @@ pub trait CacheModel: Send {
     /// The default reconstructs a `MemRecord` and forwards to
     /// [`CacheModel::access`]; models on the batched hot path override
     /// this with their real implementation (and implement `access` as the
-    /// decode + delegate) so [`CacheModel::run_batch`] never re-decodes.
+    /// decode + delegate) so the fused kernel ([`crate::run_fused`])
+    /// never re-decodes.
     ///
     /// The pre-decoded form has no thread id (`tid` 0) and folds
     /// instruction fetches into reads; models sensitive to either — the
@@ -113,30 +113,6 @@ pub trait CacheModel: Send {
     fn run(&mut self, trace: &[MemRecord]) {
         for &rec in trace {
             self.access(rec);
-        }
-    }
-
-    /// Drives a pre-decoded [`BlockStream`] through the cache.
-    ///
-    /// This is the batched engine's entry point: the stream's per-record
-    /// decode already happened (once, shared across every model at this
-    /// line size), and calling `run_batch` through `&mut dyn CacheModel`
-    /// costs one virtual dispatch per *batch* — the body that then runs
-    /// is the monomorphized default compiled for the concrete model, so
-    /// the `access_block` calls in the loop inline.
-    ///
-    /// # Panics
-    /// If the stream was decoded for a different line size than this
-    /// model's geometry uses.
-    fn run_batch(&mut self, stream: &BlockStream) {
-        assert_eq!(
-            self.geometry().line_bytes(),
-            stream.line_bytes(),
-            "model '{}' line size does not match stream",
-            self.name()
-        );
-        for (block, is_write) in stream.iter() {
-            self.access_block(block, is_write);
         }
     }
 }
@@ -213,9 +189,6 @@ impl<T: CacheModel + ?Sized> CacheModel for Box<T> {
     }
     fn access_block(&mut self, block: BlockAddr, is_write: bool) -> AccessResult {
         (**self).access_block(block, is_write)
-    }
-    fn run_batch(&mut self, stream: &BlockStream) {
-        (**self).run_batch(stream)
     }
     fn stats(&self) -> &CacheStats {
         (**self).stats()

@@ -1,7 +1,7 @@
 //! # unicache-exec
 //!
-//! A work-stealing thread-pool executor for the experiment sweeps, built
-//! on `std::thread::scope` — no external dependencies, so the workspace
+//! A thread-pool executor for the experiment sweeps, built on
+//! `std::thread::scope` — no external dependencies, so the workspace
 //! still builds fully offline.
 //!
 //! ## Job model
@@ -28,12 +28,15 @@
 //!
 //! ## Scheduling
 //!
-//! Jobs are dealt round-robin into one deque per worker; a worker pops
-//! its own deque from the front and, when empty, *steals* from the back
-//! of the other workers' deques. For the coarse jobs the experiment
-//! runners submit (one whole trace simulation or generation per job) the
-//! steal path only matters when job costs are skewed — exactly the case
-//! in `xp all`, where one workload's trace dwarfs another's.
+//! Workers take job indices from one shared atomic cursor
+//! (`fetch_add`), so each index is handed out exactly once and a worker
+//! that finishes a cheap job simply takes the next one. That balances
+//! skewed job costs — in `xp all` one workload's trace dwarfs
+//! another's — without per-worker queues: the jobs the experiment
+//! runners submit are coarse (one whole trace simulation or generation
+//! each) and all known up front, so one cursor increment per job is
+//! noise. Each worker keeps its `(index, result)` pairs locally; the
+//! caller sorts them into slot order after the scope joins.
 //!
 //! The natural task granularity for simulation is the **fuse-group**:
 //! `SimStore::prefetch_groups` submits one job per `(workload,
@@ -42,7 +45,7 @@
 //! side — see DESIGN.md §11). Submitting per *scheme* instead would
 //! split a group across workers and forfeit the shared decode: the
 //! group mutex would serialize the workers anyway, so finer granularity
-//! buys no parallelism — it only adds steal traffic.
+//! buys no parallelism — it only adds scheduling traffic.
 //!
 //! ## Configuration
 //!
@@ -63,7 +66,6 @@ mod sys;
 
 pub use sys::tune_allocator;
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -165,7 +167,7 @@ fn run_timed<T, R, F: Fn(&T) -> R>(f: &F, item: &T) -> R {
     out
 }
 
-/// A work-stealing executor with a fixed worker count.
+/// A scoped-thread executor with a fixed worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     jobs: usize,
@@ -200,62 +202,32 @@ impl Executor {
             return items.iter().map(|item| run_timed(&f, item)).collect();
         }
 
-        // One deque of job indices per worker, dealt round-robin; the
-        // canonical order lives in the indices, not the deques.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                Mutex::new(
-                    (0..items.len())
-                        .filter(|i| i % workers == w)
-                        .collect::<VecDeque<usize>>(),
-                )
-            })
-            .collect();
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        let results: Mutex<Vec<Option<R>>> = Mutex::new(slots);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let results = &results;
-                let f = &f;
-                scope.spawn(move || {
-                    loop {
-                        // Own queue first (front), then steal from the
-                        // *back* of the others — the classic deque split
-                        // that keeps stolen jobs far from the victim's
-                        // working set.
-                        let mut job = queues[w]
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .pop_front();
-                        if job.is_none() {
-                            for v in 1..workers {
-                                let victim = (w + v) % workers;
-                                job = queues[victim]
-                                    .lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .pop_back();
-                                if job.is_some() {
-                                    break;
-                                }
-                            }
+        // One shared cursor hands out each job index exactly once. The
+        // canonical order lives in the indices, so each worker keeps its
+        // `(index, result)` pairs to itself and the caller puts them in
+        // slot order once the scope has joined.
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            out.push((i, run_timed(&f, item)));
                         }
-                        let Some(idx) = job else { break };
-                        let out = run_timed(f, &items[idx]);
-                        results.lock().unwrap_or_else(|p| p.into_inner())[idx] = Some(out);
-                    }
-                });
-            }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-
-        results
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .into_iter()
-            .map(|slot| slot.expect("every job index was executed exactly once"))
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -292,6 +264,40 @@ mod tests {
         }
     }
 
+    /// The cursor hands out every index exactly once: per-index run
+    /// counters must all read 1, for every worker count, including the
+    /// empty and single-item inputs that take the inline path.
+    #[test]
+    fn every_job_runs_exactly_once_under_contention() {
+        // Miri executes real threads but ~1000x slower; shrink the sweep.
+        let (n, max_jobs) = if cfg!(miri) { (13, 4) } else { (97, 16) };
+        for len in [0, 1, n] {
+            let items: Vec<usize> = (0..len).collect();
+            for jobs in 1..=max_jobs {
+                let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let got = Executor::new(jobs).map(&items, |&i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i
+                });
+                assert_eq!(got, items, "len={len} jobs={jobs}");
+                for (i, r) in runs.iter().enumerate() {
+                    let r = r.load(Ordering::Relaxed);
+                    assert_eq!(r, 1, "len={len} jobs={jobs}: job {i} ran {r} times");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn a_panicking_job_propagates_to_the_caller() {
+        let items: Vec<usize> = (0..8).collect();
+        let _ = Executor::new(4).map(&items, |&i| {
+            assert!(i != 5, "job {i} failed");
+            i
+        });
+    }
+
     #[test]
     fn empty_and_single_inputs_run_inline() {
         let none: Vec<u32> = Vec::new();
@@ -306,14 +312,15 @@ mod tests {
         miri,
         ignore = "spin loops are ~1000x slower under miri; covered by TSan"
     )]
-    fn stealing_balances_skewed_job_costs() {
-        // One worker's deque gets all the heavy jobs; the others must
-        // steal them or this takes ~workers× longer than the busy sum.
+    fn skewed_job_costs_keep_canonical_slots() {
+        // Every eighth job spins far longer than the rest, so workers
+        // finish out of input order; each result must still land in the
+        // slot of its own index.
         let executed = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
         let got = Executor::new(8).map(&items, |&i| {
             executed.fetch_add(1, Ordering::Relaxed);
-            // Skew: multiples of 8 (all dealt to worker 0) spin longest.
+            // Skew: multiples of 8 spin longest.
             let spin = if i % 8 == 0 { 200_000 } else { 10 };
             let mut acc = 0u64;
             for k in 0..spin {
@@ -331,9 +338,8 @@ mod tests {
     fn workers_actually_run_in_parallel() {
         let seen = Mutex::new(HashSet::new());
         let distinct = || seen.lock().unwrap_or_else(|p| p.into_inner()).len();
-        // Job 0 (worker 0's first) holds its worker until another worker
-        // has taken a job, so one worker cannot drain every queue before
-        // the rest start. The wait is bounded, so a serial executor still
+        // Job 0 holds its worker until another worker has taken a job,
+        // so one worker cannot drain the cursor before the rest start. The wait is bounded, so a serial executor still
         // finishes and then fails the assertion.
         let spins = if cfg!(miri) { 10_000 } else { 10_000_000 };
         let items: Vec<usize> = (0..256).collect();

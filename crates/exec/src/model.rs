@@ -1,32 +1,29 @@
-//! Bounded model checking for the executor's concurrency protocols.
+//! Bounded model checking for the workspace's concurrency protocols.
 //!
-//! The byte-identity CI job proves the executor *was* deterministic on
-//! the schedules a particular machine happened to produce; it cannot
-//! distinguish "correct" from "racy but lucky". This module closes that
-//! gap dynamically: it re-expresses the two protocols the determinism
-//! argument rests on as explicit state machines and **exhaustively
-//! explores their bounded interleavings** with a deterministic
-//! scheduler — a dependency-free, loom-style shim.
+//! The byte-identity CI job proves the experiment sweeps *were*
+//! deterministic on the schedules a particular machine happened to
+//! produce; it cannot distinguish "correct" from "racy but lucky". This
+//! module closes that gap dynamically: a protocol is re-expressed as an
+//! explicit state machine and [`explore`] **exhaustively walks its
+//! bounded interleavings** with a deterministic scheduler — a
+//! dependency-free, loom-style shim.
 //!
-//! * [`check_deque_protocol`] — the work-stealing deque protocol of
-//!   [`crate::Executor::map`]: jobs dealt round-robin into per-worker
-//!   deques, owners popping the front, thieves popping the back, results
-//!   written into index-canonical slots. Invariants checked at every
-//!   terminal state: **every task executes exactly once** and **slot `i`
-//!   holds task `i`'s result** (the canonical collection order).
 //! * [`check_once_cell_protocol`] — the `TraceStore`/`SimStore`
 //!   memoization protocol: a once-cell claimed by the first arriver,
 //!   computed once, published, and read by every later arriver.
 //!   Invariants: **the value is computed exactly once**, **every worker
 //!   observes the published value**, and **no worker blocks forever**.
+//! * `unicache_hierarchy::check_coherence_protocol` runs the MESI +
+//!   victim-buffer model on the same [`explore`], checking its
+//!   invariants after every step.
 //!
 //! ## How the exploration works
 //!
-//! Every *yield point* of the real code — one mutex-protected deque
-//! operation, one once-cell transition, one slot write — becomes one
-//! atomic step of a worker automaton. The checker runs a depth-first
-//! search over "which runnable worker steps next", cloning the model
-//! state at each branch. Each root-to-terminal path is one distinct
+//! Every *yield point* of the real code — one lock-protected
+//! transition, one unsynchronized execution step — becomes one atomic
+//! step of a worker automaton. [`explore`] runs a depth-first search
+//! over "which runnable worker steps next", cloning the model state at
+//! each branch. Each root-to-terminal path is one distinct
 //! interleaving; the DFS is **depth-capped** and **interleaving-capped**
 //! so the worst case stays bounded, and the per-node branch order is
 //! **seeded** so capped runs can sample different regions of the
@@ -34,17 +31,14 @@
 //!
 //! What this does and does not prove: within the configured bounds the
 //! exploration is exhaustive over *schedules*, but the model inherits
-//! the atomicity the implementation gets from its mutexes — it verifies
-//! the protocol logic (no lost or doubled tasks, no misplaced slots, no
-//! lost wakeups), not the memory-model correctness of the primitives
-//! themselves. Miri and ThreadSanitizer cover that side (see DESIGN §13).
+//! the atomicity the implementation gets from its locks — it verifies
+//! the protocol logic (no doubled computation, no lost wakeups), not
+//! the memory-model correctness of the primitives themselves. Miri and
+//! ThreadSanitizer cover that side (see DESIGN §13).
 //!
-//! [`Mutation`] seeds protocol bugs (a steal that drops the task, a
-//! steal that forgets to remove it, a skipped or misdirected slot write,
-//! a once-cell that computes without claiming) so tests can prove the
+//! [`Mutation`] seeds protocol bugs (a once-cell that computes without
+//! claiming, a claimer that never publishes) so tests can prove the
 //! checker actually fails on the classes of bug it exists to catch.
-
-use std::collections::VecDeque;
 
 /// Outcome of an exploration that found no violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,15 +82,6 @@ pub enum Mutation {
     /// Faithful model of the shipped protocol.
     #[default]
     None,
-    /// A successful steal drops the stolen task on the floor (lost task).
-    LoseStolenTask,
-    /// A steal reads the task but forgets to remove it from the victim's
-    /// deque (double execution).
-    StealLeavesTask,
-    /// The result write after execution is skipped (empty slot).
-    SkipResultWrite,
-    /// Every result is written into slot 0 (canonical order broken).
-    ClobberSlotZero,
     /// A once-cell arriver that finds the cell claimed computes anyway
     /// instead of waiting (double compute).
     ComputeWithoutClaim,
@@ -105,7 +90,7 @@ pub enum Mutation {
     ForgetPublish,
 }
 
-/// Exploration bounds shared by both protocol checkers.
+/// Exploration bounds shared by every protocol checker.
 #[derive(Debug, Clone, Copy)]
 pub struct Bounds {
     /// Stop after this many complete interleavings (0 = unlimited).
@@ -128,8 +113,9 @@ impl Default for Bounds {
     }
 }
 
-/// Splitmix64 — the deterministic per-node branch-order shuffler.
-fn splitmix64(state: &mut u64) -> u64 {
+/// Splitmix64 — the deterministic per-node branch-order shuffler, also
+/// used by models that derive seeded scripts.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -143,177 +129,6 @@ fn shuffle(choices: &mut [usize], rng: &mut u64) {
         let j = (splitmix64(rng) % (i as u64 + 1)) as usize;
         choices.swap(i, j);
     }
-}
-
-// ---------------------------------------------------------------------
-// Deque protocol
-// ---------------------------------------------------------------------
-
-/// Configuration of one deque-protocol exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct DequeConfig {
-    /// Worker (and deque) count.
-    pub workers: usize,
-    /// Task count, dealt round-robin exactly like [`crate::Executor::map`].
-    pub tasks: usize,
-    /// Exploration bounds.
-    pub bounds: Bounds,
-    /// Seeded protocol bug, [`Mutation::None`] for the faithful model.
-    pub mutation: Mutation,
-}
-
-/// Program counter of one modeled worker. Each variant's transition is
-/// one yield point: exactly the work done under one lock acquisition (or
-/// one unsynchronized execution step) in [`crate::Executor::map`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DequePc {
-    /// Lock own deque, pop front.
-    PopOwn,
-    /// Lock victim `(w + offset) % workers`, pop back.
-    Steal { offset: usize },
-    /// Run the job body (outside any lock).
-    Execute { task: usize },
-    /// Lock the results vec, write slot `task`.
-    Write { task: usize },
-    /// Out of work: every deque observed empty in one sweep.
-    Done,
-}
-
-#[derive(Clone)]
-struct DequeState {
-    queues: Vec<VecDeque<usize>>,
-    /// Per-task execution count.
-    executed: Vec<u32>,
-    /// `results[slot] = Some(task)` written there.
-    results: Vec<Option<usize>>,
-    pcs: Vec<DequePc>,
-}
-
-impl DequeState {
-    fn initial(cfg: &DequeConfig) -> Self {
-        let queues = (0..cfg.workers)
-            .map(|w| {
-                (0..cfg.tasks)
-                    .filter(|i| i % cfg.workers == w)
-                    .collect::<VecDeque<usize>>()
-            })
-            .collect();
-        DequeState {
-            queues,
-            executed: vec![0; cfg.tasks],
-            results: vec![None; cfg.tasks],
-            pcs: vec![DequePc::PopOwn; cfg.workers],
-        }
-    }
-
-    /// Advances worker `w` by one atomic step; returns the step label.
-    fn step(&mut self, w: usize, cfg: &DequeConfig) -> &'static str {
-        match self.pcs[w] {
-            DequePc::PopOwn => match self.queues[w].pop_front() {
-                Some(t) => {
-                    self.pcs[w] = DequePc::Execute { task: t };
-                    "pop-own"
-                }
-                None => {
-                    self.pcs[w] = if cfg.workers > 1 {
-                        DequePc::Steal { offset: 1 }
-                    } else {
-                        DequePc::Done
-                    };
-                    "pop-own-empty"
-                }
-            },
-            DequePc::Steal { offset } => {
-                let victim = (w + offset) % cfg.workers;
-                let stolen = match cfg.mutation {
-                    Mutation::StealLeavesTask => self.queues[victim].back().copied(),
-                    _ => self.queues[victim].pop_back(),
-                };
-                match stolen {
-                    Some(t) => {
-                        self.pcs[w] = if cfg.mutation == Mutation::LoseStolenTask {
-                            DequePc::PopOwn
-                        } else {
-                            DequePc::Execute { task: t }
-                        };
-                        "steal"
-                    }
-                    None => {
-                        self.pcs[w] = if offset + 1 < cfg.workers {
-                            DequePc::Steal { offset: offset + 1 }
-                        } else {
-                            DequePc::Done
-                        };
-                        "steal-empty"
-                    }
-                }
-            }
-            DequePc::Execute { task } => {
-                self.executed[task] += 1;
-                self.pcs[w] = if cfg.mutation == Mutation::SkipResultWrite {
-                    DequePc::PopOwn
-                } else {
-                    DequePc::Write { task }
-                };
-                "execute"
-            }
-            DequePc::Write { task } => {
-                let slot = if cfg.mutation == Mutation::ClobberSlotZero {
-                    0
-                } else {
-                    task
-                };
-                self.results[slot] = Some(task);
-                self.pcs[w] = DequePc::PopOwn;
-                "write-slot"
-            }
-            DequePc::Done => unreachable!("done workers are never scheduled"),
-        }
-    }
-
-    fn runnable(&self) -> Vec<usize> {
-        (0..self.pcs.len())
-            .filter(|&w| self.pcs[w] != DequePc::Done)
-            .collect()
-    }
-
-    /// Invariants of a terminal state (all workers done).
-    fn check(&self) -> InvariantResult {
-        for (t, &n) in self.executed.iter().enumerate() {
-            if n != 1 {
-                return Err((
-                    "exactly-once",
-                    format!("task {t} executed {n} times (want exactly 1)"),
-                ));
-            }
-        }
-        for (slot, got) in self.results.iter().enumerate() {
-            if *got != Some(slot) {
-                return Err((
-                    "canonical-slot",
-                    format!("slot {slot} holds {got:?} (want Some({slot}))"),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Explores bounded interleavings of the work-stealing deque protocol,
-/// checking exactly-once execution and canonical slot collection at
-/// every terminal state.
-pub fn check_deque_protocol(cfg: &DequeConfig) -> Result<Explored, Violation> {
-    assert!(cfg.workers >= 1 && cfg.tasks >= 1, "degenerate model");
-    let state = DequeState::initial(cfg);
-    let mut explorer = Explorer::new(cfg.bounds);
-    explorer.dfs(
-        state,
-        &mut Vec::new(),
-        &|s| s.runnable(),
-        &|s, w| s.step(w, cfg),
-        &|s| s.check(),
-    )?;
-    Ok(explorer.into_explored())
 }
 
 // ---------------------------------------------------------------------
@@ -481,94 +296,108 @@ impl OnceState {
 /// worker may block forever.
 pub fn check_once_cell_protocol(cfg: &OnceConfig) -> Result<Explored, Violation> {
     assert!(cfg.workers >= 1, "degenerate model");
-    let state = OnceState::initial(cfg);
-    let mut explorer = Explorer::new(cfg.bounds);
-    explorer.dfs(
-        state,
-        &mut Vec::new(),
+    explore(
+        cfg.bounds,
+        OnceState::initial(cfg),
         &|s| s.runnable(),
         &|s, w| s.step(w, cfg),
+        &|_| Ok(()),
         &|s| s.check(s.pcs.iter().all(|&pc| pc == OncePc::Done)),
-    )?;
-    Ok(explorer.into_explored())
+    )
 }
 
 // ---------------------------------------------------------------------
 // The generic seeded, bounded DFS
 // ---------------------------------------------------------------------
 
-/// `Err((invariant, detail))` when a terminal state breaks an invariant.
-type InvariantResult = Result<(), (&'static str, String)>;
+/// `Err((invariant, detail))` when a state breaks an invariant.
+pub type InvariantResult = Result<(), (&'static str, String)>;
 
-struct Explorer {
+/// Explores bounded interleavings of a protocol model from `initial`.
+///
+/// `runnable` lists the workers that may step next; `step` advances one
+/// worker by one atomic step and returns its label for the witness
+/// schedule. `after_step` checks the invariants that must hold in every
+/// reachable state (a no-op for models whose invariants are terminal
+/// only); `at_terminal` checks a state with no runnable worker — all
+/// done *or* deadlocked, which is for the model to tell apart. Returns
+/// the exploration statistics, or the first [`Violation`] with the
+/// schedule that reached it.
+pub fn explore<S: Clone>(
     bounds: Bounds,
-    interleavings: u64,
-    deepest: usize,
-    capped: bool,
-}
-
-impl Explorer {
-    fn new(bounds: Bounds) -> Self {
-        Explorer {
-            bounds,
+    initial: S,
+    runnable: &dyn Fn(&S) -> Vec<usize>,
+    step: &dyn Fn(&mut S, usize) -> &'static str,
+    after_step: &dyn Fn(&S) -> InvariantResult,
+    at_terminal: &dyn Fn(&S) -> InvariantResult,
+) -> Result<Explored, Violation> {
+    let mut explorer = Explorer {
+        bounds,
+        runnable,
+        step,
+        after_step,
+        at_terminal,
+        explored: Explored {
             interleavings: 0,
             deepest: 0,
             capped: false,
-        }
-    }
+        },
+    };
+    explorer.dfs(&initial, &mut Vec::new())?;
+    Ok(explorer.explored)
+}
 
-    fn into_explored(self) -> Explored {
-        Explored {
-            interleavings: self.interleavings,
-            deepest: self.deepest,
-            capped: self.capped,
-        }
-    }
+struct Explorer<'a, S> {
+    bounds: Bounds,
+    runnable: &'a dyn Fn(&S) -> Vec<usize>,
+    step: &'a dyn Fn(&mut S, usize) -> &'static str,
+    after_step: &'a dyn Fn(&S) -> InvariantResult,
+    at_terminal: &'a dyn Fn(&S) -> InvariantResult,
+    explored: Explored,
+}
 
+impl<S: Clone> Explorer<'_, S> {
     /// Depth-first over scheduler choices. A state with no runnable
-    /// worker is terminal (all done *or* deadlocked — `check` decides)
-    /// and counts as one interleaving.
-    fn dfs<S: Clone>(
+    /// worker is terminal and counts as one interleaving; a schedule
+    /// that reaches the depth cap is pruned before that test.
+    fn dfs(
         &mut self,
-        state: S,
+        state: &S,
         schedule: &mut Vec<(usize, &'static str)>,
-        runnable: &dyn Fn(&S) -> Vec<usize>,
-        step: &dyn Fn(&mut S, usize) -> &'static str,
-        check: &dyn Fn(&S) -> InvariantResult,
     ) -> Result<(), Violation> {
-        if self.bounds.max_interleavings != 0 && self.interleavings >= self.bounds.max_interleavings
+        let bounds = self.bounds;
+        let e = &mut self.explored;
+        if (bounds.max_interleavings != 0 && e.interleavings >= bounds.max_interleavings)
+            || schedule.len() >= bounds.max_depth
         {
-            self.capped = true;
+            e.capped = true;
             return Ok(());
         }
-        let mut choices = runnable(&state);
+        let violation = |(invariant, detail), schedule: &[(usize, &'static str)]| Violation {
+            invariant,
+            detail,
+            schedule: schedule.to_vec(),
+        };
+        let mut choices = (self.runnable)(state);
         if choices.is_empty() {
-            self.interleavings += 1;
-            self.deepest = self.deepest.max(schedule.len());
-            return check(&state).map_err(|(invariant, detail)| Violation {
-                invariant,
-                detail,
-                schedule: schedule.clone(),
-            });
-        }
-        if schedule.len() >= self.bounds.max_depth {
-            self.capped = true;
-            return Ok(());
+            e.interleavings += 1;
+            e.deepest = e.deepest.max(schedule.len());
+            return (self.at_terminal)(state).map_err(|v| violation(v, schedule));
         }
         // Seeded branch order: deterministic for a (seed, path) pair, so
         // runs are reproducible, but different seeds walk the capped
         // space in different orders.
-        let mut rng = self
-            .bounds
+        let mut rng = bounds
             .seed
             .wrapping_add((schedule.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.interleavings);
+            .wrapping_add(e.interleavings);
         shuffle(&mut choices, &mut rng);
         for w in choices {
             let mut next = state.clone();
-            let label = step(&mut next, w);
+            let label = (self.step)(&mut next, w);
             schedule.push((w, label));
-            self.dfs(next, schedule, runnable, step, check)?;
+            (self.after_step)(&next).map_err(|v| violation(v, schedule))?;
+            self.dfs(&next, schedule)?;
             schedule.pop();
         }
         Ok(())
@@ -583,99 +412,6 @@ mod tests {
         Bounds {
             max_interleavings,
             ..Bounds::default()
-        }
-    }
-
-    #[test]
-    fn faithful_deque_protocol_is_exhaustively_clean_at_small_size() {
-        let cfg = DequeConfig {
-            workers: 2,
-            tasks: 3,
-            bounds: bounds(0),
-            mutation: Mutation::None,
-        };
-        let explored = check_deque_protocol(&cfg).expect("faithful protocol must verify");
-        assert!(!explored.capped, "small config must be exhaustive");
-        assert!(explored.interleavings > 100, "got {explored:?}");
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "state-space walk is pure compute; miri adds nothing but hours"
-    )]
-    fn deque_protocol_covers_at_least_ten_thousand_interleavings() {
-        let cfg = DequeConfig {
-            workers: 3,
-            tasks: 6,
-            bounds: Bounds {
-                max_interleavings: 30_000,
-                max_depth: 256,
-                seed: 1,
-            },
-            mutation: Mutation::None,
-        };
-        let explored = check_deque_protocol(&cfg).expect("faithful protocol must verify");
-        assert!(
-            explored.interleavings >= 10_000,
-            "explored only {} interleavings",
-            explored.interleavings
-        );
-    }
-
-    #[test]
-    fn seeds_change_capped_sampling_but_never_the_verdict() {
-        for seed in [0, 7, 0xDEAD_BEEF] {
-            let cfg = DequeConfig {
-                workers: 3,
-                tasks: 4,
-                bounds: Bounds {
-                    max_interleavings: 2_000,
-                    max_depth: 256,
-                    seed,
-                },
-                mutation: Mutation::None,
-            };
-            let explored = check_deque_protocol(&cfg).expect("faithful protocol must verify");
-            assert!(explored.interleavings >= 2_000, "seed {seed}: {explored:?}");
-        }
-    }
-
-    /// The committed lost-task mutation: a steal that drops its task must
-    /// be caught as an exactly-once violation, with a witness schedule.
-    #[test]
-    fn checker_fails_on_seeded_lost_task_mutation() {
-        let cfg = DequeConfig {
-            workers: 2,
-            tasks: 2,
-            bounds: bounds(0),
-            mutation: Mutation::LoseStolenTask,
-        };
-        let v = check_deque_protocol(&cfg).expect_err("lost task must be detected");
-        assert_eq!(v.invariant, "exactly-once", "{v}");
-        assert!(
-            v.schedule.iter().any(|&(_, s)| s == "steal"),
-            "witness schedule must contain the buggy steal: {v:?}"
-        );
-    }
-
-    #[test]
-    fn checker_fails_on_each_deque_mutation() {
-        for (mutation, invariant) in [
-            (Mutation::StealLeavesTask, "exactly-once"),
-            (Mutation::SkipResultWrite, "canonical-slot"),
-            (Mutation::ClobberSlotZero, "canonical-slot"),
-        ] {
-            let cfg = DequeConfig {
-                workers: 2,
-                tasks: 3,
-                bounds: bounds(0),
-                mutation,
-            };
-            match check_deque_protocol(&cfg) {
-                Err(v) => assert_eq!(v.invariant, invariant, "{mutation:?}: {v}"),
-                Ok(e) => panic!("{mutation:?} verified clean: {e:?}"),
-            }
         }
     }
 
@@ -714,19 +450,12 @@ mod tests {
 
     #[test]
     fn single_worker_degenerate_cases_hold() {
-        let cfg = DequeConfig {
-            workers: 1,
-            tasks: 4,
-            bounds: bounds(0),
-            mutation: Mutation::None,
-        };
-        let explored = check_deque_protocol(&cfg).expect("serial schedule is trivially clean");
-        assert_eq!(explored.interleavings, 1, "one worker, one schedule");
         let cfg = OnceConfig {
             workers: 1,
             bounds: bounds(0),
             mutation: Mutation::None,
         };
-        assert!(check_once_cell_protocol(&cfg).is_ok());
+        let explored = check_once_cell_protocol(&cfg).expect("serial schedule is trivially clean");
+        assert_eq!(explored.interleavings, 1, "one worker, one schedule");
     }
 }

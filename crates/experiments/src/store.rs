@@ -2,7 +2,7 @@
 //!
 //! Generating 21 instrumented workload traces is the dominant setup cost
 //! of `xp all`; the store generates each `(workload, scale)` trace once —
-//! in parallel across cores on the `unicache-exec` work-stealing executor
+//! in parallel across cores on the `unicache-exec` executor
 //! (so `xp --jobs N` governs it) — and hands out shared references
 //! afterwards.
 //!

@@ -1,8 +1,8 @@
 //! Bounded model checking of the MESI + victim-buffer protocol.
 //!
-//! Same discipline as the executor's checker
-//! (`unicache_exec::model`): an abstract model of the protocol small
-//! enough to explore exhaustively-ish, a seeded DFS over every
+//! Same discipline, and the same explorer, as the once-cell checker
+//! (`unicache_exec::model::explore`): an abstract model of the protocol
+//! small enough to explore exhaustively-ish, a seeded DFS over every
 //! interleaving of core steps within bounds, invariants checked after
 //! *every* step (coherence bugs live in transient states, not just
 //! terminal ones), and seeded [`CoherenceMutation`]s proving the checker
@@ -30,6 +30,7 @@
 //! one of them; the checker shows *all* of them keep the invariants.
 
 use crate::mesi::{fill_state, transition, LineEvent, Mesi};
+use unicache_exec::model::{explore, splitmix64, InvariantResult};
 pub use unicache_exec::model::{Bounds, Explored, Violation};
 
 /// A seeded protocol bug for checker validation. Each mutation disables
@@ -523,8 +524,6 @@ fn snoop_peer(cfg: &CoherenceConfig, s: &mut State, peer: usize, block: usize, k
 // Invariants
 // ---------------------------------------------------------------------
 
-type InvariantResult = Result<(), (&'static str, String)>;
-
 fn check_invariants(cfg: &CoherenceConfig, s: &State) -> InvariantResult {
     // victim-no-alias: a block lives in a core's L1 or its victim
     // buffer, never both.
@@ -603,82 +602,6 @@ fn check_invariants(cfg: &CoherenceConfig, s: &State) -> InvariantResult {
 // Exploration
 // ---------------------------------------------------------------------
 
-/// Splitmix64 — the deterministic per-node branch-order shuffler.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seeded Fisher–Yates over the runnable-core list.
-fn shuffle(choices: &mut [usize], rng: &mut u64) {
-    for i in (1..choices.len()).rev() {
-        let j = (splitmix64(rng) % (i as u64 + 1)) as usize;
-        choices.swap(i, j);
-    }
-}
-
-struct Explorer<'a> {
-    cfg: &'a CoherenceConfig,
-    interleavings: u64,
-    deepest: usize,
-    capped: bool,
-}
-
-impl Explorer<'_> {
-    fn dfs(
-        &mut self,
-        s: &State,
-        schedule: &mut Vec<(usize, &'static str)>,
-    ) -> Result<(), Violation> {
-        let bounds = self.cfg.bounds;
-        if bounds.max_interleavings != 0 && self.interleavings >= bounds.max_interleavings {
-            self.capped = true;
-            return Ok(());
-        }
-        if schedule.len() >= bounds.max_depth {
-            self.capped = true;
-            return Ok(());
-        }
-        let mut choices = runnable(self.cfg, s);
-        if choices.is_empty() {
-            // Terminal: every core must have drained its script.
-            self.interleavings += 1;
-            self.deepest = self.deepest.max(schedule.len());
-            if s.cores.iter().any(|c| c.pc != Pc::Done) {
-                return Err(Violation {
-                    invariant: "no-deadlock",
-                    detail: "no runnable core but scripts are not drained".into(),
-                    schedule: schedule.clone(),
-                });
-            }
-            return Ok(());
-        }
-        let mut rng = bounds
-            .seed
-            .wrapping_add((schedule.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.interleavings);
-        shuffle(&mut choices, &mut rng);
-        for core in choices {
-            let mut next = s.clone();
-            let label = step(self.cfg, &mut next, core);
-            schedule.push((core, label));
-            if let Err((invariant, detail)) = check_invariants(self.cfg, &next) {
-                return Err(Violation {
-                    invariant,
-                    detail,
-                    schedule: schedule.clone(),
-                });
-            }
-            self.dfs(&next, schedule)?;
-            schedule.pop();
-        }
-        Ok(())
-    }
-}
-
 /// Explores interleavings of the coherence protocol under `cfg`,
 /// checking SWMR, data-value, inclusion and victim-no-alias after every
 /// step. Returns exploration statistics, or the first [`Violation`]
@@ -691,24 +614,29 @@ pub fn check_coherence_protocol(cfg: &CoherenceConfig) -> Result<Explored, Viola
             assert!(b < cfg.blocks, "script touches out-of-range block");
         }
     }
-    let mut explorer = Explorer {
-        cfg,
-        interleavings: 0,
-        deepest: 0,
-        capped: false,
-    };
     let state = State::new(cfg);
     check_invariants(cfg, &state).map_err(|(invariant, detail)| Violation {
         invariant,
         detail,
         schedule: Vec::new(),
     })?;
-    explorer.dfs(&state, &mut Vec::new())?;
-    Ok(Explored {
-        interleavings: explorer.interleavings,
-        deepest: explorer.deepest,
-        capped: explorer.capped,
-    })
+    explore(
+        cfg.bounds,
+        state,
+        &|s| runnable(cfg, s),
+        &|s, core| step(cfg, s, core),
+        &|s| check_invariants(cfg, s),
+        &|s| {
+            // Terminal: every core must have drained its script.
+            if s.cores.iter().any(|c| c.pc != Pc::Done) {
+                return Err((
+                    "no-deadlock",
+                    "no runnable core but scripts are not drained".into(),
+                ));
+            }
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -740,6 +668,34 @@ mod tests {
             "explored only {} interleavings",
             explored.interleavings
         );
+    }
+
+    /// Pins the full exploration result of one small config, exhaustive
+    /// and depth-capped, so a change to the explorer's branch order, caps
+    /// or counting shows up here rather than as a drifted `uca check`
+    /// report. The capped run's `deepest` sits one below the cap: a
+    /// schedule that reaches the cap is pruned before the terminal test.
+    #[test]
+    fn small_exploration_is_pinned() {
+        let mut cfg = CoherenceConfig::racing();
+        cfg.scripts = vec![
+            vec![(0, true), (1, false)],
+            vec![(0, false), (0, true), (1, false)],
+        ];
+        cfg.bounds.max_interleavings = 0;
+        let exhaustive = Explored {
+            interleavings: 1678,
+            deepest: 25,
+            capped: false,
+        };
+        assert_eq!(check_coherence_protocol(&cfg), Ok(exhaustive));
+        cfg.bounds.max_depth = 22;
+        let depth_capped = Explored {
+            interleavings: 594,
+            deepest: 21,
+            capped: true,
+        };
+        assert_eq!(check_coherence_protocol(&cfg), Ok(depth_capped));
     }
 
     #[test]

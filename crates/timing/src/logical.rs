@@ -1,6 +1,6 @@
 //! Logical time for coherent hierarchies.
 //!
-//! The snooping-bus model must be deterministic under the work-stealing
+//! The snooping-bus model must be deterministic under the parallel
 //! executor, so it cannot order events by wallclock (which `uca lint`
 //! confines to this crate anyway, and which would differ run to run).
 //! Instead every hierarchy access advances a [`LogicalClock`]: a plain

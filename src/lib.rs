@@ -76,9 +76,7 @@ pub mod prelude {
         SkewedCache,
     };
     pub use unicache_core::CoherentModel;
-    pub use unicache_core::{
-        run_batch_many, run_fused, BlockStream, CoherentStream, FusedLane, FUSE_CHUNK,
-    };
+    pub use unicache_core::{run_fused, BlockStream, CoherentStream, FusedLane, FUSE_CHUNK};
     pub use unicache_core::{
         AccessKind, AccessResult, Addr, CacheGeometry, CacheModel, CacheStats, HitWhere,
         IndexFunction, MemRecord,

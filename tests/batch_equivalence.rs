@@ -1,9 +1,10 @@
-//! The batched engine must be a pure optimisation: for every scheme
-//! family, driving a model through [`BlockStream`]/`run_batch` must leave
-//! *identical* statistics to the legacy per-record `run` — same aggregate
+//! The stream engine must be a pure optimisation: for every scheme
+//! family, driving a model through [`BlockStream`]/[`run_fused`] — as a
+//! one-lane group or as one member of a whole fleet — must leave
+//! *identical* statistics to the per-record `run` — same aggregate
 //! counters, same per-set histograms, same hit-location split. The figure
 //! runners rely on this equivalence: `SimStore` memoizes results produced
-//! by the batched path and serves them to code written against the
+//! by the stream path and serves them to code written against the
 //! record-at-a-time semantics.
 
 use proptest::prelude::*;
@@ -14,9 +15,9 @@ use unicache::trace::synth;
 /// One representative per scheme family: conventional direct-mapped,
 /// the indexing schemes (Section II), and each programmable-associativity
 /// organisation (Section III).
-fn model_pairs(geom: CacheGeometry) -> Vec<(Box<dyn CacheModel>, Box<dyn CacheModel>)> {
+fn model_pairs(geom: CacheGeometry) -> Vec<(Box<dyn FusedLane>, Box<dyn FusedLane>)> {
     let sets = geom.num_sets();
-    let fresh: Vec<Box<dyn Fn() -> Box<dyn CacheModel>>> = vec![
+    let fresh: Vec<Box<dyn Fn() -> Box<dyn FusedLane>>> = vec![
         Box::new(move || Box::new(CacheBuilder::new(geom).build().unwrap())),
         Box::new(move || {
             Box::new(
@@ -52,25 +53,30 @@ fn model_pairs(geom: CacheGeometry) -> Vec<(Box<dyn CacheModel>, Box<dyn CacheMo
     fresh.iter().map(|mk| (mk(), mk())).collect()
 }
 
+/// Drives one model alone over `stream` (a one-lane fused group).
+fn run_alone(model: &mut dyn FusedLane, stream: &BlockStream) {
+    run_fused(&mut [model], stream);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `run_batch` == `run`, record for record, for every scheme family,
-    /// across read/write mixes.
+    /// A one-lane `run_fused` == `run`, record for record, for every
+    /// scheme family, across read/write mixes.
     #[test]
     fn run_batch_matches_per_record_run(seed in 0u64..4000) {
         let geom = CacheGeometry::from_sets(64, 32, 1).unwrap();
         let trace = synth::uniform_rw(seed, 4000, 0x1000, 1 << 18, 0.3);
         let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
-        for (mut legacy, mut batched) in model_pairs(geom) {
+        for (mut legacy, mut streamed) in model_pairs(geom) {
             for rec in trace.records() {
                 legacy.access(*rec);
             }
-            batched.run_batch(&stream);
+            run_alone(streamed.as_mut(), &stream);
             prop_assert_eq!(
                 legacy.stats(),
-                batched.stats(),
-                "batched engine diverged for {}",
+                streamed.stats(),
+                "stream engine diverged for {}",
                 legacy.name()
             );
         }
@@ -84,20 +90,20 @@ proptest! {
         let geom = CacheGeometry::from_sets(32, 32, 1).unwrap();
         let trace = synth::hotspot(seed, 3000, 0, 128, 1 << 14, 0.8);
         let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
-        for (mut legacy, mut batched) in model_pairs(geom) {
+        for (mut legacy, mut streamed) in model_pairs(geom) {
             legacy.run(trace.records());
-            batched.run_batch(&stream);
+            run_alone(streamed.as_mut(), &stream);
             prop_assert_eq!(
                 legacy.stats(),
-                batched.stats(),
-                "batched engine diverged for {}",
+                streamed.stats(),
+                "stream engine diverged for {}",
                 legacy.name()
             );
         }
     }
 
-    /// `run_batch_many` (the SimStore driver: one stream, many models)
-    /// leaves every model exactly as if it had run alone.
+    /// `run_fused` over the whole fleet (the SimStore driver: one stream,
+    /// many models) leaves every model exactly as if it had run alone.
     #[test]
     fn run_batch_many_is_isolation_preserving(seed in 0u64..2000) {
         let geom = CacheGeometry::from_sets(64, 32, 1).unwrap();
@@ -106,12 +112,12 @@ proptest! {
         let pairs = model_pairs(geom);
         let (mut solo, mut fleet): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         for m in &mut solo {
-            m.run_batch(&stream);
+            m.run(trace.records());
         }
         {
-            let mut refs: Vec<&mut dyn CacheModel> =
-                fleet.iter_mut().map(|m| &mut **m as &mut dyn CacheModel).collect();
-            run_batch_many(&mut refs, &stream);
+            let mut refs: Vec<&mut dyn FusedLane> =
+                fleet.iter_mut().map(|m| m.as_mut() as &mut dyn FusedLane).collect();
+            run_fused(&mut refs, &stream);
         }
         for (s, f) in solo.iter().zip(&fleet) {
             prop_assert_eq!(s.stats(), f.stats(), "{} diverged in fleet", s.name());

@@ -1,11 +1,13 @@
 //! The fused kernel must be a pure optimisation: driving any group of
 //! lanes through [`run_fused`] (decode each chunk once, step every lane
 //! over it) must leave *identical* statistics to running each scheme
-//! alone through the per-scheme batched path — for every registered
+//! alone through the per-record `run` — same aggregate counters, same
+//! per-set histograms, same hit-location split — for every registered
 //! indexing scheme, every fusable associativity scheme, both reference
-//! geometries, and any permutation of the lane order. `SimStore` relies
-//! on this equivalence: fuse-groups are its unit of scheduling, and the
-//! figures it feeds were validated against the per-scheme path.
+//! geometries, read/write and hotspot mixes, and any permutation of the
+//! lane order. `SimStore` relies on this equivalence: fuse-groups are
+//! its unit of scheduling, and the figures it feeds are read by code
+//! written against the record-at-a-time semantics.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -80,7 +82,7 @@ proptest! {
                     .index(scheme.build(geom, Some(&training)).unwrap())
                     .build()
                     .unwrap();
-                solo.run_batch(&stream);
+                solo.run(trace.records());
                 prop_assert_eq!(
                     solo.stats(),
                     lane.stats(),
@@ -93,29 +95,35 @@ proptest! {
     }
 
     /// Fused == solo for every fusable associativity scheme, on a
-    /// hotspot-heavy mix that exercises the relocation machinery
-    /// (SHT/OUT state, rehash bits, partner links, decoder reprogramming).
+    /// uniform read/write mix and on a hotspot-heavy mix that exercises
+    /// the relocation machinery (SHT/OUT state, rehash bits, partner
+    /// links, decoder reprogramming).
     #[test]
     fn fused_matches_solo_for_every_assoc_scheme(seed in 0u64..4000) {
         for geom in [
             CacheGeometry::from_sets(64, 32, 1).unwrap(),
             CacheGeometry::paper_l1(),
         ] {
-            let trace = synth::hotspot(seed, 3000, 0, 128, 1 << 14, 0.8);
-            let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
-            let builders = lane_builders(geom);
-            let mut fused: Vec<Box<dyn FusedLane>> = builders.iter().map(|mk| mk()).collect();
-            fuse(&mut fused, &stream);
-            for (mk, lane) in builders.iter().zip(&fused) {
-                let mut solo = mk();
-                solo.run_batch(&stream);
-                prop_assert_eq!(
-                    solo.stats(),
-                    lane.stats(),
-                    "{} diverged under fusion at {} sets",
-                    lane.name(),
-                    geom.num_sets()
-                );
+            for trace in [
+                synth::uniform_rw(seed, 4000, 0x1000, 1 << 18, 0.3),
+                synth::hotspot(seed, 3000, 0, 128, 1 << 14, 0.8),
+            ] {
+                let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
+                let builders = lane_builders(geom);
+                let mut fused: Vec<Box<dyn FusedLane>> =
+                    builders.iter().map(|mk| mk()).collect();
+                fuse(&mut fused, &stream);
+                for (mk, lane) in builders.iter().zip(&fused) {
+                    let mut solo = mk();
+                    solo.run(trace.records());
+                    prop_assert_eq!(
+                        solo.stats(),
+                        lane.stats(),
+                        "{} diverged under fusion at {} sets",
+                        lane.name(),
+                        geom.num_sets()
+                    );
+                }
             }
         }
     }

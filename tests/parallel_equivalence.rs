@@ -6,7 +6,7 @@
 //!
 //! 1. **canonical collection** — [`unicache_exec::Executor::map`] places
 //!    results by input index, so its output equals the sequential map for
-//!    any worker count and any steal schedule;
+//!    any worker count and any schedule;
 //! 2. **exactly-once simulation** — [`TraceStore`]/[`SimStore`] run each
 //!    distinct key's work once no matter how many threads race on it;
 //! 3. **order-invariant merges** — [`CacheStats::merge`] and the obs
