@@ -8,8 +8,8 @@
 //!   FNV-based `unicache_core::DetHashMap`/`DetHashSet` so iteration
 //!   order, and therefore every byte of experiment output, is stable.
 //! * **`no-unwrap`** — no `.unwrap()`/`.expect(` in the hot-path crates
-//!   (`core`, `assoc`, `indexing`, `cachesim`, `smt`); fallible paths return
-//!   `Result` or destructure explicitly.
+//!   (`core`, `assoc`, `indexing`, `cachesim`, `smt`, `hierarchy`,
+//!   `trace`); fallible paths return `Result` or destructure explicitly.
 //! * **`narrowing-cast`** — no raw `as` integer casts in
 //!   `core/src/geometry.rs` and `core/src/index.rs` (the address-math
 //!   kernels); use the `unicache_core::cast` checked helpers.
@@ -23,7 +23,7 @@
 //! * **`unsafe-outside-simd`** — no `unsafe` blocks and no
 //!   `std::arch`/`core::arch`/`std::simd` paths outside the audited
 //!   unsafe homes: the SIMD tier's kernel files (`core/src/index.rs`,
-//!   `cachesim/src/soa.rs`, deliberately safe autovectorized array code
+//!   `cachesim/src/packed.rs`, deliberately safe autovectorized array code
 //!   today, DESIGN §12) and the executor's process-tuning FFI shim
 //!   (`exec/src/sys.rs`).
 //!
@@ -117,7 +117,15 @@ const DEFAULT_HASHER_CRATES: &[&str] = &[
 ];
 
 /// Hot-path crates where `.unwrap()`/`.expect(` are banned.
-const NO_UNWRAP_CRATES: &[&str] = &["assoc", "cachesim", "core", "indexing", "smt"];
+const NO_UNWRAP_CRATES: &[&str] = &[
+    "assoc",
+    "cachesim",
+    "core",
+    "hierarchy",
+    "indexing",
+    "smt",
+    "trace",
+];
 
 /// Address-math kernels where raw `as` integer casts are banned.
 const NARROWING_CAST_FILES: &[&str] = &["crates/core/src/geometry.rs", "crates/core/src/index.rs"];
@@ -140,7 +148,7 @@ const THREAD_NEEDLES: &[&str] = &["thread::spawn", "thread::scope", "thread::Bui
 /// libc FFI — have to live to be auditable in one place.
 const SIMD_FILES: &[&str] = &[
     "crates/core/src/index.rs",
-    "crates/cachesim/src/soa.rs",
+    "crates/cachesim/src/packed.rs",
     "crates/exec/src/sys.rs",
 ];
 

@@ -1,12 +1,7 @@
 //! `innerloop` — microbenchmark of the simulation inner loop, isolating
-//! the two mechanisms behind the fused kernel's speedup:
+//! the mechanisms behind the fused kernel's speedup:
 //!
-//! 1. **SoA vs per-set-struct storage** — the same `Cache` driven over
-//!    the same stream as a one-lane `run_fused` group, with the
-//!    contiguous struct-of-arrays set store (default) and with the
-//!    legacy per-set `CacheSet` vector
-//!    (`CacheBuilder::per_set_storage(true)`).
-//! 2. **Fused vs unfused multi-model traversal** — the same lane group
+//! 1. **Fused vs unfused multi-model traversal** — the same lane group
 //!    driven by one `run_fused` pass (decode each chunk once, step every
 //!    lane over it) and by one single-lane `run_fused` pass per lane
 //!    (the stream decoded and streamed once per lane).
@@ -18,19 +13,19 @@
 //!
 //! Since the SIMD tier (DESIGN §12) the report also carries:
 //!
-//! 3. **SIMD vs scalar fused traversal** — the same fused group with the
+//! 2. **SIMD vs scalar fused traversal** — the same fused group with the
 //!    `SimdLanes` ablation knob on and off.
-//! 4. **Per-phase ns/record** for the direct-mapped fast path — index
+//! 3. **Per-phase ns/record** for the direct-mapped fast path — index
 //!    (`index_many` alone), classify (`classify_chunk` minus index) and
 //!    update (full fused pass minus both) — so a perf regression
 //!    localizes to a phase instead of one aggregate number.
-//! 5. **A roofline** — records/sec against measured memory bandwidth
+//! 4. **A roofline** — records/sec against measured memory bandwidth
 //!    (streaming-copy probe), placing the inner loop relative to the
 //!    machine ceiling; `--roofline-out` writes it as its own artifact.
 //!
 //! Since the chunked coherent kernel (DESIGN §16) it also carries:
 //!
-//! 6. **Chunked vs per-record coherent traversal** — the same 4-core
+//! 5. **Chunked vs per-record coherent traversal** — the same 4-core
 //!    MESI hierarchy driven through `step_chunk` (batched index, private
 //!    -line fast path) and record-at-a-time `access`, in ns/record, plus
 //!    the fraction of accesses the fast path committed.
@@ -155,42 +150,9 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let records = synth_records(args.records, args.block_mask);
-    let geoms = [
-        ("dm_1024x1", CacheGeometry::paper_l1()),
-        (
-            "sa_256x4",
-            CacheGeometry::from_sets(256, 32, 4).expect("valid geometry"),
-        ),
-    ];
-
     let mut sections = String::new();
 
-    // Section 1: SoA vs per-set-struct set storage.
-    for (i, (label, geom)) in geoms.iter().enumerate() {
-        let stream = BlockStream::from_records(&records, geom.line_bytes());
-        let mut soa_best = u64::MAX;
-        let mut per_set_best = u64::MAX;
-        // Interleave the variants so neither owns the warm caches.
-        for _ in 0..args.reps {
-            let mut soa = CacheBuilder::new(*geom).build().expect("valid cache");
-            soa_best = soa_best.min(min_nanos(1, || run_fused(&mut [&mut soa], &stream)));
-            let mut legacy = CacheBuilder::new(*geom)
-                .per_set_storage(true)
-                .build()
-                .expect("valid cache");
-            per_set_best =
-                per_set_best.min(min_nanos(1, || run_fused(&mut [&mut legacy], &stream)));
-        }
-        let _ = write!(
-            sections,
-            "    \"soa_vs_per_set/{label}\": {{\n      \"soa_ns\": {soa_best},\n      \
-             \"per_set_ns\": {per_set_best},\n      \"speedup\": {:.4}\n    }},\n",
-            per_set_best as f64 / soa_best as f64
-        );
-        let _ = i;
-    }
-
-    // Section 2: fused vs unfused traversal of a 4-lane group (the shape
+    // Section 1: fused vs unfused traversal of a 4-lane group (the shape
     // SimStore schedules: baseline + an indexing scheme + two relocation
     // caches over one stream).
     let geom = CacheGeometry::paper_l1();
@@ -238,7 +200,7 @@ fn main() {
         unfused_best as f64 / fused_best as f64
     );
 
-    // Section 3: the SIMD tier's contribution — the same fused 4-lane
+    // Section 2: the SIMD tier's contribution — the same fused 4-lane
     // group with the ablation knob on (8-wide kernels + batched
     // classify) and off (every scalar fallback). Both runs produce
     // byte-identical stats; only the clock may differ.
@@ -273,7 +235,7 @@ fn main() {
         scalar_best as f64 / simd_best as f64
     );
 
-    // Section 4: chunked vs per-record traversal of the coherent
+    // Section 3: chunked vs per-record traversal of the coherent
     // hierarchy (the `xp coherent` engine, DESIGN §16). The stream has
     // the locality shape of the sweep's real mixes — each core loops
     // over a private hot footprint (fast-path food), with a shared
@@ -340,7 +302,7 @@ fn main() {
         per_record_best as f64 / chunked_best as f64
     );
 
-    // Section 5: per-phase ns/record for the direct-mapped fast path.
+    // Section 4: per-phase ns/record for the direct-mapped fast path.
     // index = `index_many` alone over 1024-record chunks; classify =
     // `classify_chunk` (index + batched tag compare, read-only) minus
     // index; update = a full fused pass minus both. Each phase regresses

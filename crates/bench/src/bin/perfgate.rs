@@ -12,7 +12,8 @@
 //! grew its share of total wall-clock by more than the same limit, or —
 //! when both artifacts carry per-phase `records_per_sec` — when a gated
 //! phase's own throughput dropped by more than the limit;
-//! `--out` writes the diff verdict as a JSON artifact either way.
+//! `--out` writes the diff verdict as a JSON artifact either way; a
+//! failed write exits 2 after the verdict is printed.
 //! `speedup` fails when wall-clock speedup of the parallel artifact
 //! over the serial one is below `--min` (default 2.0). Logic and parsing
 //! live in [`unicache_bench::gate`].
@@ -78,11 +79,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            if let Some(path) = out {
-                if let Err(e) = std::fs::write(path, cmp.to_json()) {
-                    eprintln!("perfgate: cannot write {path}: {e}");
-                }
-            }
+            let written = match out {
+                Some(path) => std::fs::write(path, cmp.to_json())
+                    .map_err(|e| eprintln!("perfgate: cannot write {path}: {e}"))
+                    .is_ok(),
+                None => true,
+            };
             for w in &cmp.warnings {
                 eprintln!("perfgate: warning: {w}");
             }
@@ -114,7 +116,9 @@ fn main() -> ExitCode {
                 100.0 * cmp.max_regress,
                 if cmp.pass { "PASS" } else { "FAIL" }
             );
-            if cmp.pass {
+            if !written {
+                ExitCode::from(2)
+            } else if cmp.pass {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)

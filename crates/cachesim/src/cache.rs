@@ -7,8 +7,8 @@
 //! * the higher-associativity comparison points (2/4/8-way), and
 //! * the L2 of the simulated hierarchy.
 
+use crate::packed::PackedSets;
 use crate::set::{CacheSet, FillOutcome, ReplacementPolicy};
-use crate::soa::SoaSets;
 use std::sync::Arc;
 use unicache_core::{
     AccessResult, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane, HitWhere,
@@ -17,13 +17,12 @@ use unicache_core::{
 
 /// Set storage backing a [`Cache`].
 ///
-/// LRU and FIFO caches use the contiguous struct-of-arrays store (the
-/// fused kernel's fast layout); `Random` needs a per-set seeded RNG and
-/// `TreePlru` a per-set bit tree, so those keep the per-set-struct
-/// storage. Both stores implement identical replacement semantics — see
-/// the lockstep tests in [`crate::soa`].
+/// LRU and FIFO caches use [`PackedSets`]; `Random` needs a per-set
+/// seeded RNG and `TreePlru` a per-set bit tree, so those keep one
+/// [`CacheSet`] per set. Both stores implement identical LRU/FIFO
+/// semantics — see the lockstep tests in [`crate::packed`].
 enum SetStore {
-    Soa(SoaSets),
+    Packed(PackedSets),
     PerSet(Vec<CacheSet>),
 }
 
@@ -31,7 +30,7 @@ impl SetStore {
     #[inline]
     fn lookup(&mut self, set: usize, block: u64, is_write: bool) -> bool {
         match self {
-            SetStore::Soa(s) => s.lookup(set, block, is_write),
+            SetStore::Packed(s) => s.lookup(set, block, is_write),
             SetStore::PerSet(sets) => sets[set].lookup(block, is_write).is_some(),
         }
     }
@@ -39,21 +38,21 @@ impl SetStore {
     #[inline]
     fn fill(&mut self, set: usize, block: u64, is_write: bool) -> FillOutcome {
         match self {
-            SetStore::Soa(s) => s.fill(set, block, is_write),
+            SetStore::Packed(s) => s.fill(set, block, is_write),
             SetStore::PerSet(sets) => sets[set].fill(block, is_write),
         }
     }
 
     fn probe(&self, set: usize, block: u64) -> bool {
         match self {
-            SetStore::Soa(s) => s.probe(set, block).is_some(),
+            SetStore::Packed(s) => s.probe(set, block).is_some(),
             SetStore::PerSet(sets) => sets[set].probe(block).is_some(),
         }
     }
 
     fn flush(&mut self) {
         match self {
-            SetStore::Soa(s) => s.flush(),
+            SetStore::Packed(s) => s.flush(),
             SetStore::PerSet(sets) => sets.iter_mut().for_each(CacheSet::flush),
         }
     }
@@ -96,7 +95,6 @@ pub struct CacheBuilder {
     write_allocate: bool,
     seed: u64,
     name: Option<String>,
-    per_set_storage: bool,
 }
 
 impl CacheBuilder {
@@ -110,7 +108,6 @@ impl CacheBuilder {
             write_allocate: true,
             seed: 0x5EED,
             name: None,
-            per_set_storage: false,
         }
     }
 
@@ -144,15 +141,6 @@ impl CacheBuilder {
         self
     }
 
-    /// Forces the legacy per-set-struct storage even for LRU/FIFO (an
-    /// ablation/benchmark knob: the `innerloop` microbench and the SoA
-    /// equivalence tests compare the two stores through this switch).
-    /// `Random` and `TreePlru` caches use per-set storage regardless.
-    pub fn per_set_storage(mut self, on: bool) -> Self {
-        self.per_set_storage = on;
-        self
-    }
-
     /// Builds the cache.
     ///
     /// # Errors
@@ -181,8 +169,8 @@ impl CacheBuilder {
             self.policy,
             ReplacementPolicy::Lru | ReplacementPolicy::Fifo
         );
-        let store = if stamp_based && !self.per_set_storage {
-            SetStore::Soa(SoaSets::new(
+        let store = if stamp_based {
+            SetStore::Packed(PackedSets::new(
                 geom.num_sets(),
                 geom.ways() as usize,
                 self.policy == ReplacementPolicy::Lru,
@@ -278,19 +266,19 @@ impl Cache {
     /// the hit/miss mask into `hits[..blocks.len()]` without mutating any
     /// cache state (stats and obs counters included). Returns `false`,
     /// leaving `hits` untouched, when this cache has no batched classify
-    /// path (associative geometry or per-set storage).
+    /// path (associative geometry, or a `Random`/`TreePlru` policy).
     ///
     /// # Panics
     /// If `hits` is shorter than `blocks`.
     #[inline(never)]
     pub fn classify_chunk(&mut self, blocks: &[u64], hits: &mut [bool]) -> bool {
-        if self.geom.ways() != 1 || !matches!(self.store, SetStore::Soa(_)) {
+        if self.geom.ways() != 1 || !matches!(self.store, SetStore::Packed(_)) {
             return false;
         }
         let mut sets = std::mem::take(&mut self.idx_buf);
         sets.resize(blocks.len(), 0);
         self.index.index_many(blocks, &mut sets);
-        if let SetStore::Soa(store) = &self.store {
+        if let SetStore::Packed(store) = &self.store {
             store.classify_dm(&sets, blocks, hits);
         }
         self.idx_buf = sets;
@@ -299,7 +287,7 @@ impl Cache {
 
     /// The fused chunk step's direct-mapped batch path (DESIGN §12): one
     /// read-only classify pass over the whole chunk (eight tag compares
-    /// per iteration over the SoA arrays), then either a bulk commit —
+    /// per iteration over the packed slots), then either a bulk commit —
     /// the all-hits case, which never touches replacement bookkeeping —
     /// or a serial update tail that re-validates any record whose set was
     /// refilled earlier in the *same* chunk (the classify verdict is
@@ -313,8 +301,8 @@ impl Cache {
         let n = blocks.len();
         let mut hits = std::mem::take(&mut self.hit_buf);
         hits.resize(n, false);
-        let SetStore::Soa(store) = &mut self.store else {
-            // `step_chunk` dispatches here only for SoA storage.
+        let SetStore::Packed(store) = &mut self.store else {
+            // `step_chunk` dispatches here only for packed storage.
             return;
         };
         store.classify_dm(sets, blocks, &mut hits);
@@ -408,7 +396,7 @@ impl CacheModel for Cache {
 impl FusedLane for Cache {
     /// Fast chunk path: one virtual `index_many` computes the whole
     /// chunk's set indices (its monomorphized body inlines the concrete
-    /// hash — 8-wide when the SIMD tier is on), then direct-mapped SoA
+    /// hash — 8-wide when the SIMD tier is on), then direct-mapped LRU/FIFO
     /// caches take the batched classify/update split and everything else
     /// replays the scalar per-record tail with zero virtual dispatch.
     fn step_chunk(&mut self, blocks: &[u64], writes: &[bool]) {
@@ -416,7 +404,10 @@ impl FusedLane for Cache {
         sets.resize(blocks.len(), 0);
         let index = Arc::clone(&self.index);
         index.index_many(blocks, &mut sets);
-        if SimdLanes::enabled() && self.geom.ways() == 1 && matches!(self.store, SetStore::Soa(_)) {
+        if SimdLanes::enabled()
+            && self.geom.ways() == 1
+            && matches!(self.store, SetStore::Packed(_))
+        {
             self.step_chunk_dm(&sets, blocks, writes);
         } else {
             for ((&set, &block), &is_write) in sets.iter().zip(blocks).zip(writes) {
@@ -572,44 +563,6 @@ mod tests {
             .index(Arc::new(unicache_indexing::ModuloIndex::new(4).unwrap()))
             .build();
         assert!(c.is_ok());
-    }
-
-    #[test]
-    fn soa_and_per_set_storage_agree_exactly() {
-        // Same conflict-heavy mix through both stores, LRU and FIFO,
-        // several associativities: stats must be bit-identical.
-        let mut x = 77u64;
-        let recs: Vec<MemRecord> = (0..6000)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let addr = ((x >> 30) % 800) * 32;
-                if x.is_multiple_of(4) {
-                    MemRecord::write(addr)
-                } else {
-                    MemRecord::read(addr)
-                }
-            })
-            .collect();
-        for ways in [1u32, 2, 4] {
-            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-                let geom = CacheGeometry::from_sets(16, 32, ways).unwrap();
-                let mut soa = CacheBuilder::new(geom).replacement(policy).build().unwrap();
-                let mut legacy = CacheBuilder::new(geom)
-                    .replacement(policy)
-                    .per_set_storage(true)
-                    .build()
-                    .unwrap();
-                soa.run(&recs);
-                legacy.run(&recs);
-                assert_eq!(
-                    soa.stats(),
-                    legacy.stats(),
-                    "stores diverged at {ways}-way {policy:?}"
-                );
-            }
-        }
     }
 
     #[test]

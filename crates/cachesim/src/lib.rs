@@ -7,6 +7,8 @@
 //!   [`unicache_core::IndexFunction`] (so every Section II indexing scheme
 //!   attaches unchanged), pluggable [`set::ReplacementPolicy`] and
 //!   write-allocation control;
+//! * [`PackedSets`] — the LRU/FIFO set store behind every such
+//!   cache and behind the coherent hierarchy's shared L2;
 //! * [`victim::VictimCache`] — Jouppi-style victim buffer (paper reference 14;
 //!   the adaptive cache is "selective victim caching", so the plain victim
 //!   cache is the natural ablation baseline);
@@ -15,10 +17,11 @@
 
 pub mod belady;
 pub mod cache;
+mod packed;
 pub mod set;
-mod soa;
 pub mod victim;
 
 pub use cache::{Cache, CacheBuilder};
+pub use packed::PackedSets;
 pub use set::{CacheSet, ReplacementPolicy};
 pub use victim::{VictimBuffer, VictimCache};

@@ -98,11 +98,6 @@ impl CacheSet {
         &self.lines
     }
 
-    /// Number of valid lines.
-    pub fn valid_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
-    }
-
     /// Looks up a block; on hit updates recency metadata and the dirty bit
     /// (if `is_write`), returning the way.
     pub fn lookup(&mut self, block: BlockAddr, is_write: bool) -> Option<usize> {
@@ -172,17 +167,6 @@ impl CacheSet {
             }
             ReplacementPolicy::Random => self.rng.gen_range(0..self.lines.len()),
             ReplacementPolicy::TreePlru => self.plru_victim(),
-        }
-    }
-
-    /// Invalidates a specific way, returning its previous contents.
-    pub fn invalidate_way(&mut self, way: usize) -> Option<(BlockAddr, bool)> {
-        let l = self.lines[way];
-        self.lines[way] = Line::empty();
-        if l.valid {
-            Some((l.block, l.dirty))
-        } else {
-            None
         }
     }
 
@@ -257,14 +241,12 @@ mod tests {
     #[test]
     fn fills_use_invalid_ways_first() {
         let mut s = CacheSet::new(2, ReplacementPolicy::Lru, 0);
-        assert_eq!(s.valid_count(), 0);
         let f = s.fill(10, false);
         assert_eq!(f.way, 0);
         assert_eq!(f.evicted, None);
         let f = s.fill(20, false);
         assert_eq!(f.way, 1);
         assert_eq!(f.evicted, None);
-        assert_eq!(s.valid_count(), 2);
     }
 
     #[test]
@@ -356,15 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn flush_empties_the_set() {
         let mut s = CacheSet::new(2, ReplacementPolicy::Lru, 0);
         s.fill(1, true);
         s.fill(2, false);
-        assert_eq!(s.invalidate_way(0), Some((1, true)));
-        assert_eq!(s.invalidate_way(0), None);
-        assert_eq!(s.valid_count(), 1);
         s.flush();
-        assert_eq!(s.valid_count(), 0);
+        assert!(s.probe(1).is_none());
         assert!(s.probe(2).is_none());
     }
 

@@ -39,6 +39,9 @@
 //! * `--trace-out` writes completed spans in Chrome trace-event format
 //!   (load into `chrome://tracing` / Perfetto; timestamps are logical
 //!   ticks, not wall time).
+//!
+//! An artifact that cannot be written is reported on stderr and makes
+//! `xp` exit 1 once every other output is done.
 
 use std::env;
 use std::process::ExitCode;
@@ -71,8 +74,14 @@ struct Phase {
     records: u64,
 }
 
-/// Renders the timing report (stderr text + optional JSON file).
-fn report_timing(store: &SimStore, phases: &[Phase], total_secs: f64, json_path: Option<&str>) {
+/// Renders the timing report (stderr text + optional JSON file);
+/// returns `false` if the JSON file could not be written.
+fn report_timing(
+    store: &SimStore,
+    phases: &[Phase],
+    total_secs: f64,
+    json_path: Option<&str>,
+) -> bool {
     let records = store.records_simulated();
     let sims = store.sims_run();
     let hits = store.hits();
@@ -134,15 +143,20 @@ fn report_timing(store: &SimStore, phases: &[Phase], total_secs: f64, json_path:
              \"max_task_seconds\": {:.6}}}\n}}\n",
             exec.tasks, exec.busy_seconds, exec.max_task_seconds
         ));
-        if let Err(e) = std::fs::write(path, out) {
-            eprintln!("xp: cannot write {path}: {e}");
-        }
+        return write_artifact(path, &out);
     }
+    true
 }
 
-fn write_artifact(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("xp: cannot write {path}: {e}");
+/// Writes one report artifact; returns `false` (after saying why on
+/// stderr) if the write failed.
+fn write_artifact(path: &str, contents: &str) -> bool {
+    match std::fs::write(path, contents) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("xp: cannot write {path}: {e}");
+            false
+        }
     }
 }
 
@@ -247,8 +261,9 @@ fn main() -> ExitCode {
     } else if !timed_run(&which) {
         return usage();
     }
+    let mut written = true;
     if timing || timing_json.is_some() {
-        report_timing(
+        written &= report_timing(
             &store,
             &phases,
             started.elapsed_secs(),
@@ -256,18 +271,22 @@ fn main() -> ExitCode {
         );
     }
     if let Some(path) = metrics_json.as_deref() {
-        write_artifact(path, &unicache_experiments::metrics_json(&store));
+        written &= write_artifact(path, &unicache_experiments::metrics_json(&store));
     }
     if let Some(path) = model_json.as_deref() {
         // Served from the same store: after `xp model` (or `xp all`) the
         // sweep is fully cached and this only re-reads results.
-        write_artifact(
+        written &= write_artifact(
             path,
             &unicache_experiments::figures::model::model_error_json(&store),
         );
     }
     if let Some(path) = trace_out.as_deref() {
-        write_artifact(path, &unicache_obs::snapshot().to_chrome_trace());
+        written &= write_artifact(path, &unicache_obs::snapshot().to_chrome_trace());
     }
-    ExitCode::SUCCESS
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

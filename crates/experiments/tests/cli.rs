@@ -1,5 +1,6 @@
 //! End-to-end tests of the `xp` binary: every experiment name runs, the
-//! CSV output parses, and bad invocations fail with usage help.
+//! CSV output parses, bad invocations fail with usage help, and an
+//! artifact that cannot be written fails the run.
 
 use std::process::Command;
 
@@ -84,5 +85,27 @@ fn quick_experiments_all_run_at_tiny_scale() {
             String::from_utf8_lossy(&out.stdout).contains("=="),
             "{name}: no table emitted"
         );
+    }
+}
+
+#[test]
+fn unwritable_artifact_paths_fail_the_run() {
+    let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir");
+    assert!(!missing.exists());
+    for flag in [
+        "--timing-json",
+        "--metrics-json",
+        "--model-json",
+        "--trace-out",
+    ] {
+        let path = missing.join("artifact.json");
+        let out = xp()
+            .args(["fig6", "--scale", "tiny", flag])
+            .arg(&path)
+            .output()
+            .expect("spawn xp");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(err.contains("cannot write"), "{flag}: {err}");
     }
 }

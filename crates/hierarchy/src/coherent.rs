@@ -25,7 +25,7 @@
 
 use crate::chunk::{ChunkScratch, CoherentChunk};
 use crate::l1::CoherentL1;
-use crate::l2::PackedL2;
+use crate::l2::SharedL2;
 use crate::mesi::{fill_state, transition, LineEvent, Mesi};
 use std::sync::Arc;
 use unicache_core::{
@@ -159,7 +159,7 @@ impl HierarchyBuilder {
     pub fn build(self) -> Result<CoherentHierarchy> {
         let l2 = match self.l2 {
             L2Mode::PassThrough => None,
-            L2Mode::Shared(g) => Some(PackedL2::new(g)?),
+            L2Mode::Shared(g) => Some(SharedL2::new(g)?),
         };
         let cores = (0..self.cores)
             .map(|_| Core {
@@ -198,7 +198,7 @@ impl HierarchyBuilder {
 /// See the module docs for the protocol and determinism story.
 pub struct CoherentHierarchy {
     cores: Vec<Core>,
-    l2: Option<PackedL2>,
+    l2: Option<SharedL2>,
     victim_depth: usize,
     clock: LogicalClock,
     coh: CoherenceStats,
