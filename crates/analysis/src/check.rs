@@ -17,8 +17,10 @@
 //!   gather is surjective (a witness block is constructed per target set).
 //! * **Column-associative** — the rehash mapping is a fixed-point-free
 //!   involution (hence a permutation) of the sets.
-//! * **Partner-index** — after adversarial traffic, the hot/cold links
-//!   form a fixed-point-free partial matching.
+//! * **Partner-index / partner chains** — after adversarial traffic, at
+//!   one and three links per chain, the chains are disjoint: no set linked
+//!   to itself, no set in two chains, no hot set lent, and exactly the
+//!   linked sets flagged lent.
 //! * **B-cache** — the NPI/PI split covers every physical line
 //!   (`clusters × BAS == lines`) and a dense drive makes each cluster hold
 //!   `BAS` simultaneously-resident blocks.
@@ -29,8 +31,7 @@
 
 use crate::report::Report;
 use unicache_assoc::{
-    AdaptiveGroupCache, BCache, ColumnAssociativeCache, PartnerConfig, PartnerIndexCache,
-    SkewedCache,
+    AdaptiveGroupCache, BCache, ChainConfig, ColumnAssociativeCache, PartnerChainCache, SkewedCache,
 };
 use unicache_core::{CacheGeometry, CacheModel, IndexFunction};
 use unicache_indexing::{
@@ -520,63 +521,79 @@ fn check_column(report: &mut Report, glabel: &str, geom: CacheGeometry) {
     );
 }
 
+/// Scheme label of a partner engine with `chain_len` links per chain.
+fn partner_label(chain_len: usize) -> String {
+    if chain_len == 1 {
+        "partner_index".to_string()
+    } else {
+        format!("partner_chain(len={chain_len})")
+    }
+}
+
 fn check_partner(report: &mut Report, glabel: &str, geom: CacheGeometry) {
-    let label = "partner_index";
-    let cfg = PartnerConfig {
-        epoch: 2048,
-        max_pairs: 64,
-    };
-    let mut c = match PartnerIndexCache::with_config(geom, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            report.push(label, glabel, "partner-matching", false, format!("{e}"));
-            return;
+    for chain_len in [1, 3] {
+        let label = partner_label(chain_len);
+        let cfg = ChainConfig {
+            epoch: 2048,
+            max_chains: 64,
+            chain_len,
+        };
+        let mut c = match PartnerChainCache::with_config(geom, cfg) {
+            Ok(c) => c,
+            Err(e) => {
+                report.push(&label, glabel, "partner-matching", false, format!("{e}"));
+                continue;
+            }
+        };
+        // Adversarial traffic: hammer a few sets with conflicting tags
+        // (hot, all misses), leave the upper half untouched (cold) so
+        // re-chaining has material to link.
+        let sets = geom.num_sets();
+        for round in 0..3 * cfg.epoch {
+            let hot_set = round % 8;
+            let tag = round % 7;
+            c.access_block((tag << 10) | hot_set, false);
         }
-    };
-    // Adversarial traffic: hammer a few sets with conflicting tags (hot,
-    // all misses), leave the upper half untouched (cold) so repartnering
-    // has material to link.
-    let sets = geom.num_sets() as u64;
-    for round in 0..3 * cfg.epoch {
-        let hot_set = round % 8;
-        let tag = round % 7;
-        c.access_block((tag << 10) | hot_set, false);
+        let chains: Vec<(usize, &[usize])> = c.chains().collect();
+        let links: usize = chains.iter().map(|(_, chain)| chain.len()).sum();
+        report.push(
+            &label,
+            glabel,
+            "chains-formed",
+            !chains.is_empty(),
+            format!(
+                "{} hot sets chained ({links} links) after adversarial epochs",
+                chains.len()
+            ),
+        );
+        let mut used = vec![0u32; sets];
+        let mut no_self_link = true;
+        let mut hot_not_lent = true;
+        let mut links_lent = true;
+        for &(hot, chain) in &chains {
+            used[hot] += 1;
+            hot_not_lent &= !c.is_lent(hot);
+            for &link in chain {
+                no_self_link &= link != hot;
+                used[link] += 1;
+                links_lent &= c.is_lent(link);
+            }
+        }
+        let disjoint = used.iter().all(|&u| u <= 1);
+        // Every lent set is some chain's link, and vice versa.
+        let lent_count = (0..sets).filter(|&s| c.is_lent(s)).count();
+        let lent_consistent = links_lent && lent_count == links;
+        report.push(
+            &label,
+            glabel,
+            "partner-matching",
+            no_self_link && disjoint && hot_not_lent && lent_consistent,
+            format!(
+                "no self-link={no_self_link}, each set in at most one chain={disjoint}, \
+                 no hot set lent={hot_not_lent}, lent flags consistent={lent_consistent}"
+            ),
+        );
     }
-    let pairs = c.pairs();
-    report.push(
-        label,
-        glabel,
-        "pairs-formed",
-        !pairs.is_empty(),
-        format!("{} hot/cold links after adversarial epochs", pairs.len()),
-    );
-    let mut used = vec![0u32; sets as usize];
-    let mut fixed_point_free = true;
-    let mut lent_consistent = true;
-    for &(hot, cold) in &pairs {
-        if hot == cold {
-            fixed_point_free = false;
-        }
-        used[hot] += 1;
-        used[cold] += 1;
-        if !c.is_lent(cold) || c.is_lent(hot) {
-            lent_consistent = false;
-        }
-        if c.partner_of(hot) != Some(cold) {
-            lent_consistent = false;
-        }
-    }
-    let matching = used.iter().all(|&u| u <= 1);
-    report.push(
-        label,
-        glabel,
-        "partner-matching",
-        fixed_point_free && matching && lent_consistent,
-        format!(
-            "fixed-point-free={fixed_point_free}, each set in at most one pair={matching}, \
-             lent/linked flags consistent={lent_consistent}"
-        ),
-    );
 }
 
 fn check_bcache(report: &mut Report, glabel: &str, geom: CacheGeometry) {
@@ -797,11 +814,16 @@ pub fn check_counter_conservation(report: &mut Report) {
         );
     }
 
-    let cfg = PartnerConfig {
-        epoch: 2048,
-        max_pairs: 16,
-    };
-    if let Ok(mut c) = PartnerIndexCache::with_config(geom, cfg) {
+    for chain_len in [1, 3] {
+        let label = partner_label(chain_len);
+        let cfg = ChainConfig {
+            epoch: 2048,
+            max_chains: 16,
+            chain_len,
+        };
+        let Ok(mut c) = PartnerChainCache::with_config(geom, cfg) else {
+            continue;
+        };
         run(&mut c);
         let s = c.stats().clone();
         let probe = unicache_obs::counter_value(Event::PartnerProbe);
@@ -809,30 +831,35 @@ pub fn check_counter_conservation(report: &mut Report) {
         let lend = unicache_obs::counter_value(Event::PartnerLend);
         let repartner = unicache_obs::counter_value(Event::PartnerRepartner);
         report.push(
-            "partner_index",
+            &label,
             glabel,
             "probe-per-access",
             probe == s.accesses() && outcome_sum(&s) == s.accesses(),
             format!("{probe} probes, {} accesses", s.accesses()),
         );
+        // A chain walk ends in a secondary hit or a probed miss; a probed
+        // miss lends the primary resident unless the primary was empty.
         report.push(
-            "partner_index",
+            &label,
             glabel,
             "second-probe-accounting",
-            second == s.secondary_hits + s.misses_after_probe && lend <= s.misses_after_probe,
+            second == s.secondary_hits + s.misses_after_probe
+                && lend <= s.misses_after_probe
+                && s.secondary_hits + lend == s.relocations,
             format!(
-                "{second} partner probes vs {} secondary hits + {} probed misses ({lend} lends)",
-                s.secondary_hits, s.misses_after_probe
+                "{second} chain walks vs {} secondary hits + {} probed misses; \
+                 {lend} lends + secondary hits vs {} relocations",
+                s.secondary_hits, s.misses_after_probe, s.relocations
             ),
         );
         let expected_epochs = s.accesses() / cfg.epoch;
         report.push(
-            "partner_index",
+            &label,
             glabel,
             "epoch-accounting",
             repartner == expected_epochs,
             format!(
-                "{repartner} repartnerings over {} accesses at epoch {}",
+                "{repartner} re-chainings over {} accesses at epoch {}",
                 s.accesses(),
                 cfg.epoch
             ),

@@ -9,7 +9,8 @@
 //!   order, and therefore every byte of experiment output, is stable.
 //! * **`no-unwrap`** — no `.unwrap()`/`.expect(` in the hot-path crates
 //!   (`core`, `assoc`, `indexing`, `cachesim`, `smt`, `hierarchy`,
-//!   `trace`); fallible paths return `Result` or destructure explicitly.
+//!   `trace`), the executor (`exec`) or the analytical model (`model`);
+//!   fallible paths return `Result` or destructure explicitly.
 //! * **`narrowing-cast`** — no raw `as` integer casts in
 //!   `core/src/geometry.rs` and `core/src/index.rs` (the address-math
 //!   kernels); use the `unicache_core::cast` checked helpers.
@@ -108,7 +109,9 @@ const DEFAULT_HASHER_CRATES: &[&str] = &[
     "cachesim",
     "core",
     "experiments",
+    "hierarchy",
     "indexing",
+    "model",
     "obs",
     "smt",
     "stats",
@@ -116,13 +119,16 @@ const DEFAULT_HASHER_CRATES: &[&str] = &[
     "workloads",
 ];
 
-/// Hot-path crates where `.unwrap()`/`.expect(` are banned.
+/// Hot-path crates, the executor and the analytical model: where
+/// `.unwrap()`/`.expect(` are banned.
 const NO_UNWRAP_CRATES: &[&str] = &[
     "assoc",
     "cachesim",
     "core",
+    "exec",
     "hierarchy",
     "indexing",
+    "model",
     "smt",
     "trace",
 ];

@@ -8,8 +8,8 @@
 //! | III.B   | adaptive group-associative cache (Peir et al.) | [`adaptive::AdaptiveGroupCache`] |
 //! | IV.E, Fig. 14 | adaptive partitioned cache: per-thread partitions on the same SHT/OUT engine | [`adaptive::AdaptivePartitionedCache`] |
 //! | III.C   | B-cache / balanced cache (Zhang) | [`bcache::BCache`] |
-//! | §1.2, Fig. 3 | partner-index cache (the paper's illustrative scheme) | [`partner::PartnerIndexCache`] |
-//! | §1.2 (extension) | partner *chains* — linked lists of partner lines | [`chain::PartnerChainCache`] |
+//! | §1.2, Fig. 3 | partner-index cache (the paper's illustrative scheme): a one-link partner chain | [`chain::PartnerIndexCache`] |
+//! | §1.2 (extension) | partner *chains* — linked lists of partner lines, on the same engine | [`chain::PartnerChainCache`] |
 //! | extension | 2-way skewed-associative cache (Seznec) | [`skewed::SkewedCache`] |
 //!
 //! All implement [`unicache_core::CacheModel`] and record the hit-location
@@ -23,12 +23,10 @@ pub mod adaptive;
 pub mod bcache;
 pub mod chain;
 pub mod column;
-pub mod partner;
 pub mod skewed;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveGroupCache, AdaptivePartitionedCache};
 pub use bcache::{BCache, BCacheConfig};
-pub use chain::{ChainConfig, PartnerChainCache};
+pub use chain::{ChainConfig, PartnerChainCache, PartnerIndexCache};
 pub use column::ColumnAssociativeCache;
-pub use partner::{PartnerConfig, PartnerIndexCache};
 pub use skewed::SkewedCache;

@@ -23,16 +23,19 @@ pub enum Event {
     /// Column-associative: miss in both sets displaced the primary
     /// resident into the alternate set (rehash bit set).
     ColumnDisplace,
-    /// Partner-index: primary-set lookup (one per access).
+    /// Partner engine — the partner-index cache (one-link chains) and
+    /// partner chains alike: primary-set lookup (one per access).
     PartnerProbe,
-    /// Partner-index: probe of the linked partner set.
+    /// Partner engine: walk of the hot set's chain after a primary miss
+    /// (one per walk, however many links it probes).
     PartnerSecondProbe,
-    /// Partner-index: displaced primary resident lent (spilled) into the
-    /// partner set.
+    /// Partner engine: a probed miss lent (spilled) the valid primary
+    /// resident into the chain.
     PartnerLend,
-    /// Partner-index: epoch boundary re-ran the hot/cold pairing.
+    /// Partner engine: epoch boundary re-ran the hot/cold chaining.
     PartnerRepartner,
-    /// Partner-index: hot/cold links formed across all repartnerings.
+    /// Partner engine: chains formed (hot sets linked) across all
+    /// re-chainings.
     PartnerPairFormed,
     /// B-cache: cluster lookup (one per access).
     BcacheProbe,
@@ -224,7 +227,7 @@ pub enum HistEvent {
     /// the relocation host found — nearest within the window for the
     /// group-associative cache, first clockwise for the partitioned one.
     AdaptiveRelocSearch,
-    /// Partner-index: pairs formed per repartnering decision.
+    /// Partner engine: chains formed per re-chaining decision.
     PartnerEpochPairs,
     /// Fused kernel: lanes (schemes) driven per fused pass — the
     /// distribution shows how much sharing the fuse-grouping achieves.

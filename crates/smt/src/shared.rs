@@ -32,8 +32,6 @@ pub struct PerThreadIndexCache {
     index_fns: Vec<Arc<dyn IndexFunction>>,
     lines: Vec<Line>,
     stats: CacheStats,
-    per_thread_misses: Vec<u64>,
-    per_thread_accesses: Vec<u64>,
     name: String,
 }
 
@@ -76,21 +74,9 @@ impl PerThreadIndexCache {
                 geom.num_sets()
             ],
             stats: CacheStats::new(geom.num_sets()),
-            per_thread_misses: vec![0; index_fns.len()],
-            per_thread_accesses: vec![0; index_fns.len()],
             index_fns,
             name,
         })
-    }
-
-    /// Per-thread (accesses, misses).
-    pub fn thread_stats(&self, tid: usize) -> (u64, u64) {
-        (self.per_thread_accesses[tid], self.per_thread_misses[tid])
-    }
-
-    /// Number of configured threads.
-    pub fn threads(&self) -> usize {
-        self.index_fns.len()
     }
 }
 
@@ -106,7 +92,6 @@ impl CacheModel for PerThreadIndexCache {
         if is_write {
             self.stats.record_write();
         }
-        self.per_thread_accesses[tid] += 1;
         let set = self.index_fns[tid].index_block(block);
         let line = &mut self.lines[set];
         if line.valid && line.block == block && line.tid == rec.tid {
@@ -122,7 +107,6 @@ impl CacheModel for PerThreadIndexCache {
         }
         // Miss: replace whatever lives here (possibly another thread's
         // line — the inter-thread conflict the experiment measures).
-        self.per_thread_misses[tid] += 1;
         let evicted = if line.valid { Some(line.block) } else { None };
         if line.valid {
             self.stats.record_eviction(set);
@@ -147,8 +131,6 @@ impl CacheModel for PerThreadIndexCache {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-        self.per_thread_misses.iter_mut().for_each(|c| *c = 0);
-        self.per_thread_accesses.iter_mut().for_each(|c| *c = 0);
     }
 
     fn flush(&mut self) {
@@ -244,24 +226,20 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_counters() {
-        let mut c = PerThreadIndexCache::new(geom(8), vec![conventional(8), oddmul(8, 9)]).unwrap();
-        c.access(read(1, 0));
-        c.access(read(1, 0));
-        c.access(read(2, 1));
-        assert_eq!(c.thread_stats(0), (2, 1));
-        assert_eq!(c.thread_stats(1), (1, 1));
-        assert_eq!(c.threads(), 2);
-        c.reset_stats();
-        assert_eq!(c.thread_stats(0), (0, 0));
-    }
-
-    #[test]
     fn out_of_range_tid_clamps() {
-        let mut c = PerThreadIndexCache::new(geom(8), vec![conventional(8)]).unwrap();
-        let r = c.access(read(3, 7)); // tid 7 > threads-1 -> clamped to 0's fn
-        assert!(!r.is_hit());
-        assert_eq!(c.thread_stats(0), (1, 1));
+        // tid 7 > threads - 1 is mapped by the last thread's function.
+        let last = oddmul(64, 9);
+        let mut c =
+            PerThreadIndexCache::new(geom(64), vec![conventional(64), last.clone()]).unwrap();
+        let block = (0..64 * 64u64)
+            .find(|&b| last.index_block(b) != b as usize % 64)
+            .unwrap();
+        let set = last.index_block(block);
+        assert!(!c.access(read(block, 7)).is_hit());
+        assert!(c.access(read(block, 7)).is_hit());
+        let s = &c.stats().per_set()[set];
+        assert_eq!((s.accesses, s.hits, s.misses), (2, 1, 1));
+        assert_eq!(c.stats().accesses(), 2);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Two-level hierarchy: pluggable L1 + the paper's unified L2 + memory.
 //!
-//! Mirrors the paper's simulated configuration: 32 KB L1 D/I caches backed
-//! by a 256 KB unified LRU L2. Any [`CacheModel`] — including every
-//! programmable-associativity scheme — slots in as the L1D. Cycle
-//! accounting per reference:
+//! Mirrors the paper's simulated configuration: a 32 KB L1 backed by a
+//! 256 KB unified LRU L2. Any [`CacheModel`] — including every
+//! programmable-associativity scheme — slots in as the L1D, which serves
+//! instruction fetches and data references alike. Cycle accounting per
+//! reference:
 //!
 //! * L1 primary hit → `l1_hit`;
 //! * L1 secondary hit → `secondary_cost` (set per scheme);
@@ -11,13 +12,12 @@
 //! * dirty L1 victims are written back into the L2 (an L2 store).
 
 use crate::latency::LatencyModel;
-use unicache_core::{AccessKind, CacheModel, HitWhere, MemRecord};
+use unicache_core::{AccessKind, AccessResult, CacheModel, HitWhere, MemRecord};
 use unicache_sim::{Cache, CacheBuilder};
 
 /// A pluggable-L1 + unified-L2 memory hierarchy with cycle accounting.
 pub struct Hierarchy {
     l1d: Box<dyn CacheModel>,
-    l1i: Option<Cache>,
     l2: Cache,
     lat: LatencyModel,
     /// Cycle charged for an L1 secondary hit (2 for column/partner-style
@@ -29,7 +29,7 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the paper's configuration around the provided L1D model:
-    /// 256 KB 4-way LRU unified L2, optional 32 KB direct-mapped L1I.
+    /// 256 KB 4-way LRU unified L2.
     pub fn paper(l1d: Box<dyn CacheModel>, secondary_cost: f64, lat: LatencyModel) -> Self {
         let l2 = CacheBuilder::new(unicache_core::CacheGeometry::paper_l2())
             .name("unified_l2")
@@ -37,7 +37,6 @@ impl Hierarchy {
             .expect("paper L2 geometry is valid");
         Hierarchy {
             l1d,
-            l1i: None,
             l2,
             lat,
             secondary_cost,
@@ -46,37 +45,13 @@ impl Hierarchy {
         }
     }
 
-    /// Adds a split instruction cache (32 KB direct-mapped, like the paper).
-    pub fn with_l1i(mut self) -> Self {
-        self.l1i = Some(
-            CacheBuilder::new(unicache_core::CacheGeometry::paper_l1())
-                .name("l1_instruction")
-                .build()
-                .expect("paper L1I geometry is valid"),
-        );
-        self
-    }
-
     /// Simulates one reference, returning the cycles it cost.
     pub fn access(&mut self, rec: MemRecord) -> f64 {
         self.refs += 1;
         let mut cost;
-        let (where_hit, evicted) = match rec.kind {
-            AccessKind::InstFetch => {
-                if let Some(l1i) = self.l1i.as_mut() {
-                    let r = l1i.access(rec);
-                    (r.where_hit, r.evicted)
-                } else {
-                    // No I-cache configured: treat fetches as data refs.
-                    let r = self.l1d.access(rec);
-                    (r.where_hit, r.evicted)
-                }
-            }
-            _ => {
-                let r = self.l1d.access(rec);
-                (r.where_hit, r.evicted)
-            }
-        };
+        let AccessResult {
+            where_hit, evicted, ..
+        } = self.l1d.access(rec);
         match where_hit {
             HitWhere::Primary => {
                 unicache_obs::count(unicache_obs::Event::HierL1Hit);
@@ -154,9 +129,6 @@ impl Hierarchy {
     pub fn reset_stats(&mut self) {
         self.l1d.reset_stats();
         self.l2.reset_stats();
-        if let Some(i) = self.l1i.as_mut() {
-            i.reset_stats();
-        }
         self.cycles = 0.0;
         self.refs = 0;
     }
@@ -204,19 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn instruction_fetches_split_from_data() {
-        let mut h = Hierarchy::paper(dm_l1(), 2.0, lat()).with_l1i();
-        h.access(MemRecord::fetch(0x400000));
-        h.access(MemRecord::fetch(0x400000));
-        // The data cache never saw the fetches.
-        assert_eq!(h.l1d().stats().accesses(), 0);
-        // Without an I-cache they hit the data cache.
-        let mut h2 = Hierarchy::paper(dm_l1(), 2.0, lat());
-        h2.access(MemRecord::fetch(0x400000));
-        assert_eq!(h2.l1d().stats().accesses(), 1);
-    }
-
-    #[test]
     fn dirty_writeback_lands_in_l2() {
         let mut h = Hierarchy::paper(dm_l1(), 2.0, lat());
         h.access(MemRecord::write(0x0));
@@ -252,72 +211,5 @@ mod tests {
         assert_eq!(h.cycles(), 0.0);
         assert_eq!(h.amat(), 0.0);
         assert_eq!(h.l1d().stats().accesses(), 0);
-    }
-}
-
-#[cfg(test)]
-mod l1i_tests {
-    use super::*;
-    use unicache_core::CacheGeometry;
-    use unicache_sim::CacheBuilder;
-    use unicache_trace::synth;
-
-    #[test]
-    fn split_hierarchy_serves_mixed_instruction_and_data_streams() {
-        let lat = LatencyModel {
-            l1_hit: 1.0,
-            l2_hit: 10.0,
-            memory: 100.0,
-            ..Default::default()
-        };
-        let l1d = Box::new(
-            CacheBuilder::new(CacheGeometry::paper_l1())
-                .build()
-                .unwrap(),
-        );
-        let mut h = Hierarchy::paper(l1d, 2.0, lat).with_l1i();
-        // Interleave an instruction stream (fits the 32 KB L1I) with a
-        // data stream.
-        let code = synth::instruction_stream(1, 20_000, 8, 2048); // 16 KB of code
-        let data = synth::zipfian(2, 20_000, 0x2000_0000, 512, 32, 1.0);
-        for (i, d) in code.records().iter().zip(data.records()) {
-            h.access(*i);
-            h.access(*d);
-        }
-        // Code fits: the I-side contributes near-zero misses after warmup,
-        // so total AMAT is dominated by data behaviour and must stay small.
-        assert!(h.amat() < 4.0, "amat {}", h.amat());
-        assert_eq!(h.l1d().stats().accesses(), 20_000, "fetches kept off L1D");
-        assert!(h.cycles() >= 40_000.0);
-    }
-
-    #[test]
-    fn l1i_conflict_pressure_shows_up_in_cycles() {
-        let lat = LatencyModel {
-            l1_hit: 1.0,
-            l2_hit: 10.0,
-            memory: 100.0,
-            ..Default::default()
-        };
-        let mk = || {
-            Box::new(
-                CacheBuilder::new(CacheGeometry::paper_l1())
-                    .build()
-                    .unwrap(),
-            )
-        };
-        // Small code (fits) vs giant code (4x the I-cache).
-        let small_code = synth::instruction_stream(3, 30_000, 8, 2048);
-        let big_code = synth::instruction_stream(3, 30_000, 64, 2048);
-        let mut h_small = Hierarchy::paper(mk(), 2.0, lat).with_l1i();
-        let mut h_big = Hierarchy::paper(mk(), 2.0, lat).with_l1i();
-        h_small.run(small_code.records());
-        h_big.run(big_code.records());
-        assert!(
-            h_big.amat() > h_small.amat(),
-            "big {} vs small {}",
-            h_big.amat(),
-            h_small.amat()
-        );
     }
 }

@@ -67,11 +67,13 @@ fn main() {
     let mut bcache = BCache::new(geom).unwrap();
     describe(&mut bcache, &refs, &lat);
 
-    let mut partner = PartnerIndexCache::with_config(
+    // The partner-index cache is a one-link partner chain.
+    let mut partner = PartnerChainCache::with_config(
         geom,
-        unicache::assoc::PartnerConfig {
+        unicache::assoc::ChainConfig {
             epoch: 6,
-            max_pairs: 8,
+            max_chains: 8,
+            chain_len: 1,
         },
     )
     .unwrap();

@@ -15,7 +15,8 @@
 //!   the Givargis-XOR hybrid, plus Patel's optimal-index search;
 //! * **Programmable associativity** ([`assoc`]): column-associative cache,
 //!   adaptive group-associative cache (SHT + OUT directory), Zhang's
-//!   B-cache, and the partner-index cache.
+//!   B-cache, and the partner-index cache with its partner-chain
+//!   extension (one engine; a partner-index pair is a one-link chain).
 //!
 //! ## Quick start
 //!

@@ -9,8 +9,20 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use unicache::assoc::ChainConfig;
 use unicache::prelude::*;
 use unicache::trace::synth;
+
+/// Partner chains that re-chain within these short traces, at one link
+/// (the partner-index cache) and at three.
+fn partner_chain(geom: CacheGeometry, chain_len: usize) -> PartnerChainCache {
+    let cfg = ChainConfig {
+        epoch: 256,
+        max_chains: 16,
+        chain_len,
+    };
+    PartnerChainCache::with_config(geom, cfg).unwrap()
+}
 
 /// One representative per scheme family: conventional direct-mapped,
 /// the indexing schemes (Section II), and each programmable-associativity
@@ -46,7 +58,8 @@ fn model_pairs(geom: CacheGeometry) -> Vec<(Box<dyn FusedLane>, Box<dyn FusedLan
         Box::new(move || Box::new(ColumnAssociativeCache::new(geom).unwrap())),
         Box::new(move || Box::new(AdaptiveGroupCache::new(geom).unwrap())),
         Box::new(move || Box::new(BCache::new(geom).unwrap())),
-        Box::new(move || Box::new(PartnerIndexCache::new(geom).unwrap())),
+        Box::new(move || Box::new(partner_chain(geom, 1))),
+        Box::new(move || Box::new(partner_chain(geom, 3))),
         Box::new(move || Box::new(SkewedCache::new(geom).unwrap())),
         Box::new(move || Box::new(VictimCache::new(CacheBuilder::new(geom), 8).unwrap())),
     ];

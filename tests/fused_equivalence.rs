@@ -11,8 +11,20 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use unicache::assoc::ChainConfig;
 use unicache::prelude::*;
 use unicache::trace::synth;
+
+/// Partner chains that re-chain within these short traces, at one link
+/// (the partner-index cache) and at three.
+fn partner_chain(geom: CacheGeometry, chain_len: usize) -> PartnerChainCache {
+    let cfg = ChainConfig {
+        epoch: 256,
+        max_chains: 16,
+        chain_len,
+    };
+    PartnerChainCache::with_config(geom, cfg).unwrap()
+}
 
 /// Builders for one fused/solo pair per fusable scheme family (the
 /// associativity organisations plus a conventional cache under each
@@ -32,8 +44,8 @@ fn lane_builders(geom: CacheGeometry) -> Vec<Box<dyn Fn() -> Box<dyn FusedLane>>
         Box::new(move || Box::new(ColumnAssociativeCache::new(geom).unwrap())),
         Box::new(move || Box::new(AdaptiveGroupCache::new(geom).unwrap())),
         Box::new(move || Box::new(BCache::new(geom).unwrap())),
-        Box::new(move || Box::new(PartnerIndexCache::new(geom).unwrap())),
-        Box::new(move || Box::new(PartnerChainCache::new(geom).unwrap())),
+        Box::new(move || Box::new(partner_chain(geom, 1))),
+        Box::new(move || Box::new(partner_chain(geom, 3))),
         Box::new(move || Box::new(SkewedCache::new(geom).unwrap())),
         Box::new(move || Box::new(VictimCache::new(CacheBuilder::new(geom), 8).unwrap())),
     ]

@@ -3,9 +3,21 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use unicache::assoc::ChainConfig;
 use unicache::prelude::*;
 use unicache::sim::belady;
 use unicache::trace::synth;
+
+/// Partner chains that re-chain within these short traces, at one link
+/// (the partner-index cache) and at three.
+fn partner_chain(geom: CacheGeometry, chain_len: usize) -> PartnerChainCache {
+    let cfg = ChainConfig {
+        epoch: 256,
+        max_chains: 16,
+        chain_len,
+    };
+    PartnerChainCache::with_config(geom, cfg).unwrap()
+}
 
 fn all_models(geom: CacheGeometry) -> Vec<Box<dyn CacheModel>> {
     let sets = geom.num_sets();
@@ -32,8 +44,8 @@ fn all_models(geom: CacheGeometry) -> Vec<Box<dyn CacheModel>> {
         Box::new(ColumnAssociativeCache::new(geom).unwrap()),
         Box::new(AdaptiveGroupCache::new(geom).unwrap()),
         Box::new(BCache::new(geom).unwrap()),
-        Box::new(PartnerIndexCache::new(geom).unwrap()),
-        Box::new(PartnerChainCache::new(geom).unwrap()),
+        Box::new(partner_chain(geom, 1)),
+        Box::new(partner_chain(geom, 3)),
         Box::new(SkewedCache::new(geom).unwrap()),
         Box::new(VictimCache::new(CacheBuilder::new(geom), 8).unwrap()),
     ]

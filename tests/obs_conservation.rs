@@ -15,7 +15,7 @@
 //! different trace source (`trace::synth`) through the public facade.
 
 use std::sync::Mutex;
-use unicache::assoc::PartnerConfig;
+use unicache::assoc::ChainConfig;
 use unicache::prelude::*;
 use unicache::trace::synth;
 
@@ -168,28 +168,89 @@ fn adaptive_directory_accounting() {
 
 #[test]
 fn partner_epoch_accounting() {
-    use unicache_obs::Event;
+    use unicache_obs::{Event, HistEvent, BUCKETS};
     let _guard = obs_guard!();
-    let cfg = PartnerConfig {
+    let chain = |chain_len| ChainConfig {
         epoch: 1024,
-        max_pairs: 16,
+        max_chains: 16,
+        chain_len,
     };
-    let mut c = PartnerIndexCache::with_config(geom(), cfg).unwrap();
-    let s = drive(&mut c, 505);
-    assert_eq!(
-        unicache_obs::counter_value(Event::PartnerProbe),
-        s.accesses()
-    );
-    assert_eq!(
-        unicache_obs::counter_value(Event::PartnerSecondProbe),
-        s.secondary_hits + s.misses_after_probe
-    );
-    // Repartnering fires once per completed epoch, no more, no less.
-    assert_eq!(
-        unicache_obs::counter_value(Event::PartnerRepartner),
-        s.accesses() / cfg.epoch
-    );
-    assert!(unicache_obs::counter_value(Event::PartnerLend) <= s.misses_after_probe);
+    // Synthetic traffic at one and three links per chain, then the
+    // partner-index cache (epoch 8192) on tiny susan.
+    let cases = [
+        (
+            chain(1),
+            PartnerChainCache::with_config(geom(), chain(1)),
+            None,
+        ),
+        (
+            chain(3),
+            PartnerChainCache::with_config(geom(), chain(3)),
+            None,
+        ),
+        (
+            ChainConfig {
+                epoch: 8192,
+                max_chains: 64,
+                chain_len: 1,
+            },
+            PartnerIndexCache::new(CacheGeometry::paper_l1()),
+            Some(Workload::Susan.generate(Scale::Tiny)),
+        ),
+    ];
+    for (cfg, c, trace) in cases {
+        let mut c = c.unwrap();
+        let s = match &trace {
+            None => drive(&mut c, 505),
+            Some(t) => {
+                unicache_obs::reset();
+                c.run(t.records());
+                c.stats().clone()
+            }
+        };
+        let name = c.name().to_string();
+        assert_eq!(
+            unicache_obs::counter_value(Event::PartnerProbe),
+            s.accesses(),
+            "{name}"
+        );
+        assert_eq!(
+            unicache_obs::counter_value(Event::PartnerSecondProbe),
+            s.secondary_hits + s.misses_after_probe,
+            "{name}"
+        );
+        // Every relocation is a promotion (secondary hit) or a lend; a
+        // probed miss into an empty primary lends nothing.
+        let lend = unicache_obs::counter_value(Event::PartnerLend);
+        assert!(lend <= s.misses_after_probe, "{name}");
+        assert_eq!(s.secondary_hits + lend, s.relocations, "{name}");
+        // Re-chaining fires once per completed epoch, no more, no less,
+        // and records one chain-count sample each time.
+        let rechains = s.accesses() / cfg.epoch;
+        assert_eq!(
+            unicache_obs::counter_value(Event::PartnerRepartner),
+            rechains,
+            "{name}"
+        );
+        let samples: u64 = (0..BUCKETS)
+            .map(|i| unicache_obs::hist_bucket(HistEvent::PartnerEpochPairs, i))
+            .sum();
+        assert_eq!(samples, rechains, "{name}");
+        assert!(
+            unicache_obs::counter_value(Event::PartnerPairFormed) > 0,
+            "{name}: no chain formed"
+        );
+        assert!(s.secondary_hits > 0, "{name}: no chain hit");
+        if trace.is_some() {
+            // Pinned: the totals the former standalone partner-index
+            // engine produced on this trace.
+            assert_eq!(
+                (s.misses(), s.secondary_hits, s.relocations, s.evictions),
+                (2045, 4036, 4227, 1824),
+                "{name}"
+            );
+        }
+    }
 }
 
 #[test]
