@@ -39,7 +39,7 @@
 
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
-    LruSet, MemRecord, Result,
+    LruSet, MemRecord, Result, ThreadId,
 };
 
 /// Sizing knobs for the SHT and OUT tables.
@@ -599,10 +599,11 @@ impl unicache_core::FusedLane for AdaptiveGroupCache {}
 /// is kept in a cold set anywhere in the cache — including the other
 /// threads' partitions.
 ///
-/// Thread ids come from [`MemRecord::tid`], so the cache must be driven
-/// through [`CacheModel::access`]. It is deliberately not a
-/// [`unicache_core::FusedLane`]: the pre-decoded `access_block` form has
-/// no thread id and would fold every thread into partition 0.
+/// Thread ids come from [`MemRecord::tid`], so the cache is driven
+/// through [`CacheModel::access`] or, chunk by chunk, as a
+/// [`unicache_core::TaggedLane`]. It is deliberately not a
+/// [`unicache_core::FusedLane`]: the untagged `access_block` form has no
+/// thread id and would fold every thread into partition 0.
 pub struct AdaptivePartitionedCache(AdaptiveGroupCache);
 
 impl AdaptivePartitionedCache {
@@ -651,6 +652,16 @@ impl CacheModel for AdaptivePartitionedCache {
 
     fn name(&self) -> &str {
         self.0.name()
+    }
+}
+
+/// One `access_tid` per record: like the solo cache, every access
+/// consults and updates the shared SHT/OUT directories.
+impl unicache_core::TaggedLane for AdaptivePartitionedCache {
+    fn step_tagged(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]) {
+        for ((&block, &is_write), &tid) in blocks.iter().zip(writes).zip(tids) {
+            self.0.access_tid(tid, block, is_write);
+        }
     }
 }
 

@@ -34,6 +34,10 @@
 //!                   [--out FILE]
 //!                   [--roofline-out FILE]`
 //!
+//! A bad flag, or an `--out`/`--roofline-out` that cannot be written,
+//! prints a message and exits 2 (an unwritable artifact only after the
+//! report is printed).
+//!
 //! Timing methodology: each section runs `R` repetitions per variant,
 //! interleaved (A, B, A, B, ...) so neither variant systematically
 //! enjoys a warmer cache, and reports the *minimum* elapsed time — the
@@ -41,6 +45,7 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::Arc;
 use unicache_core::{
     run_fused, BlockStream, CacheGeometry, CoherentModel, FusedLane, IndexFunction, MemRecord,
@@ -114,7 +119,10 @@ struct Args {
     roofline_out: Option<String>,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: innerloop [--records N] [--reps R] [--block-mask HEX] \
+                     [--out FILE] [--roofline-out FILE]";
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         records: 2_000_000,
         reps: 5,
@@ -124,31 +132,47 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut grab = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
+        let mut grab = || it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
-            "--records" => args.records = grab("--records").parse().expect("--records: integer"),
-            "--reps" => args.reps = grab("--reps").parse().expect("--reps: integer"),
-            "--block-mask" => {
-                let v = grab("--block-mask");
-                let v = v.strip_prefix("0x").unwrap_or(&v);
-                args.block_mask = u64::from_str_radix(v, 16).expect("--block-mask: hex integer");
+            "--records" => {
+                args.records = grab()?
+                    .parse()
+                    .map_err(|_| "--records: expected an integer".to_string())?
             }
-            "--out" => args.out = Some(grab("--out")),
-            "--roofline-out" => args.roofline_out = Some(grab("--roofline-out")),
-            other => panic!(
-                "unknown flag {other} \
-                 (try --records/--reps/--block-mask/--out/--roofline-out)"
-            ),
+            "--reps" => {
+                args.reps = grab()?
+                    .parse()
+                    .map_err(|_| "--reps: expected an integer".to_string())?
+            }
+            "--block-mask" => {
+                let v = grab()?;
+                let v = v.strip_prefix("0x").unwrap_or(&v);
+                args.block_mask = u64::from_str_radix(v, 16)
+                    .map_err(|_| "--block-mask: expected a hex integer".to_string())?;
+            }
+            "--out" => args.out = Some(grab()?),
+            "--roofline-out" => args.roofline_out = Some(grab()?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn main() {
-    let args = parse_args();
+/// Writes `text` to `path`, reporting a failure on stderr.
+fn write_artifact(path: &str, text: &str) -> bool {
+    std::fs::write(path, text)
+        .map_err(|e| eprintln!("innerloop: cannot write {path}: {e}"))
+        .is_ok()
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("innerloop: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let records = synth_records(args.records, args.block_mask);
     let mut sections = String::new();
 
@@ -355,18 +379,19 @@ fn main() {
     );
 
     // Roofline: where the fused inner loop sits relative to the memory
-    // ceiling. The packed stream costs 8 bytes per record; a 4-lane
-    // fused pass reads it once for 4 simulated lane-records, so
-    // `stream_gbps` is the *decode* traffic, while `lane_records_per_sec`
-    // is the useful simulation throughput it buys.
+    // ceiling. The kernel reads each `MemRecord` once per chunk and
+    // decodes it for all 4 lanes, so `stream_gbps` is the *decode*
+    // traffic, while `lane_records_per_sec` is the useful simulation
+    // throughput it buys.
     let mem_gbps = memory_bandwidth_gbps(args.reps);
     let lanes_in_group = 4.0;
     let lane_records_per_sec = args.records as f64 * lanes_in_group / (simd_best as f64 / 1e9);
-    let stream_gbps = (args.records * 8) as f64 / simd_best as f64;
+    let bytes_per_record = std::mem::size_of::<MemRecord>();
+    let stream_gbps = (args.records * bytes_per_record) as f64 / simd_best as f64;
     let roofline = format!(
         "{{\n  \"mem_bandwidth_gbps\": {mem_gbps:.3},\n  \"stream_gbps\": {stream_gbps:.3},\n  \
          \"fraction_of_bandwidth\": {:.4},\n  \"lane_records_per_sec\": {lane_records_per_sec:.0},\n  \
-         \"fused_lanes\": 4,\n  \"bytes_per_record\": 8,\n  \
+         \"fused_lanes\": 4,\n  \"bytes_per_record\": {bytes_per_record},\n  \
          \"probe\": \"32MiB streaming copy, best of reps, read+write bytes\"\n}}\n",
         stream_gbps / mem_gbps
     );
@@ -379,10 +404,16 @@ fn main() {
         roofline.trim_end()
     );
     print!("{json}");
-    if let Some(path) = args.out {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    let mut written = true;
+    if let Some(path) = &args.out {
+        written &= write_artifact(path, &json);
     }
-    if let Some(path) = args.roofline_out {
-        std::fs::write(&path, &roofline).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = &args.roofline_out {
+        written &= write_artifact(path, &roofline);
+    }
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
     }
 }

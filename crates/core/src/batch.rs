@@ -1,90 +1,83 @@
-//! Batched single-pass simulation: pre-decoded block streams.
+//! Batched single-pass simulation: chunk-decoded block streams.
 //!
 //! Every cache model in the workspace begins its `access` with the same
 //! two decodes — `geom.block_addr(rec.addr)` (a shift by the line-offset
 //! bits) and `rec.kind.is_write()`. When the same trace is replayed
 //! through many models at the same line size — which is exactly what the
-//! figure runners do — that decode is repeated per (model × record), and
-//! the 16-byte `MemRecord`s are re-streamed from memory every time.
+//! figure runners do — that decode is repeated per (model × record).
 //!
-//! [`BlockStream`] hoists the decode out of the loop: each record becomes
-//! one packed `u64` — `(block_address << 1) | is_write` — computed once
-//! per (trace, line size). Models are then driven with [`run_fused`],
-//! the one stream driver: it decodes each chunk once and hands it to
-//! every [`FusedLane`], so per-record work starts directly at the index
-//! function, and driving a `&mut dyn FusedLane` costs one virtual call
-//! per *chunk*, after which the lane's monomorphized `step_chunk` body
-//! runs with its `access_block` calls inlined. A group of one lane is
-//! the solo case.
+//! [`BlockStream`] is a view of a trace at one line size: the records
+//! plus the shift, nothing decoded up front. Models are driven with
+//! [`run_fused`], the one stream driver: it decodes each
+//! [`FUSE_CHUNK`]-record chunk once into L1-resident scratch and hands it
+//! to every [`FusedLane`], so per-record work starts directly at the
+//! index function, and driving a `&mut dyn FusedLane` costs one virtual
+//! call per *chunk*, after which the lane's monomorphized `step_chunk`
+//! body runs with its `access_block` calls inlined. A group of one lane
+//! is the solo case. No decoded copy of a trace outlives its chunk.
 //!
-//! The pre-decoded form carries no thread ids: SMT models (figs. 13/14)
-//! consume `MemRecord`s directly and are not batched. Coherent
-//! hierarchies, which route by thread id, read [`CoherentStream`]: the
-//! same packed words plus one thread-id byte per record.
+//! Shared caches that route by thread id — the SMT models of Figs. 13/14
+//! — are [`TaggedLane`]s: they step the same decoded chunk plus one
+//! thread id per record, filled straight from the streaming interleave
+//! (`unicache_smt::run_interleaved`). Coherent hierarchies, which also
+//! route by thread id, read [`CoherentStream`]: packed
+//! `(block << 1) | is_write` words plus one thread-id byte per record.
 
 use crate::model::CacheModel;
 use crate::record::{MemRecord, ThreadId};
 use crate::BlockAddr;
 
-/// A trace pre-decoded to `(block address, is_write)` pairs for one line
-/// size, packed one record per `u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockStream {
-    line_bytes: u64,
-    packed: Vec<u64>,
+/// A trace viewed as `(block address, is_write)` pairs for one line
+/// size: the borrowed records plus the line-offset shift. The decode
+/// happens per chunk inside [`run_fused`] (or per item in
+/// [`iter`](Self::iter)), so the view costs no memory of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockStream<'a> {
+    records: &'a [MemRecord],
+    shift: u32,
 }
 
-impl BlockStream {
-    /// Decodes `records` for caches with `line_bytes`-byte lines.
+impl<'a> BlockStream<'a> {
+    /// Views `records` for caches with `line_bytes`-byte lines.
     ///
     /// # Panics
-    /// If `line_bytes` is not a power of two, or an address is so high
-    /// that its block number needs all 64 bits (block numbers must fit in
-    /// 63 bits to leave room for the write flag).
-    pub fn from_records(records: &[MemRecord], line_bytes: u64) -> Self {
+    /// If `line_bytes` is not a power of two.
+    pub fn from_records(records: &'a [MemRecord], line_bytes: u64) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
             "line size {line_bytes} not a power of two"
         );
-        let shift = line_bytes.trailing_zeros();
-        let mut seen: u64 = 0;
-        let packed = records
-            .iter()
-            .map(|r| {
-                let block = r.addr >> shift;
-                seen |= block;
-                (block << 1) | u64::from(r.kind.is_write())
-            })
-            .collect();
-        assert!(
-            seen < (1 << 63),
-            "block addresses exceed 63 bits; cannot pack write flag"
-        );
-        BlockStream { line_bytes, packed }
+        BlockStream {
+            records,
+            shift: line_bytes.trailing_zeros(),
+        }
     }
 
-    /// The line size this stream was decoded for.
+    /// The line size this stream decodes for.
     #[inline]
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.shift
     }
 
     /// Number of references.
     #[inline]
     pub fn len(&self) -> usize {
-        self.packed.len()
+        self.records.len()
     }
 
     /// True when the stream holds no references.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
+        self.records.is_empty()
     }
 
     /// Iterates `(block, is_write)` pairs in trace order.
     #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, bool)> + '_ {
-        self.packed.iter().map(|&p| (p >> 1, p & 1 == 1))
+    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, bool)> + 'a {
+        let shift = self.shift;
+        self.records
+            .iter()
+            .map(move |r| (r.addr >> shift, r.kind.is_write()))
     }
 }
 
@@ -109,8 +102,8 @@ pub const FUSE_CHUNK: usize = 1024;
 /// `step_chunk` to vectorize the index with
 /// [`crate::IndexFunction::index_many`] first.
 ///
-/// SMT caches cannot implement this trait usefully: the decoded form
-/// carries no thread id, so they keep consuming raw `MemRecord`s.
+/// The chunk carries no thread id; caches that route by thread step
+/// the same chunk plus thread ids as a [`TaggedLane`].
 pub trait FusedLane: CacheModel {
     /// Processes one decoded chunk; `blocks[i]` pairs with `writes[i]`.
     fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
@@ -135,8 +128,19 @@ impl<T: FusedLane + ?Sized> FusedLane for Box<T> {
     }
 }
 
+/// A shared cache that routes each reference by its issuing thread (the
+/// SMT models of Figs. 13/14), stepped one decoded chunk at a time: the
+/// [`FusedLane`] chunk plus `tids[i]`, the [`MemRecord::tid`] of record
+/// `i`. Stepping a chunk must leave the model exactly as calling
+/// [`CacheModel::access`] on each record in order would.
+pub trait TaggedLane: CacheModel {
+    /// Processes one decoded chunk; `blocks[i]`, `writes[i]` and
+    /// `tids[i]` describe record `i`.
+    fn step_tagged(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]);
+}
+
 /// Drives all `lanes` over `stream` in one fused traversal: each chunk of
-/// the packed stream is decoded exactly once into shared scratch and then
+/// records is decoded exactly once into shared scratch and then
 /// replayed through every lane (chunk-outer, lane-inner). Statistically
 /// equivalent to running each lane alone over the records with
 /// [`CacheModel::run`] — every lane sees the same references in the same
@@ -145,8 +149,8 @@ impl<T: FusedLane + ?Sized> FusedLane for Box<T> {
 /// and virtual dispatch costs one call per (lane × chunk), not per record.
 ///
 /// # Panics
-/// If any lane's line size differs from the stream's (the pre-decoded
-/// block addresses would be wrong for it).
+/// If any lane's line size differs from the stream's (the decoded block
+/// addresses would be wrong for it).
 pub fn run_fused(lanes: &mut [&mut dyn FusedLane], stream: &BlockStream) {
     for l in lanes.iter() {
         assert_eq!(
@@ -158,39 +162,22 @@ pub fn run_fused(lanes: &mut [&mut dyn FusedLane], stream: &BlockStream) {
     }
     let mut blocks = [0u64; FUSE_CHUNK];
     let mut writes = [false; FUSE_CHUNK];
-    for chunk in stream.packed.chunks(FUSE_CHUNK) {
+    for chunk in stream.records.chunks(FUSE_CHUNK) {
         let n = chunk.len();
-        decode_chunk(chunk, &mut blocks[..n], &mut writes[..n]);
+        for ((b, w), r) in blocks.iter_mut().zip(&mut writes).zip(chunk) {
+            *b = r.addr >> stream.shift;
+            *w = r.kind.is_write();
+        }
         for lane in lanes.iter_mut() {
             lane.step_chunk(&blocks[..n], &writes[..n]);
         }
     }
 }
 
-/// Unpacks one chunk of `(block << 1) | is_write` words into the two
-/// scratch slices. With the SIMD tier on, the shift pass and the flag
-/// pass run as separate straight-line sweeps (each a trivially
-/// vectorizable map); with it off, the original interleaved scalar loop
-/// runs. Both orders write identical bytes.
-fn decode_chunk(packed: &[u64], blocks: &mut [u64], writes: &mut [bool]) {
-    debug_assert!(blocks.len() == packed.len() && writes.len() == packed.len());
-    if crate::SimdLanes::enabled() {
-        unpack_blocks(packed, blocks);
-        for (w, &p) in writes.iter_mut().zip(packed) {
-            *w = p & 1 == 1;
-        }
-    } else {
-        for (i, &p) in packed.iter().enumerate() {
-            blocks[i] = p >> 1;
-            writes[i] = p & 1 == 1;
-        }
-    }
-}
-
 /// A merged multi-thread trace pre-decoded for coherent hierarchies:
-/// the [`BlockStream`] packing — `(block << 1) | is_write`, one `u64`
-/// per record — plus one thread-id byte per record, which coherent
-/// models need to route each reference to its serving core.
+/// `(block << 1) | is_write`, one `u64` per record, plus one thread-id
+/// byte per record, which coherent models need to route each reference
+/// to its serving core.
 ///
 /// At 9 bytes per record (against 16 for a [`MemRecord`]) one stream
 /// serves every hierarchy replaying the mix at its line size. Each
@@ -353,8 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn packs_blocks_and_write_flags() {
-        let s = BlockStream::from_records(&recs(), 32);
+    fn decodes_blocks_and_write_flags() {
+        let records = recs();
+        let s = BlockStream::from_records(&records, 32);
         assert_eq!(s.len(), 3);
         assert_eq!(s.line_bytes(), 32);
         let v: Vec<(u64, bool)> = s.iter().collect();
@@ -382,7 +370,8 @@ mod tests {
                 kind,
                 tid: 0,
             };
-            let s = BlockStream::from_records(&[r], 32);
+            let records = [r];
+            let s = BlockStream::from_records(&records, 32);
             assert_eq!(s.iter().next().unwrap().1, expect);
         }
     }
@@ -490,7 +479,11 @@ mod tests {
 
     impl Recorder {
         fn new() -> Self {
-            let geom = crate::CacheGeometry::from_sets(8, 32, 1).expect("valid geometry");
+            Self::with_line(32)
+        }
+
+        fn with_line(line_bytes: u64) -> Self {
+            let geom = crate::CacheGeometry::from_sets(8, line_bytes, 1).expect("valid geometry");
             Recorder {
                 geom,
                 stats: crate::CacheStats::new(8),
@@ -557,6 +550,16 @@ mod tests {
     }
 
     #[test]
+    fn run_fused_decodes_a_full_64_bit_block_at_one_byte_lines() {
+        // No packed word to fit, so the top address bit survives decode.
+        let records = [MemRecord::write(u64::MAX), MemRecord::read(0)];
+        let stream = BlockStream::from_records(&records, 1);
+        let mut a = Recorder::with_line(1);
+        run_fused(&mut [&mut a], &stream);
+        assert_eq!(a.seen, vec![(u64::MAX, true), (0, false)]);
+    }
+
+    #[test]
     fn run_fused_on_empty_stream_is_a_no_op() {
         let stream = BlockStream::from_records(&[], 32);
         let mut a = Recorder::new();
@@ -570,7 +573,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "line size does not match")]
     fn run_fused_rejects_line_size_mismatch() {
-        let stream = BlockStream::from_records(&recs(), 64);
+        let records = recs();
+        let stream = BlockStream::from_records(&records, 64);
         let mut a = Recorder::new(); // 32-byte lines
         let mut lanes: Vec<&mut dyn FusedLane> = vec![&mut a];
         run_fused(&mut lanes, &stream);

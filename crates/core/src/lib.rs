@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use batch::{
     core_routes, pack_coherent_chunk, run_fused, unpack_blocks, BlockStream, CoherentStream,
-    FusedLane, FUSE_CHUNK,
+    FusedLane, TaggedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
 pub use geometry::CacheGeometry;
@@ -69,7 +69,7 @@ const _: () = {
     sendable::<SetStats>();
     sendable::<Box<dyn CacheModel>>();
     sendable::<Box<dyn CoherentModel>>();
-    shareable::<BlockStream>();
+    shareable::<BlockStream<'static>>();
     shareable::<CoherentStream>();
     shareable::<CacheStats>();
     shareable::<CacheGeometry>();

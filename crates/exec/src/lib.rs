@@ -41,11 +41,12 @@
 //! The natural task granularity for simulation is the **fuse-group**:
 //! `SimStore::prefetch_groups` submits one job per `(workload,
 //! geometry)` group, and the fused kernel simulates every member scheme
-//! inside that single job (one stream decode, lanes stepped side by
-//! side — see DESIGN.md §11). Submitting per *scheme* instead would
-//! split a group across workers and forfeit the shared decode: the
-//! group mutex would serialize the workers anyway, so finer granularity
-//! buys no parallelism — it only adds scheduling traffic.
+//! inside that single job (one traversal, each chunk decoded once and
+//! lanes stepped side by side — see DESIGN.md §11). Submitting per
+//! *scheme* instead would split a group across workers and forfeit the
+//! shared decode: the group mutex would serialize the workers anyway,
+//! so finer granularity buys no parallelism — it only adds scheduling
+//! traffic.
 //!
 //! ## Configuration
 //!

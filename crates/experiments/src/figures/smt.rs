@@ -3,10 +3,10 @@
 use crate::figures::paper_geom;
 use crate::{ExperimentTable, SimStore};
 use std::sync::Arc;
-use unicache_core::{CacheModel, IndexFunction};
+use unicache_core::{CacheModel, IndexFunction, TaggedLane};
 use unicache_indexing::{ModuloIndex, OddMultiplierIndex, RECOMMENDED_MULTIPLIERS};
 use unicache_smt::{
-    for_each_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
+    run_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
     PerThreadIndexCache,
 };
 use unicache_stats::percent_reduction;
@@ -51,22 +51,20 @@ fn mix_label(mix: &[Workload]) -> String {
     mix.iter().map(|w| w.name()).collect::<Vec<_>>().join("_")
 }
 
-/// Replays the interleaved `mix` through every model in one traversal.
-/// The merge, under either policy, is streamed straight out of the
-/// per-thread traces (no merged copy is ever allocated).
-fn drive_mix(
+/// Replays the interleaved `mix` through every lane in one chunked
+/// traversal ([`run_interleaved`]: the merge streams straight into
+/// tagged chunk scratch, so no merged or decoded copy is allocated) and
+/// counts the replayed lane-records into the store.
+fn replay_mix(
     store: &SimStore,
     mix: &[Workload],
     policy: InterleavePolicy,
-    models: &mut [&mut dyn CacheModel],
+    lanes: &mut [&mut dyn TaggedLane],
 ) {
     let traces: Vec<Arc<unicache_trace::Trace>> = mix.iter().map(|&w| store.get(w)).collect();
     let refs: Vec<&unicache_trace::Trace> = traces.iter().map(|t| &**t).collect();
-    for_each_interleaved(&refs, policy, |rec| {
-        for m in models.iter_mut() {
-            m.access(rec);
-        }
-    });
+    let records = run_interleaved(&refs, policy, lanes);
+    store.count_records(records as u64 * lanes.len() as u64);
 }
 
 /// **Figure 13** — % reduction in misses when each thread of a shared
@@ -99,7 +97,7 @@ pub fn fig13_with(store: &SimStore, policy: InterleavePolicy) -> ExperimentTable
             })
             .collect();
         let mut treat = PerThreadIndexCache::new(geom, per_thread).expect("valid shared cache");
-        drive_mix(store, mix, policy, &mut [&mut base, &mut treat]);
+        replay_mix(store, mix, policy, &mut [&mut base, &mut treat]);
         vec![percent_reduction(
             base.stats().miss_rate(),
             treat.stats().miss_rate(),
@@ -128,7 +126,7 @@ pub fn fig14(store: &SimStore) -> ExperimentTable {
     let values: Vec<Vec<f64>> = unicache_exec::map(&mixes, |mix| {
         let mut stat = PartitionedCache::new(geom, mix.len()).expect("divisible");
         let mut adpt = AdaptivePartitionedCache::new(geom, mix.len()).expect("divisible");
-        drive_mix(
+        replay_mix(
             store,
             mix,
             InterleavePolicy::RoundRobin,

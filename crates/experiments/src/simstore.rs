@@ -10,15 +10,14 @@
 //! [`SimStore`] memoizes final [`CacheStats`] under the key
 //! `(workload, scheme, geometry)` — the scale is fixed per store, like
 //! [`crate::TraceStore`] — so every figure that needs "fft under XOR
-//! indexing at the paper L1" shares one simulation. Two further levels
-//! are memoized beneath the results because they are shared *inputs* to
-//! the simulations:
-//!
-//! * the pre-decoded [`BlockStream`] per `(workload, line size)` — the
-//!   per-record decode is hoisted out of every model's inner loop and
-//!   paid once (see `unicache_core::batch`);
-//! * the sorted unique block list per `(workload, line size)` — the
-//!   training input of the Givargis schemes.
+//! indexing at the paper L1" shares one simulation. One further level is
+//! memoized beneath the results because it is a shared *input* to the
+//! simulations: the one-pass [`WorkloadSummary`] per `(workload, line
+//! size)`, whose sorted unique block list trains the Givargis schemes.
+//! The traces themselves are not re-encoded: each traversal views
+//! `trace.records()` as a [`BlockStream`] and decodes one chunk at a
+//! time (see `unicache_core::batch`), so no decoded copy of a solo trace
+//! outlives its chunk.
 //!
 //! Exactly-once simulation is enforced the same way [`crate::TraceStore`]
 //! enforces exactly-once generation: results live in per-key `OnceLock`
@@ -27,7 +26,7 @@
 //! it. Requests that differ *only in scheme* therefore land in one
 //! [`FuseGroup`] — the schedulable unit — and every still-missing scheme
 //! of the group runs in one *fused* traversal of the stream
-//! ([`run_fused`]): the packed stream is decoded once per chunk and each
+//! ([`run_fused`]): the records are decoded once per chunk and each
 //! member scheme's cache ("lane") is stepped over the decoded chunk,
 //! giving one virtual dispatch per (lane, chunk) instead of per
 //! (model, record). [`SimStore::prefetch_groups`] schedules one
@@ -52,9 +51,8 @@
 //! [`SimStore::streams_decoded`] counters make the exactly-once property
 //! observable (and testable): after any sequence of figure runs,
 //! `sims_run` equals the number of *distinct* keys ever requested, and
-//! `streams_decoded` equals the number of distinct `(workload, line
-//! size)` and `(mix, policy, line size)` pairs — no matter how many
-//! schemes or hierarchies shared each stream.
+//! `streams_decoded` equals the number of distinct `(mix, policy, line
+//! size)` coherent streams — no matter how many hierarchies shared each.
 
 use crate::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,7 +160,7 @@ impl SchemeId {
 }
 
 type Cell<T> = Arc<OnceLock<Arc<T>>>;
-type StreamKey = (Workload, u64);
+type SummaryKey = (Workload, u64);
 type ResultKey = (Workload, SchemeId, CacheGeometry);
 type GroupKey = (Workload, CacheGeometry);
 type CohStreamKey = (Vec<Workload>, InterleavePolicy, u64);
@@ -279,8 +277,7 @@ impl CoherentKey {
 /// store.
 pub struct SimStore {
     traces: Arc<TraceStore>,
-    streams: Mutex<DetHashMap<StreamKey, Cell<BlockStream>>>,
-    summaries: Mutex<DetHashMap<StreamKey, Cell<WorkloadSummary>>>,
+    summaries: Mutex<DetHashMap<SummaryKey, Cell<WorkloadSummary>>>,
     coherent_streams: Mutex<DetHashMap<CohStreamKey, Cell<CoherentStream>>>,
     results: Mutex<DetHashMap<ResultKey, Cell<CacheStats>>>,
     groups: Mutex<DetHashMap<GroupKey, Arc<Mutex<()>>>>,
@@ -291,13 +288,16 @@ pub struct SimStore {
     records_simulated: AtomicU64,
     streams_decoded: AtomicU64,
     summaries_built: AtomicU64,
+    /// Fused traversals run: one per fuse group with pending work.
+    fused_passes: AtomicU64,
 }
 
 /// One schedulable unit of fused simulation: every scheme in `schemes`
-/// shares a single decode of `workload`'s block stream at `geom`'s line
-/// size. Requests that differ only in scheme belong in the *same* group —
-/// building one group per scheme would re-register the trace work per
-/// scheme and forfeit the fusion.
+/// shares a single traversal of `workload`'s trace at `geom`'s line
+/// size, each chunk decoded once for all of them. Requests that differ
+/// only in scheme belong in the *same* group — building one group per
+/// scheme would re-register the trace work per scheme and forfeit the
+/// fusion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuseGroup {
     /// The workload whose stream the group traverses.
@@ -332,7 +332,6 @@ impl SimStore {
     pub fn with_traces(traces: Arc<TraceStore>) -> Self {
         SimStore {
             traces,
-            streams: Mutex::new(det_map()),
             summaries: Mutex::new(det_map()),
             coherent_streams: Mutex::new(det_map()),
             results: Mutex::new(det_map()),
@@ -344,6 +343,7 @@ impl SimStore {
             records_simulated: AtomicU64::new(0),
             streams_decoded: AtomicU64::new(0),
             summaries_built: AtomicU64::new(0),
+            fused_passes: AtomicU64::new(0),
         }
     }
 
@@ -376,18 +376,6 @@ impl SimStore {
     fn group_lock(&self, key: GroupKey) -> Arc<Mutex<()>> {
         let mut guard = self.groups.lock().unwrap();
         Arc::clone(guard.entry(key).or_default())
-    }
-
-    /// The pre-decoded block stream of `w` at `line_bytes`, decoded at
-    /// most once.
-    pub fn stream(&self, w: Workload, line_bytes: u64) -> Arc<BlockStream> {
-        let cell = Self::cell_of(&self.streams, (w, line_bytes));
-        Arc::clone(cell.get_or_init(|| {
-            let _span = unicache_obs::span("stream-decode");
-            self.streams_decoded.fetch_add(1, Ordering::Relaxed);
-            let trace = self.traces.get(w);
-            Arc::new(BlockStream::from_records(trace.records(), line_bytes))
-        }))
     }
 
     /// The one-pass workload summary of `w` at `line_bytes` (footprint
@@ -458,7 +446,8 @@ impl SimStore {
         } else {
             None
         };
-        let stream = self.stream(w, geom.line_bytes());
+        let trace = self.traces.get(w);
+        let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
         let mut lanes: Vec<Box<dyn FusedLane>> = pending
             .iter()
             .map(|(s, _)| s.build_lane(geom, training.as_ref().map(|u| u.as_slice())))
@@ -472,6 +461,7 @@ impl SimStore {
             unicache_obs::observe(unicache_obs::HistEvent::FusedGroupLanes, refs.len() as u64);
             run_fused(&mut refs, &stream);
         }
+        self.fused_passes.fetch_add(1, Ordering::Relaxed);
         for ((_, cell), lane) in pending.iter().zip(&lanes) {
             // set() can only fail if someone else initialized the cell,
             // which the group lock rules out.
@@ -548,7 +538,7 @@ impl SimStore {
 
     /// Pre-simulates `workloads × schemes` at `geom`: one fuse-group per
     /// workload (schemes differing only in scheme share the group — and
-    /// its single stream decode), groups in parallel across cores.
+    /// its single traversal), groups in parallel across cores.
     pub fn prefetch(&self, workloads: &[Workload], schemes: &[SchemeId], geom: CacheGeometry) {
         let groups: Vec<FuseGroup> = workloads
             .iter()
@@ -685,8 +675,15 @@ impl SimStore {
         self.sims_run.load(Ordering::Relaxed) // uca:allow(relaxed-output)
     }
 
+    /// Adds `records` lane-records replayed outside the result cells
+    /// (the SMT figures) to [`SimStore::records_simulated`].
+    pub(crate) fn count_records(&self, records: u64) {
+        self.records_simulated.fetch_add(records, Ordering::Relaxed);
+    }
+
     /// Total references driven through models (`Σ stream length × models
-    /// simulated`) — the denominator of `--timing`'s records/sec.
+    /// simulated`, the SMT figures' replays included) — the denominator
+    /// of `--timing`'s records/sec.
     pub fn records_simulated(&self) -> u64 {
         // Allowed Relaxed read: monotone counter, only rendered by
         // `xp --timing` after the worker scope has joined (a happens-before
@@ -694,10 +691,9 @@ impl SimStore {
         self.records_simulated.load(Ordering::Relaxed) // uca:allow(relaxed-output)
     }
 
-    /// Number of stream decodes actually performed: one block stream per
-    /// distinct `(workload, line size)` pair and one coherent stream per
-    /// distinct `(mix, policy, line size)`, however many schemes or
-    /// hierarchies shared each.
+    /// Number of coherent streams actually built: one per distinct
+    /// `(mix, policy, line size)`, however many hierarchies shared each.
+    /// Solo traversals decode per chunk and build no stream.
     pub fn streams_decoded(&self) -> u64 {
         // Allowed Relaxed read: monotone counter, only rendered by
         // `xp --timing` after the worker scope has joined (a happens-before
@@ -816,6 +812,10 @@ mod tests {
         assert!(Arc::ptr_eq(&u1, &u2));
     }
 
+    fn passes(store: &SimStore) -> u64 {
+        store.fused_passes.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn fused_group_runs_all_members_on_one_decode() {
         let store = SimStore::new(Scale::Tiny);
@@ -830,7 +830,8 @@ mod tests {
         let stats = store.run_fused(&group);
         assert_eq!(stats.len(), schemes.len());
         assert_eq!(store.sims_run(), schemes.len() as u64);
-        assert_eq!(store.streams_decoded(), 1, "one decode for the group");
+        assert_eq!(passes(&store), 1, "one traversal for the group");
+        assert_eq!(store.streams_decoded(), 0, "no stream is materialised");
         // Members are the same cells stats() serves.
         for (i, &s) in schemes.iter().enumerate() {
             let solo = store.stats(Workload::Crc, s, geom);
@@ -865,8 +866,9 @@ mod tests {
     #[test]
     fn scheme_only_differences_share_one_group_decode_under_threads() {
         // Regression: requests differing only in scheme must land in one
-        // fuse-group entry (one stream decode), not re-register the
-        // trace per scheme — even when eight threads race on the group.
+        // fuse-group entry (one group lock, one trace), not re-register
+        // the trace per scheme — even when eight threads race on the
+        // group. Each request is a group of one: one traversal apiece.
         let store = SimStore::new(Scale::Tiny);
         let geom = paper();
         let schemes = [
@@ -889,7 +891,9 @@ mod tests {
                 h.join().unwrap();
             }
         });
-        assert_eq!(store.streams_decoded(), 1, "exactly one decode per group");
+        assert_eq!(store.groups.lock().unwrap().len(), 1, "one group entry");
+        assert_eq!(store.traces().cached(), 1, "one trace for the group");
+        assert_eq!(passes(store), schemes.len() as u64, "one pass per request");
         assert_eq!(store.sims_run(), schemes.len() as u64);
     }
 
@@ -901,13 +905,13 @@ mod tests {
         let schemes = [SchemeId::Baseline, SchemeId::Skewed];
         store.prefetch(&ws, &schemes, geom);
         let traces_after = store.traces().cached();
-        let decodes_after = store.streams_decoded();
+        assert_eq!(passes(&store), 1, "one traversal for the cold group");
         // A fully-warm prefetch must not generate further traces or
-        // decode further streams (it used to re-run trace prefetch
+        // traverse them again (it used to re-run trace prefetch
         // unconditionally).
         store.prefetch(&ws, &schemes, geom);
         assert_eq!(store.traces().cached(), traces_after);
-        assert_eq!(store.streams_decoded(), decodes_after);
+        assert_eq!(passes(&store), 1, "no traversal when warm");
         assert_eq!(store.sims_run(), 2);
     }
 

@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use unicache_core::{BlockAddr, MemRecord, TaggedLane, ThreadId, FUSE_CHUNK};
 use unicache_trace::Trace;
 
 /// How per-thread streams are merged.
@@ -41,26 +42,32 @@ pub fn interleave(traces: &[Trace], policy: InterleavePolicy) -> Trace {
 pub fn for_each_interleaved(
     traces: &[&Trace],
     policy: InterleavePolicy,
-    mut f: impl FnMut(unicache_core::MemRecord),
+    mut f: impl FnMut(MemRecord),
 ) {
     assert!(traces.len() <= 256, "ThreadId is u8");
-    let mut cursors = vec![0usize; traces.len()];
     match policy {
-        InterleavePolicy::RoundRobin => loop {
-            let mut progressed = false;
-            for (tid, t) in traces.iter().enumerate() {
-                let c = cursors[tid];
-                if c < t.len() {
-                    f(t.records()[c].with_tid(tid as u8));
-                    cursors[tid] += 1;
-                    progressed = true;
+        InterleavePolicy::RoundRobin => {
+            // The threads still issuing, in tid order. Every round takes
+            // one record from each, so they all sit at the same cursor:
+            // run whole rounds up to the shortest one's end, then drop it.
+            let mut live: Vec<(u8, &[MemRecord])> = traces
+                .iter()
+                .enumerate()
+                .map(|(tid, t)| (tid as u8, t.records()))
+                .collect();
+            let mut round = 0;
+            while let Some(end) = live.iter().map(|(_, r)| r.len()).min() {
+                for i in round..end {
+                    for &(tid, records) in &live {
+                        f(records[i].with_tid(tid));
+                    }
                 }
+                round = end;
+                live.retain(|(_, r)| r.len() > end);
             }
-            if !progressed {
-                break;
-            }
-        },
+        }
         InterleavePolicy::Stochastic { seed } => {
+            let mut cursors = vec![0usize; traces.len()];
             let mut rng = StdRng::seed_from_u64(seed);
             let mut active: Vec<usize> = (0..traces.len())
                 .filter(|&t| !traces[t].is_empty())
@@ -76,6 +83,62 @@ pub fn for_each_interleaved(
                 }
             }
         }
+    }
+}
+
+/// Replays the interleaving of `traces` under `policy` through every
+/// lane in one chunked traversal and returns the number of merged
+/// records. Each record is decoded once, as the merge produces it, into
+/// [`FUSE_CHUNK`]-record tagged scratch (block, write flag, thread id);
+/// every full chunk, and the ragged last one, is then stepped through
+/// each lane in turn. Neither the merged trace nor a decoded copy of it
+/// is ever materialised, and each lane ends exactly as a per-record
+/// [`unicache_core::CacheModel::access`] replay would leave it.
+///
+/// # Panics
+/// If the lanes' line sizes differ, or as [`for_each_interleaved`].
+pub fn run_interleaved(
+    traces: &[&Trace],
+    policy: InterleavePolicy,
+    lanes: &mut [&mut dyn TaggedLane],
+) -> usize {
+    let line = lanes.first().map_or(1, |l| l.geometry().line_bytes());
+    for l in lanes.iter() {
+        assert_eq!(
+            l.geometry().line_bytes(),
+            line,
+            "lane '{}' line size differs from the first lane's",
+            l.name()
+        );
+    }
+    let shift = line.trailing_zeros();
+    let mut blocks = [0 as BlockAddr; FUSE_CHUNK];
+    let mut writes = [false; FUSE_CHUNK];
+    let mut tids = [0 as ThreadId; FUSE_CHUNK];
+    let mut n = 0;
+    for_each_interleaved(traces, policy, |r| {
+        blocks[n] = r.addr >> shift;
+        writes[n] = r.kind.is_write();
+        tids[n] = r.tid;
+        n += 1;
+        if n == FUSE_CHUNK {
+            step(lanes, &blocks, &writes, &tids);
+            n = 0;
+        }
+    });
+    step(lanes, &blocks[..n], &writes[..n], &tids[..n]);
+    traces.iter().map(|t| t.len()).sum()
+}
+
+/// Steps every lane over one tagged chunk.
+fn step(
+    lanes: &mut [&mut dyn TaggedLane],
+    blocks: &[BlockAddr],
+    writes: &[bool],
+    tids: &[ThreadId],
+) {
+    for lane in lanes.iter_mut() {
+        lane.step_tagged(blocks, writes, tids);
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! * [`interleave()`] — merges per-thread traces into one shared-cache
 //!   reference stream (round-robin fetch like an SMT front end, or
-//!   stochastically);
+//!   stochastically); [`run_interleaved`] streams that merge in tagged
+//!   chunks through the caches below, which are all
+//!   [`unicache_core::TaggedLane`]s;
 //! * [`shared::PerThreadIndexCache`] — one shared direct-mapped L1 where
 //!   *each hardware thread applies its own index function* (the paper's
 //!   Fig. 5 design and the Fig. 13 experiment);
@@ -21,7 +23,9 @@ pub mod interleave;
 pub mod partition;
 pub mod shared;
 
-pub use interleave::{for_each_interleaved, interleave, interleave_refs, InterleavePolicy};
+pub use interleave::{
+    for_each_interleaved, interleave, interleave_refs, run_interleaved, InterleavePolicy,
+};
 pub use partition::PartitionedCache;
 pub use shared::PerThreadIndexCache;
 pub use unicache_assoc::AdaptivePartitionedCache;

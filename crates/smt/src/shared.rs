@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use unicache_core::{
-    AccessResult, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, IndexFunction,
-    MemRecord, Result,
+    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere,
+    IndexFunction, MemRecord, Result, TaggedLane, ThreadId, FUSE_CHUNK,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +33,10 @@ pub struct PerThreadIndexCache {
     lines: Vec<Line>,
     stats: CacheStats,
     name: String,
+    /// Chunk-step scratch, [`FUSE_CHUNK`] slots each: the chunk's sets,
+    /// and the chunk indexed under one thread's function.
+    sets: Vec<usize>,
+    thread_sets: Vec<usize>,
 }
 
 impl PerThreadIndexCache {
@@ -76,25 +80,27 @@ impl PerThreadIndexCache {
             stats: CacheStats::new(geom.num_sets()),
             index_fns,
             name,
+            sets: vec![0; FUSE_CHUNK],
+            thread_sets: vec![0; FUSE_CHUNK],
         })
     }
-}
 
-impl CacheModel for PerThreadIndexCache {
-    fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
-    fn access(&mut self, rec: MemRecord) -> AccessResult {
-        let tid = (rec.tid as usize).min(self.index_fns.len() - 1);
-        let block = self.geom.block_addr(rec.addr);
-        let is_write = rec.kind.is_write();
+    /// Looks up and fills `set` for one reference. The line is tagged
+    /// with the unclamped `tid`, so two ids sharing an index function
+    /// still keep distinct copies of a block.
+    #[inline]
+    fn commit(
+        &mut self,
+        set: usize,
+        block: BlockAddr,
+        is_write: bool,
+        tid: ThreadId,
+    ) -> AccessResult {
         if is_write {
             self.stats.record_write();
         }
-        let set = self.index_fns[tid].index_block(block);
         let line = &mut self.lines[set];
-        if line.valid && line.block == block && line.tid == rec.tid {
+        if line.valid && line.block == block && line.tid == tid {
             if is_write {
                 line.dirty = true;
             }
@@ -113,7 +119,7 @@ impl CacheModel for PerThreadIndexCache {
         }
         *line = Line {
             block,
-            tid: rec.tid,
+            tid,
             valid: true,
             dirty: is_write,
         };
@@ -123,6 +129,20 @@ impl CacheModel for PerThreadIndexCache {
             set,
             evicted,
         }
+    }
+}
+
+impl CacheModel for PerThreadIndexCache {
+    fn geometry(&self) -> CacheGeometry {
+        self.geom
+    }
+
+    fn access(&mut self, rec: MemRecord) -> AccessResult {
+        let block = self.geom.block_addr(rec.addr);
+        // Ids past the last thread take the last thread's function.
+        let t = usize::from(rec.tid).min(self.index_fns.len() - 1);
+        let set = self.index_fns[t].index_block(block);
+        self.commit(set, block, rec.kind.is_write(), rec.tid)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -143,6 +163,44 @@ impl CacheModel for PerThreadIndexCache {
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+/// Each thread's index function maps the whole chunk with one
+/// [`IndexFunction::index_many`] call, and a branch-free select keeps
+/// the sets of that thread's records; then every record commits in
+/// trace order. Indexing the whole chunk per thread costs less than
+/// gathering each thread's run first: the gather's write cursor is a
+/// serial dependency through every record, once per thread.
+impl TaggedLane for PerThreadIndexCache {
+    fn step_tagged(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]) {
+        assert!(
+            writes.len() == blocks.len() && tids.len() == blocks.len(),
+            "step_tagged: chunk slices differ in length"
+        );
+        let top = self.index_fns.len() - 1;
+        let mut sets = std::mem::take(&mut self.sets);
+        for ((blocks, writes), tids) in blocks
+            .chunks(FUSE_CHUNK)
+            .zip(writes.chunks(FUSE_CHUNK))
+            .zip(tids.chunks(FUSE_CHUNK))
+        {
+            let n = blocks.len();
+            for (t, f) in self.index_fns.iter().enumerate() {
+                f.index_many(blocks, &mut self.thread_sets[..n]);
+                for ((s, &tid), &set) in sets.iter_mut().zip(tids).zip(&self.thread_sets) {
+                    if usize::from(tid).min(top) == t {
+                        *s = set;
+                    }
+                }
+            }
+            for (((&block, &is_write), &tid), &set) in
+                blocks.iter().zip(writes).zip(tids).zip(&sets)
+            {
+                self.commit(set, block, is_write, tid);
+            }
+        }
+        self.sets = sets;
     }
 }
 

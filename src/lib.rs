@@ -77,7 +77,9 @@ pub mod prelude {
         SkewedCache,
     };
     pub use unicache_core::CoherentModel;
-    pub use unicache_core::{run_fused, BlockStream, CoherentStream, FusedLane, FUSE_CHUNK};
+    pub use unicache_core::{
+        run_fused, BlockStream, CoherentStream, FusedLane, TaggedLane, FUSE_CHUNK,
+    };
     pub use unicache_core::{
         AccessKind, AccessResult, Addr, CacheGeometry, CacheModel, CacheStats, HitWhere,
         IndexFunction, MemRecord,
@@ -94,7 +96,7 @@ pub mod prelude {
     };
     pub use unicache_sim::{Cache, CacheBuilder, ReplacementPolicy, VictimBuffer, VictimCache};
     pub use unicache_smt::{
-        interleave, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
+        interleave, run_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
         PerThreadIndexCache,
     };
     pub use unicache_stats::{LifetimeLens, Moments, RecencyLens, SetClassification};

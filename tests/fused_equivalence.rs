@@ -7,7 +7,9 @@
 //! geometries, read/write and hotspot mixes, and any permutation of the
 //! lane order. `SimStore` relies on this equivalence: fuse-groups are
 //! its unit of scheduling, and the figures it feeds are read by code
-//! written against the record-at-a-time semantics.
+//! written against the record-at-a-time semantics. The SMT caches of
+//! Figs. 13/14 are held to the same bar: stepping tagged chunks through
+//! [`run_interleaved`] must equal per-record `access` over the merge.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -60,8 +62,96 @@ fn fuse(lanes: &mut [Box<dyn FusedLane>], stream: &BlockStream) {
     run_fused(&mut refs, stream);
 }
 
+/// Builders for every SMT cache of Figs. 13/14 at `threads` threads:
+/// static partitions, per-thread indexing (all conventional, and the
+/// Fig. 13 per-thread odd multipliers) and the adaptive partitioned
+/// cache.
+fn tagged_builders(
+    geom: CacheGeometry,
+    threads: usize,
+) -> Vec<Box<dyn Fn() -> Box<dyn TaggedLane>>> {
+    let sets = geom.num_sets();
+    vec![
+        Box::new(move || Box::new(PartitionedCache::new(geom, threads).unwrap())),
+        Box::new(move || {
+            let fns = (0..threads)
+                .map(|_| Arc::new(ModuloIndex::new(sets).unwrap()) as Arc<dyn IndexFunction>)
+                .collect();
+            Box::new(PerThreadIndexCache::new(geom, fns).unwrap())
+        }),
+        Box::new(move || {
+            let fns = (0..threads)
+                .map(|t| {
+                    let m = [9, 21, 31, 61][t % 4];
+                    Arc::new(OddMultiplierIndex::new(sets, m).unwrap()) as Arc<dyn IndexFunction>
+                })
+                .collect();
+            Box::new(PerThreadIndexCache::new(geom, fns).unwrap())
+        }),
+        Box::new(move || Box::new(AdaptivePartitionedCache::new(geom, threads).unwrap())),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Tagged chunk steps == per-record `access` over the merged mix for
+    /// every SMT cache, at 2 and 4 threads, under round-robin and
+    /// stochastic interleaving. Thread lengths are ragged, so the last
+    /// chunk is partial, and one extra thread beyond the caches' thread
+    /// count exercises the tid clamp (index and partition of the last
+    /// thread, tag of its own).
+    #[test]
+    fn tagged_chunk_step_matches_per_record_access(seed in 0u64..4000) {
+        for geom in [
+            CacheGeometry::from_sets(64, 32, 1).unwrap(),
+            CacheGeometry::paper_l1(),
+        ] {
+            for threads in [2usize, 4] {
+                let traces: Vec<Trace> = (0..=threads as u64)
+                    .map(|t| {
+                        let n = 1000 + 37 * t as usize;
+                        if t % 2 == 0 {
+                            synth::uniform_rw(seed + t, n, 0x1000 * t, 1 << 14, 0.3)
+                        } else {
+                            synth::hotspot(seed + t, n, 0x40 * t, 64, 1 << 13, 0.8)
+                        }
+                    })
+                    .collect();
+                let refs: Vec<&Trace> = traces.iter().collect();
+                for policy in [
+                    InterleavePolicy::RoundRobin,
+                    InterleavePolicy::Stochastic { seed },
+                ] {
+                    let merged = unicache::smt::interleave_refs(&refs, policy);
+                    let builders = tagged_builders(geom, threads);
+                    let mut chunked: Vec<Box<dyn TaggedLane>> =
+                        builders.iter().map(|mk| mk()).collect();
+                    let mut lanes: Vec<&mut dyn TaggedLane> = chunked
+                        .iter_mut()
+                        .map(|l| l.as_mut() as &mut dyn TaggedLane)
+                        .collect();
+                    let n = run_interleaved(&refs, policy, &mut lanes);
+                    prop_assert_eq!(n, merged.len());
+                    prop_assert!(!n.is_multiple_of(FUSE_CHUNK), "last chunk must be ragged");
+                    for (mk, lane) in builders.iter().zip(&chunked) {
+                        let mut solo = mk();
+                        for &r in merged.records() {
+                            solo.access(r);
+                        }
+                        prop_assert_eq!(
+                            solo.stats(),
+                            lane.stats(),
+                            "{} diverged under chunking ({} threads, {:?})",
+                            lane.name(),
+                            threads,
+                            policy
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// Fused == solo for every registered indexing scheme
     /// (`IndexScheme::all()`), on both reference geometries. The whole

@@ -70,16 +70,15 @@ fn golden_covers_every_registered_experiment() {
     assert!(GOLDEN.contains("selected technique per application"));
 }
 
-/// The coherent sweep is deterministic under every execution knob the
-/// `xp` binary exposes: worker count (`--jobs 1/2/8`), the SIMD tier
-/// toggle (`--no-simd`), and rendering twice from one process. Each
-/// variant must produce byte-identical output.
-#[test]
-fn coherent_transcript_is_execution_invariant() {
+/// Renders `experiment` under every execution knob the `xp` binary
+/// exposes — worker count (`--jobs 1/2/8`), the SIMD tier toggle
+/// (`--no-simd`), and rendering twice from one process — and asserts
+/// each variant is byte-identical and carries `banner`.
+fn assert_execution_invariant(experiment: &str, banner: &str) {
     let render = || {
         let store = SimStore::new(Scale::Tiny);
-        unicache::experiments::render_experiment(&store, "coherent", false, Workload::Fft)
-            .expect("coherent is registered")
+        unicache::experiments::render_experiment(&store, experiment, false, Workload::Fft)
+            .expect("experiment is registered")
     };
     unicache::exec::set_global_jobs(1);
     let jobs1 = render();
@@ -92,40 +91,36 @@ fn coherent_transcript_is_execution_invariant() {
     unicache::core::SimdLanes::set_enabled(true);
     unicache::exec::set_global_jobs(1);
     let again = render();
-    assert_eq!(jobs1, jobs2, "--jobs 2 changed the coherent transcript");
-    assert_eq!(jobs1, jobs8, "--jobs 8 changed the coherent transcript");
-    assert_eq!(jobs1, scalar, "--no-simd changed the coherent transcript");
-    assert_eq!(jobs1, again, "re-rendering changed the coherent transcript");
-    assert!(jobs1.contains("Coherent hierarchy"), "banner missing");
+    assert_eq!(jobs1, jobs2, "--jobs 2 changed the {experiment} transcript");
+    assert_eq!(jobs1, jobs8, "--jobs 8 changed the {experiment} transcript");
+    assert_eq!(
+        jobs1, scalar,
+        "--no-simd changed the {experiment} transcript"
+    );
+    assert_eq!(
+        jobs1, again,
+        "re-rendering changed the {experiment} transcript"
+    );
+    assert!(jobs1.contains(banner), "{experiment} banner missing");
+}
+
+/// The interleaved-mix experiments — the coherent sweep and the SMT
+/// figures 13/14, whose chunked replay fills tagged scratch from the
+/// streaming merge — are deterministic under every execution knob.
+#[test]
+fn coherent_transcript_is_execution_invariant() {
+    for (experiment, banner) in [
+        ("coherent", "Coherent hierarchy"),
+        ("fig13", "Fig. 13"),
+        ("fig14", "Fig. 14"),
+    ] {
+        assert_execution_invariant(experiment, banner);
+    }
 }
 
 /// The model table (and its predictions fan out over the executor like
-/// any other figure) is deterministic under the same execution knobs:
-/// worker count, the SIMD tier toggle, and re-rendering in-process.
+/// any other figure) is deterministic under the same execution knobs.
 #[test]
 fn model_transcript_is_execution_invariant() {
-    let render = || {
-        let store = SimStore::new(Scale::Tiny);
-        unicache::experiments::render_experiment(&store, "model", false, Workload::Fft)
-            .expect("model is registered")
-    };
-    unicache::exec::set_global_jobs(1);
-    let jobs1 = render();
-    unicache::exec::set_global_jobs(2);
-    let jobs2 = render();
-    unicache::exec::set_global_jobs(8);
-    let jobs8 = render();
-    unicache::core::SimdLanes::set_enabled(false);
-    let scalar = render();
-    unicache::core::SimdLanes::set_enabled(true);
-    unicache::exec::set_global_jobs(1);
-    let again = render();
-    assert_eq!(jobs1, jobs2, "--jobs 2 changed the model transcript");
-    assert_eq!(jobs1, jobs8, "--jobs 8 changed the model transcript");
-    assert_eq!(jobs1, scalar, "--no-simd changed the model transcript");
-    assert_eq!(jobs1, again, "re-rendering changed the model transcript");
-    assert!(
-        jobs1.contains("Model: analytical miss-rate predictions"),
-        "banner missing"
-    );
+    assert_execution_invariant("model", "Model: analytical miss-rate predictions");
 }
