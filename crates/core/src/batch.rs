@@ -79,6 +79,17 @@ impl<'a> BlockStream<'a> {
             .iter()
             .map(move |r| (r.addr >> shift, r.kind.is_write()))
     }
+
+    /// The sorted set of distinct block addresses in the view (the
+    /// Givargis training input). Sort-dedup rather than a hash set: the
+    /// output must be sorted anyway, and sorting a dense `Vec<u64>` then
+    /// deduping in place avoids per-insert hashing.
+    pub fn unique_blocks(&self) -> Vec<BlockAddr> {
+        let mut v: Vec<BlockAddr> = self.iter().map(|(b, _)| b).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
 }
 
 /// Records per fused chunk: big enough to amortize the per-chunk virtual
@@ -356,6 +367,10 @@ mod tests {
         );
         // 0x1000 and 0x101F share a 32-byte line.
         assert_eq!(v[0].0, v[1].0);
+        assert_eq!(s.unique_blocks(), vec![0x1000 >> 5, 0x2040 >> 5]);
+        // A sub-slice is a view of its own records only.
+        let tail = BlockStream::from_records(&records[2..], 32);
+        assert_eq!(tail.unique_blocks(), vec![0x2040 >> 5]);
     }
 
     #[test]
@@ -381,6 +396,7 @@ mod tests {
         let s = BlockStream::from_records(&[], 64);
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
+        assert!(s.unique_blocks().is_empty());
     }
 
     #[test]

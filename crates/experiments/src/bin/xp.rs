@@ -24,8 +24,9 @@
 //!   classify/commit kernel — the second ablation knob behind the CI
 //!   byte-identity gate. Wall-clock only, never output bytes.
 //! * `--timing` prints per-experiment wall-clock to stderr plus a summary
-//!   of the [`SimStore`]'s work: simulations run vs served from cache, and
-//!   aggregate records/sec through the batched engine. `--timing-json`
+//!   of the [`SimStore`]'s work: simulations run vs served from cache,
+//!   aggregate records/sec through the batched engine, and the seconds
+//!   spent in phases that simulated no records. `--timing-json`
 //!   additionally writes the same numbers as JSON (the CI perf artifact),
 //!   including per-phase records/sec (the per-phase perfgate's input) and
 //!   a `parallel` section with per-job and wall-clock figures.
@@ -92,6 +93,17 @@ fn report_timing(
     } else {
         0.0
     };
+    // Wall-clock no phase accounts for with simulated records. A fold
+    // from +0.0: an empty f64 `sum` is -0.0, which would print "-0.000".
+    let unaccounted = phases
+        .iter()
+        .filter(|p| p.records == 0)
+        .fold(0.0, |acc, p| acc + p.secs);
+    let unaccounted_pct = if total_secs > 0.0 {
+        100.0 * unaccounted / total_secs
+    } else {
+        0.0
+    };
     let jobs = unicache_exec::global_jobs();
     let exec = unicache_exec::stats();
     eprintln!("-- timing --");
@@ -107,6 +119,10 @@ fn report_timing(
         );
     }
     eprintln!("{:>24}  {total_secs:8.3}s", "total");
+    eprintln!(
+        "unaccounted: {unaccounted:.3}s ({unaccounted_pct:.1}% of wall-clock) in phases \
+         reporting 0 records"
+    );
     eprintln!(
         "simulations: {sims} run, {hits} served from cache; \
          {records} records simulated ({rps:.0} records/sec overall); \
@@ -135,7 +151,8 @@ fn report_timing(
             ));
         }
         out.push_str(&format!(
-            "  ],\n  \"total_seconds\": {total_secs:.6},\n  \"sims_run\": {sims},\n  \
+            "  ],\n  \"total_seconds\": {total_secs:.6},\n  \
+             \"unaccounted_seconds\": {unaccounted:.6},\n  \"sims_run\": {sims},\n  \
              \"cache_hits\": {hits},\n  \"records_simulated\": {records},\n  \
              \"streams_decoded\": {decodes},\n  \"summaries_built\": {summaries},\n  \
              \"records_per_sec\": {rps:.0},\n  \"jobs\": {jobs},\n  \

@@ -1,9 +1,9 @@
 //! Figures 6, 7, 11 and 12 — the programmable-associativity comparison.
 
 use crate::figures::paper_geom;
-use crate::{run_model, ExperimentTable, SchemeId, SimStore};
+use crate::{ExperimentTable, SchemeId, SimStore};
 use std::sync::Arc;
-use unicache_core::{CacheModel, CacheStats};
+use unicache_core::CacheStats;
 use unicache_stats::{percent_change, percent_reduction, Moments};
 use unicache_timing::{amat_adaptive, amat_column_associative, amat_conventional, LatencyModel};
 use unicache_workloads::Workload;
@@ -141,13 +141,6 @@ pub fn fig12(store: &SimStore) -> ExperimentTable {
         "% increase in skewness (misses); negative = more uniform",
         |m| m.skewness,
     )
-}
-
-/// Drives any boxed model for ablation sweeps (exposed for the bench
-/// crate).
-pub fn run_boxed(store: &SimStore, w: Workload, model: &mut dyn CacheModel) -> CacheStats {
-    let trace = store.get(w);
-    run_model(&trace, model)
 }
 
 #[cfg(test)]

@@ -6,12 +6,22 @@
 //!   traces);
 //! * the fully-associative Belady bound (§III's "theoretical lower
 //!   bound");
-//! * the per-application scheme-selection table realizing Fig. 5.
+//! * the per-application scheme-selection table realizing Fig. 5, and
+//!   three checks of its premises: off-line profiling generalizes
+//!   ([`givargis_generalization`]), profile-then-commit pays off online
+//!   ([`online_selection`]), and one choice lasts the run
+//!   ([`phase_stability`]).
+//!
+//! Studies that re-simulate outside the [`SimStore`] memo replay trace
+//! views (sub-slices of a workload's records) with
+//! [`unicache_core::run_fused`] and add the lane-records they replay to
+//! [`SimStore::records_simulated`].
 
-use crate::figures::{baseline_stats, paper_geom};
-use crate::{run_model, ExperimentTable, SchemeId, SimStore};
+use crate::figures::paper_geom;
+use crate::{ExperimentTable, SchemeId, SimStore};
+use unicache_core::{run_fused, BlockStream, CacheGeometry, FusedLane, MemRecord};
 use unicache_indexing::{IndexScheme, PatelSearch};
-use unicache_sim::{belady, CacheBuilder};
+use unicache_sim::belady;
 use unicache_stats::SetClassification;
 use unicache_workloads::Workload;
 
@@ -46,9 +56,9 @@ pub fn patel(store: &SimStore, trace_cap: usize, index_bits: usize) -> Experimen
     let geom = paper_geom();
     let rows = workloads.iter().map(|w| w.name().to_string()).collect();
     let values: Vec<Vec<f64>> = unicache_exec::map(&workloads, |&w| {
-        let trace = store.get(w).truncate_to(trace_cap);
-        let blocks: Vec<u64> = trace
-            .records()
+        let trace = store.get(w);
+        let records = trace.records();
+        let blocks: Vec<u64> = records[..trace_cap.min(records.len())]
             .iter()
             .map(|r| geom.block_addr(r.addr))
             .collect();
@@ -99,6 +109,7 @@ pub fn belady_bound(store: &SimStore) -> ExperimentTable {
         let base = store.stats(w, SchemeId::Baseline, geom);
         let col = store.stats(w, SchemeId::ColumnAssoc, geom);
         let min_rate = belady::min_miss_rate(trace.records(), geom.num_lines(), geom.line_bytes());
+        store.count_records(trace.len() as u64);
         vec![
             100.0 * base.miss_rate(),
             100.0 * col.miss_rate(),
@@ -184,6 +195,27 @@ pub fn winners(table: &ExperimentTable) -> Vec<(String, String, f64)> {
         .collect()
 }
 
+/// `per_trace(len)` summed over the MiBench trace lengths: the
+/// lane-records a study replays, for tests to pin.
+#[cfg(test)]
+fn over_mibench(store: &SimStore, per_trace: impl Fn(u64) -> u64) -> u64 {
+    Workload::mibench()
+        .iter()
+        .map(|&w| per_trace(store.get(w).len() as u64))
+        .sum()
+}
+
+/// Replays `stream` through every lane in one fused pass and adds the
+/// lane-records to [`SimStore::records_simulated`].
+fn replay(store: &SimStore, lanes: &mut [Box<dyn FusedLane>], stream: &BlockStream) {
+    let mut refs: Vec<&mut dyn FusedLane> = lanes
+        .iter_mut()
+        .map(|l| l.as_mut() as &mut dyn FusedLane)
+        .collect();
+    run_fused(&mut refs, stream);
+    store.count_records(stream.len() as u64 * refs.len() as u64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +252,10 @@ mod tests {
 
     #[test]
     fn belady_is_a_lower_bound() {
-        let t = belady_bound(&store());
+        let store = store();
+        let t = belady_bound(&store);
+        // Two memoized schemes, then one MIN replay, per record.
+        assert_eq!(store.records_simulated(), over_mibench(&store, |n| 3 * n));
         for (w, row) in t.rows.iter().zip(&t.values) {
             assert!(row[2] <= row[0] + 1e-9, "{w}: MIN above baseline");
             assert!(row[2] <= row[1] + 1e-9, "{w}: MIN above column-assoc");
@@ -251,27 +286,24 @@ mod tests {
 /// evaluation half itself. Small gaps mean off-line profiling (as the
 /// paper's proposed OS/loader flow assumes) is viable.
 pub fn givargis_generalization(store: &SimStore) -> ExperimentTable {
-    use unicache_indexing::GivargisIndex;
     let workloads = Workload::mibench();
     store.prefetch_traces(&workloads);
     let geom = paper_geom();
+    let line = geom.line_bytes();
     let rows = workloads.iter().map(|w| w.name().to_string()).collect();
     let values: Vec<Vec<f64>> = unicache_exec::map(&workloads, |&w| {
         let trace = store.get(w);
-        let half = trace.len() / 2;
-        let train = trace.truncate_to(half);
-        let eval = unicache_trace::Trace::from_records(trace.records()[half..].to_vec());
-        let run_with = |blocks: &[u64]| -> f64 {
-            let idx = GivargisIndex::train(blocks, geom, 28).expect("train");
-            let mut cache = CacheBuilder::new(geom)
-                .index(std::sync::Arc::new(idx))
-                .build()
-                .expect("cache");
-            crate::run_model(&eval, &mut cache).miss_rate()
-        };
-        let base = baseline_stats(&eval, geom).miss_rate();
-        let held_out = run_with(&train.unique_blocks(geom.line_bytes()));
-        let oracle = run_with(&eval.unique_blocks(geom.line_bytes()));
+        let (train, eval) = trace.records().split_at(trace.len() / 2);
+        let eval = BlockStream::from_records(eval, line);
+        let givargis =
+            |blocks: &[u64]| SchemeId::Index(IndexScheme::Givargis).build_lane(geom, Some(blocks));
+        let mut lanes = [
+            SchemeId::Baseline.build_lane(geom, None),
+            givargis(&BlockStream::from_records(train, line).unique_blocks()),
+            givargis(&eval.unique_blocks()),
+        ];
+        replay(store, &mut lanes, &eval);
+        let [base, held_out, oracle] = lanes.map(|l| l.stats().miss_rate());
         vec![
             100.0 * base,
             100.0 * held_out,
@@ -303,6 +335,9 @@ mod generalization_tests {
         let store = SimStore::new(Scale::Tiny);
         let t = givargis_generalization(&store);
         assert_eq!(t.cols.len(), 4);
+        // Nothing through the memo: three lanes over each eval half.
+        let records = over_mibench(&store, |n| 3 * (n - n / 2));
+        assert_eq!(store.records_simulated(), records);
         for (w, row) in t.rows.iter().zip(&t.values) {
             // Profiled training must not be catastrophically worse than
             // oracle training — kernels have stable phase behaviour.
@@ -381,10 +416,72 @@ mod indexing_amat_tests {
     }
 }
 
+/// The online selector's menu: the paper's techniques on the standard
+/// L1. Lane 0, conventional, serves while the others profile.
+const ONLINE_MENU: [SchemeId; 7] = [
+    SchemeId::Baseline,
+    SchemeId::Index(IndexScheme::Xor),
+    SchemeId::Index(IndexScheme::OddMultiplier(21)),
+    SchemeId::Index(IndexScheme::PrimeModulo),
+    SchemeId::ColumnAssoc,
+    SchemeId::Adaptive,
+    SchemeId::BCache,
+];
+
+/// Fig. 5's profile-then-commit flow over one trace. Every
+/// [`ONLINE_MENU`] lane replays the first `profile` records while lane 0
+/// serves them; the lane with the lowest profile miss rate (the first on
+/// ties) is committed and serves the rest alone. Committing to any lane
+/// but 0 flushes it first: an index function cannot change under live
+/// contents. A trace no longer than `profile` is served by lane 0
+/// throughout, and commits only if it ends exactly at the boundary.
+///
+/// Returns the serving scheme at the end of the trace and the overall
+/// miss rate.
+fn online_run(
+    store: &SimStore,
+    records: &[MemRecord],
+    geom: CacheGeometry,
+    profile: usize,
+) -> (SchemeId, f64) {
+    let line = geom.line_bytes();
+    let (head, tail) = records.split_at(profile.min(records.len()));
+    let mut lanes: Vec<Box<dyn FusedLane>> = ONLINE_MENU
+        .iter()
+        .map(|s| s.build_lane(geom, None))
+        .collect();
+    replay(store, &mut lanes, &BlockStream::from_records(head, line));
+    let head_misses = lanes[0].stats().misses();
+    let best = if records.len() < profile {
+        0
+    } else {
+        // `min_by` keeps the first of equal rates: ties stay on lane 0.
+        (0..lanes.len())
+            .min_by(|&a, &b| {
+                let rate = |i: usize| lanes[i].stats().miss_rate();
+                rate(a).total_cmp(&rate(b))
+            })
+            .unwrap_or(0)
+    };
+    let mut winner = lanes.swap_remove(best);
+    if best != 0 {
+        winner.flush();
+    }
+    let before = winner.stats().misses();
+    let tail = BlockStream::from_records(tail, line);
+    replay(store, std::slice::from_mut(&mut winner), &tail);
+    let misses = head_misses + winner.stats().misses() - before;
+    (
+        ONLINE_MENU[best],
+        misses as f64 / records.len().max(1) as f64,
+    )
+}
+
 /// Online-selection study: the Fig. 5 flow end to end. Per workload:
-/// conventional fixed, the [`crate::OnlineSelector`] (profiling the first
-/// 10% of the trace, max 100k refs), and the off-line oracle (best fixed
-/// technique from [`scheme_selection`]), all as overall miss rates.
+/// conventional fixed, the online selector ([`online_run`], profiling
+/// the first 10% of the trace, max 100k refs), and the off-line oracle
+/// (best fixed technique from [`scheme_selection`]), all as overall
+/// miss rates.
 pub fn online_selection(store: &SimStore) -> ExperimentTable {
     let workloads = Workload::mibench();
     let geom = paper_geom();
@@ -400,8 +497,7 @@ pub fn online_selection(store: &SimStore) -> ExperimentTable {
         let trace = store.get(w);
         let profile = (trace.len() / 10).clamp(1, 100_000);
         let fixed_stats = store.stats(w, SchemeId::Baseline, geom);
-        let mut online = crate::OnlineSelector::paper_menu(geom, profile).expect("selector");
-        let online_stats = run_model(&trace, &mut online);
+        let (_, online) = online_run(store, trace.records(), geom, profile);
         // Oracle: best single technique over the whole trace.
         let mut oracle = fixed_stats.miss_rate();
         for &c in &oracle_ids {
@@ -409,7 +505,7 @@ pub fn online_selection(store: &SimStore) -> ExperimentTable {
         }
         vec![
             100.0 * fixed_stats.miss_rate(),
-            100.0 * online_stats.miss_rate(),
+            100.0 * online,
             100.0 * oracle,
         ]
     });
@@ -425,6 +521,8 @@ pub fn online_selection(store: &SimStore) -> ExperimentTable {
 #[cfg(test)]
 mod online_tests {
     use super::*;
+    use unicache_core::{CacheModel, FUSE_CHUNK};
+    use unicache_trace::synth;
     use unicache_workloads::Scale;
 
     #[test]
@@ -447,6 +545,112 @@ mod online_tests {
             }
         }
         assert!(wins >= 3, "online selection never pays off ({wins} wins)");
+        // Four memoized schemes per record, then the whole menu over the
+        // profile and one lane over the rest.
+        let records = over_mibench(&store, |n| {
+            let profile = (n / 10).clamp(1, 100_000);
+            4 * n + 7 * profile + (n - profile)
+        });
+        assert_eq!(store.records_simulated(), records);
+    }
+
+    fn geom() -> CacheGeometry {
+        CacheGeometry::from_sets(64, 32, 1).unwrap()
+    }
+
+    /// The per-record reference for [`online_run`]: every menu model
+    /// `access`es each record until the profile closes, the committed
+    /// one alone after that.
+    fn per_record(records: &[MemRecord], geom: CacheGeometry, profile: usize) -> (SchemeId, f64) {
+        let mut models: Vec<Box<dyn CacheModel>> = ONLINE_MENU
+            .iter()
+            .map(|s| s.build_model(geom, None))
+            .collect();
+        let mut committed: Option<usize> = None;
+        let mut misses = 0;
+        for (i, &r) in records.iter().enumerate() {
+            misses += u64::from(!models[committed.unwrap_or(0)].access(r).is_hit());
+            if committed.is_none() {
+                for m in &mut models[1..] {
+                    m.access(r);
+                }
+                if i + 1 == profile {
+                    let rate = |j: usize| models[j].stats().miss_rate();
+                    let best =
+                        (1..models.len()).fold(0, |b, j| if rate(j) < rate(b) { j } else { b });
+                    if best != 0 {
+                        models[best].flush();
+                    }
+                    committed = Some(best);
+                }
+            }
+        }
+        let rate = misses as f64 / records.len().max(1) as f64;
+        (ONLINE_MENU[committed.unwrap_or(0)], rate)
+    }
+
+    #[test]
+    fn online_run_matches_the_per_record_reference() {
+        let store = SimStore::new(Scale::Tiny);
+        // Conflict traffic that conventional indexing loses, then a
+        // uniform phase, so some profiles commit away from lane 0.
+        let mut records = synth::strided(2 * FUSE_CHUNK, 0, 64 * 32, 64 * 32 * 32).into_records();
+        records.extend(synth::uniform(5, FUSE_CHUNK + 333, 0, 1 << 14).into_records());
+        let len = records.len();
+        let mut committed = Vec::new();
+        for profile in [FUSE_CHUNK / 2 + 7, FUSE_CHUNK, 2 * FUSE_CHUNK, len, len + 5] {
+            let got = online_run(&store, &records, geom(), profile);
+            assert_eq!(
+                got,
+                per_record(&records, geom(), profile),
+                "profile {profile}"
+            );
+            committed.push(got.0);
+        }
+        assert!(
+            committed.iter().any(|&s| s != SchemeId::Baseline),
+            "no profile committed away from conventional: {committed:?}"
+        );
+        assert_eq!(committed[4], SchemeId::Baseline, "profile never closed");
+        assert_eq!(
+            online_run(&store, &[], geom(), 10),
+            (SchemeId::Baseline, 0.0)
+        );
+        assert_eq!(per_record(&[], geom(), 10), (SchemeId::Baseline, 0.0));
+    }
+
+    #[test]
+    fn picks_a_conflict_killer_on_stride_traffic() {
+        // Power-of-two stride slams conventional indexing (32 blocks, all
+        // landing in set 0) while fitting comfortably in the 64-line
+        // capacity — a pure conflict problem the selector must escape.
+        let store = SimStore::new(Scale::Tiny);
+        let trace = synth::strided(6000, 0, 64 * 32, 64 * 32 * 32);
+        let (chosen, rate) = online_run(&store, trace.records(), geom(), 2000);
+        assert_ne!(
+            chosen,
+            SchemeId::Baseline,
+            "stayed on the thrashing default"
+        );
+        // And the overall miss rate beats pure-conventional end to end.
+        let mut conventional = SchemeId::Baseline.build_model(geom(), None);
+        conventional.run(trace.records());
+        assert!(
+            rate < conventional.stats().miss_rate(),
+            "selector {rate} vs conventional {}",
+            conventional.stats().miss_rate()
+        );
+    }
+
+    #[test]
+    fn stays_on_default_when_it_already_wins() {
+        // Uniform traffic with a tiny footprint: everything hits after
+        // warm-up; the default is never beaten *strictly*, and ties go to
+        // the lowest lane (the default).
+        let store = SimStore::new(Scale::Tiny);
+        let trace = synth::uniform(9, 2000, 0, 512);
+        let (chosen, _) = online_run(&store, trace.records(), geom(), 500);
+        assert_eq!(chosen, SchemeId::Baseline);
     }
 }
 
@@ -522,7 +726,6 @@ mod characterization_tests {
 /// baseline cache. High stability justifies the paper's Fig. 5 assumption
 /// that one per-application technique choice holds for the whole run.
 pub fn phase_stability(store: &SimStore) -> ExperimentTable {
-    use unicache_core::CacheModel;
     use unicache_stats::PhaseSeries;
     let workloads = Workload::mibench();
     store.prefetch_traces(&workloads);
@@ -530,14 +733,25 @@ pub fn phase_stability(store: &SimStore) -> ExperimentTable {
     let rows = workloads.iter().map(|w| w.name().to_string()).collect();
     let values: Vec<Vec<f64>> = unicache_exec::map(&workloads, |&w| {
         let trace = store.get(w);
-        let mut cache = CacheBuilder::new(geom).build().expect("cache");
-        let outcomes: Vec<bool> = trace
-            .records()
-            .iter()
-            .map(|&r| !cache.access(r).is_hit())
-            .collect();
         let window = (trace.len() / 50).max(1_000);
-        let series = PhaseSeries::from_outcomes(&outcomes, window);
+        let mut cache = [SchemeId::Baseline.build_lane(geom, None)];
+        let mut misses = Vec::new();
+        let mut before = 0;
+        // The ragged tail window is replayed too, so the cache does the
+        // same work as one whole-trace pass; only its rate is dropped.
+        for chunk in trace.records().chunks(window) {
+            replay(
+                store,
+                &mut cache,
+                &BlockStream::from_records(chunk, geom.line_bytes()),
+            );
+            let now = cache[0].stats().misses();
+            if chunk.len() == window {
+                misses.push(now - before);
+            }
+            before = now;
+        }
+        let series = PhaseSeries::from_window_counts(&misses, window);
         let cps = series.change_points(0.05).len() as f64;
         vec![
             series.len() as f64,
@@ -570,6 +784,8 @@ mod phase_tests {
         let store = SimStore::new(Scale::Tiny);
         let t = phase_stability(&store);
         assert_eq!(t.rows.len(), 11);
+        // Nothing through the memo: one lane over every record.
+        assert_eq!(store.records_simulated(), over_mibench(&store, |n| n));
         let stable = t.values.iter().filter(|r| r[3] >= 80.0).count();
         assert!(
             stable >= 7,

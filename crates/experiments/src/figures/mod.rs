@@ -12,35 +12,9 @@ pub mod model;
 pub mod smt;
 pub mod sweeps;
 
-use crate::run_model;
-use unicache_core::{CacheGeometry, CacheStats};
-use unicache_sim::CacheBuilder;
-use unicache_trace::Trace;
+use unicache_core::CacheGeometry;
 
 /// The paper's evaluation L1: 32 KB direct-mapped, 32 B lines, 1024 sets.
 pub fn paper_geom() -> CacheGeometry {
     CacheGeometry::paper_l1()
-}
-
-/// Runs the conventional direct-mapped baseline over a trace.
-pub fn baseline_stats(trace: &Trace, geom: CacheGeometry) -> CacheStats {
-    let mut cache = CacheBuilder::new(geom)
-        .name("baseline")
-        .build()
-        .expect("baseline geometry is valid");
-    run_model(trace, &mut cache)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use unicache_trace::synth;
-
-    #[test]
-    fn baseline_runs() {
-        let t = synth::uniform(1, 5000, 0, 1 << 20);
-        let s = baseline_stats(&t, paper_geom());
-        assert_eq!(s.accesses(), 5000);
-        assert!(s.miss_rate() > 0.0);
-    }
 }

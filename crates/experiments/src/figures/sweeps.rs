@@ -12,7 +12,10 @@ use crate::figures::paper_geom;
 use crate::{ExperimentTable, SchemeId, SimStore};
 use std::sync::Arc;
 use unicache_assoc::{AdaptiveGroupCache, BCache, ColumnAssociativeCache};
-use unicache_core::{CacheGeometry, CacheModel, FusedLane, IndexFunction, FUSE_CHUNK};
+use unicache_core::{
+    run_fused, BlockStream, CacheGeometry, CacheModel, FusedLane, IndexFunction, MemRecord,
+    FUSE_CHUNK,
+};
 use unicache_indexing::{ModuloIndex, OddMultiplierIndex, PrimeModuloIndex, XorIndex};
 use unicache_sim::{Cache, CacheBuilder};
 use unicache_stats::Moments;
@@ -231,9 +234,9 @@ fn icache_schemes(sets: usize) -> Vec<(&'static str, Arc<dyn IndexFunction>)> {
 }
 
 /// Miss rate % of a `geom` cache under each scheme over one synthetic
-/// instruction stream. The fetches are generated and replayed in
-/// `FUSE_CHUNK` blocks, every cache stepping each block in turn, so the
-/// stream is never held whole.
+/// instruction stream. The fetches are generated into a `FUSE_CHUNK`
+/// record buffer and every cache replays a view of it with `run_fused`
+/// before the next block is drawn, so the stream is never held whole.
 fn icache_miss_rates(
     geom: CacheGeometry,
     schemes: &[(&str, Arc<dyn IndexFunction>)],
@@ -251,24 +254,21 @@ fn icache_miss_rates(
         })
         .collect();
     let mut stream = synth::instruction_fetches(ICACHE_SEED, fetches, functions, func_bytes);
-    let mut blocks = [0u64; FUSE_CHUNK];
-    let mut writes = [false; FUSE_CHUNK];
+    let mut buf: Vec<MemRecord> = Vec::with_capacity(FUSE_CHUNK);
+    let mut lanes: Vec<&mut dyn FusedLane> =
+        caches.iter_mut().map(|c| c as &mut dyn FusedLane).collect();
     loop {
-        let mut n = 0;
-        // Slots first, so a full chunk stops before drawing a fetch.
-        for ((b, w), rec) in blocks.iter_mut().zip(&mut writes).zip(&mut stream) {
-            *b = geom.block_addr(rec.addr);
-            *w = rec.kind.is_write();
-            n += 1;
-        }
-        if n == 0 {
+        buf.clear();
+        buf.extend(stream.by_ref().take(FUSE_CHUNK));
+        if buf.is_empty() {
             break;
         }
-        for c in &mut caches {
-            c.step_chunk(&blocks[..n], &writes[..n]);
-        }
+        run_fused(
+            &mut lanes,
+            &BlockStream::from_records(&buf, geom.line_bytes()),
+        );
     }
-    caches
+    lanes
         .iter()
         .map(|c| 100.0 * c.stats().miss_rate())
         .collect()
@@ -279,9 +279,10 @@ fn icache_miss_rates(
 /// streams (mostly-sequential fetch with loops and calls) of growing code
 /// footprint through the L1I under each indexing scheme.
 pub fn icache(store: &SimStore) -> ExperimentTable {
-    let _ = store; // instruction streams are synthetic; store unused
     let geom = paper_geom();
     let schemes = icache_schemes(geom.num_sets());
+    // The streams are synthetic, so nothing comes from the memo.
+    store.count_records((ICACHE_CONFIGS.len() * schemes.len() * ICACHE_FETCHES) as u64);
     let values: Vec<Vec<f64>> = ICACHE_CONFIGS
         .iter()
         .map(|&(_, funcs, fbytes)| icache_miss_rates(geom, &schemes, funcs, fbytes, ICACHE_FETCHES))
@@ -301,7 +302,6 @@ pub fn icache(store: &SimStore) -> ExperimentTable {
 #[cfg(test)]
 mod icache_tests {
     use super::*;
-    use crate::run_model;
     use unicache_workloads::Scale;
 
     #[test]
@@ -310,6 +310,7 @@ mod icache_tests {
         let t = icache(&store);
         assert_eq!(t.cols.len(), 4);
         assert_eq!(t.rows.len(), 4);
+        assert_eq!(store.records_simulated(), 4 * 4 * ICACHE_FETCHES as u64);
         // Code that fits the 32 KB I-cache must be a near-zero miss rate
         // under conventional indexing.
         assert!(
@@ -336,7 +337,8 @@ mod icache_tests {
                         .index(Arc::clone(f))
                         .build()
                         .unwrap();
-                    100.0 * run_model(&trace, &mut cache).miss_rate()
+                    cache.run(trace.records());
+                    100.0 * cache.stats().miss_rate()
                 })
                 .collect();
             assert_eq!(

@@ -16,30 +16,18 @@
 //! | [`figures::assoc::fig11`]/[`figures::assoc::fig12`] | Figs. 11/12 — kurtosis/skewness, programmable associativity |
 //! | [`figures::smt::fig13`] | Fig. 13 — per-thread indexing in SMT mixes |
 //! | [`figures::smt::fig14`] | Fig. 14 — adaptive partitioned AMAT |
-//! | [`figures::extras`] | §IV.C classification, Patel search, Belady bound, scheme selection |
+//! | [`figures::extras`] | §IV.C classification, Patel search, Belady bound, scheme selection; Fig. 5's profiling, online-selection and phase checks |
 
 pub mod figures;
 pub mod runner;
-pub mod selector;
 pub mod simstore;
 pub mod store;
 pub mod table;
 
 pub use runner::{metrics_json, render_all, render_experiment, ALL_EXPERIMENTS};
-pub use selector::OnlineSelector;
 pub use simstore::{CoherentGroup, CoherentKey, CoherentOutcome, FuseGroup, SchemeId, SimStore};
 pub use store::TraceStore;
 pub use table::ExperimentTable;
-
-use unicache_core::{CacheModel, CacheStats};
-use unicache_trace::Trace;
-
-/// Drives a trace through a model and returns a clone of the final
-/// statistics.
-pub fn run_model(trace: &Trace, model: &mut dyn CacheModel) -> CacheStats {
-    model.run(trace.records());
-    model.stats().clone()
-}
 
 /// Tunes glibc's allocator for the experiment drivers' allocation
 /// pattern (multi-hundred-megabyte trace and stream buffers, allocated

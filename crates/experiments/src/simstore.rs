@@ -721,7 +721,6 @@ impl SimStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_model;
     use unicache_core::CacheGeometry;
 
     fn paper() -> CacheGeometry {
@@ -748,9 +747,10 @@ mod tests {
         let batched = store.stats(Workload::Fft, SchemeId::Baseline, geom);
         let trace = store.get(Workload::Fft);
         let mut legacy = SchemeId::Baseline.build_model(geom, None);
-        let legacy_stats = run_model(&trace, legacy.as_mut());
+        legacy.run(trace.records());
         assert_eq!(
-            *batched, legacy_stats,
+            *batched,
+            *legacy.stats(),
             "batched engine must be bit-identical"
         );
     }

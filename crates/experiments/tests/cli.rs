@@ -109,3 +109,25 @@ fn unwritable_artifact_paths_fail_the_run() {
         assert!(err.contains("cannot write"), "{flag}: {err}");
     }
 }
+
+#[test]
+fn timing_json_reports_unaccounted_seconds() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("timing_classify.json");
+    let out = xp()
+        .args(["classify", "--scale", "tiny", "--timing-json"])
+        .arg(&path)
+        .output()
+        .expect("spawn xp");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && err.contains("unaccounted: "),
+        "{err}"
+    );
+    let json = std::fs::read_to_string(&path).expect("artifact written");
+    // A non-negative number: "-0.000000" would fail the digit scan.
+    let value = json
+        .split("\"unaccounted_seconds\": ")
+        .nth(1)
+        .and_then(|v| v.split(|c: char| !(c.is_ascii_digit() || c == '.')).next());
+    assert!(value.is_some_and(|v| v.parse::<f64>().is_ok()), "{json}");
+}

@@ -6,7 +6,7 @@
 //! quantify that: a windowed miss-rate series and a simple
 //! change-point detector over it.
 
-/// Windowed series of a boolean outcome stream (e.g. hit/miss per access).
+/// Windowed rate series of an event stream (e.g. misses per access).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSeries {
     /// Window length in accesses.
@@ -16,18 +16,16 @@ pub struct PhaseSeries {
 }
 
 impl PhaseSeries {
-    /// Builds the windowed rate series from a per-access outcome stream
-    /// (`true` = event, e.g. a miss). The trailing partial window is
-    /// dropped (rates are only comparable at equal window size).
+    /// Builds the windowed rate series from per-window event counts:
+    /// `events[i]` is the number of events (e.g. misses) in complete
+    /// window `i` of `window` accesses. Callers drop a trailing partial
+    /// window (rates are only comparable at equal window size).
     ///
     /// # Panics
     /// Panics if `window == 0`.
-    pub fn from_outcomes(outcomes: &[bool], window: usize) -> Self {
+    pub fn from_window_counts(events: &[u64], window: usize) -> Self {
         assert!(window > 0, "window must be positive");
-        let rates = outcomes
-            .chunks_exact(window)
-            .map(|w| w.iter().filter(|&&b| b).count() as f64 / window as f64)
-            .collect();
+        let rates = events.iter().map(|&e| e as f64 / window as f64).collect();
         PhaseSeries { window, rates }
     }
 
@@ -78,19 +76,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Per-window event counts of a boolean outcome stream, the trailing
+    /// partial window dropped.
+    fn counts(outcomes: &[bool], window: usize) -> Vec<u64> {
+        outcomes
+            .chunks_exact(window)
+            .map(|w| w.iter().filter(|&&b| b).count() as u64)
+            .collect()
+    }
+
     #[test]
-    fn windows_partition_and_drop_tail() {
-        let outcomes = [true, false, true, true, false, false, true]; // 7 events
-        let s = PhaseSeries::from_outcomes(&outcomes, 2);
-        assert_eq!(s.len(), 3); // tail of 1 dropped
+    fn one_rate_per_window() {
+        // Outcomes 10 11 00 | 1: the tail of 1 never forms a window.
+        let s = PhaseSeries::from_window_counts(&[1, 2, 0], 2);
+        assert_eq!(s.len(), 3);
         assert_eq!(s.rates, vec![0.5, 1.0, 0.0]);
         assert!((s.mean() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn steady_stream_is_stable() {
-        let outcomes = vec![false; 1000];
-        let s = PhaseSeries::from_outcomes(&outcomes, 50);
+        let s = PhaseSeries::from_window_counts(&[0; 20], 50);
         assert!(s.change_points(0.05).is_empty());
         assert_eq!(s.stability(0.05), 1.0);
     }
@@ -98,9 +104,9 @@ mod tests {
     #[test]
     fn step_change_is_detected_once() {
         // Phase 1: all hits; phase 2: all misses.
-        let mut outcomes = vec![false; 500];
-        outcomes.extend(vec![true; 500]);
-        let s = PhaseSeries::from_outcomes(&outcomes, 100);
+        let mut events = vec![0; 5];
+        events.extend(vec![100; 5]);
+        let s = PhaseSeries::from_window_counts(&events, 100);
         let cps = s.change_points(0.5);
         assert_eq!(cps, vec![5], "one change point at the boundary");
         assert!((s.stability(0.5) - (1.0 - 1.0 / 9.0)).abs() < 1e-12);
@@ -108,18 +114,16 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let s = PhaseSeries::from_outcomes(&[], 10);
+        let s = PhaseSeries::from_window_counts(&[], 10);
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stability(0.1), 1.0);
-        let s = PhaseSeries::from_outcomes(&[true; 5], 10);
-        assert!(s.is_empty(), "partial window dropped");
     }
 
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
-        PhaseSeries::from_outcomes(&[true], 0);
+        PhaseSeries::from_window_counts(&[0], 0);
     }
 
     proptest! {
@@ -128,7 +132,8 @@ mod tests {
             outcomes in proptest::collection::vec(proptest::bool::ANY, 0..2000),
             window in 1usize..100
         ) {
-            let s = PhaseSeries::from_outcomes(&outcomes, window);
+            let s = PhaseSeries::from_window_counts(&counts(&outcomes, window), window);
+            prop_assert_eq!(s.len(), outcomes.len() / window);
             for &r in &s.rates {
                 prop_assert!((0.0..=1.0).contains(&r));
             }
@@ -148,7 +153,7 @@ mod tests {
             window in 1usize..50,
             threshold in 0.0f64..1.0
         ) {
-            let s = PhaseSeries::from_outcomes(&outcomes, window);
+            let s = PhaseSeries::from_window_counts(&counts(&outcomes, window), window);
             let st = s.stability(threshold);
             prop_assert!((0.0..=1.0).contains(&st));
         }

@@ -1,6 +1,6 @@
 //! The [`Trace`] container: an in-memory sequence of memory references.
 
-use unicache_core::{AccessKind, Addr, MemRecord, ThreadId};
+use unicache_core::{AccessKind, Addr, BlockStream, MemRecord, ThreadId};
 
 /// Per-kind reference counts, computed in one traversal (see
 /// [`Trace::access_mix`]).
@@ -112,15 +112,13 @@ impl Trace {
         v
     }
 
-    /// The set of unique *block* addresses for a given line size (same
-    /// sort-dedup strategy as [`Trace::unique_addrs`]).
+    /// The set of unique *block* addresses for a given line size
+    /// ([`BlockStream::unique_blocks`] over the whole trace).
+    ///
+    /// # Panics
+    /// If `line_bytes` is not a power of two.
     pub fn unique_blocks(&self, line_bytes: u64) -> Vec<Addr> {
-        debug_assert!(line_bytes.is_power_of_two());
-        let shift = line_bytes.trailing_zeros();
-        let mut v: Vec<Addr> = self.records.iter().map(|r| r.addr >> shift).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        BlockStream::from_records(&self.records, line_bytes).unique_blocks()
     }
 
     /// A new trace containing only this thread's references.
@@ -144,13 +142,6 @@ impl Trace {
                 .copied()
                 .filter(|r| r.kind.is_data())
                 .collect(),
-        }
-    }
-
-    /// A new trace truncated to at most `n` references.
-    pub fn truncate_to(&self, n: usize) -> Trace {
-        Trace {
-            records: self.records.iter().copied().take(n).collect(),
         }
     }
 
@@ -226,8 +217,6 @@ mod tests {
         assert_eq!(t.data_only().len(), 4);
         assert_eq!(t.filter_tid(1).len(), 1);
         assert_eq!(t.filter_tid(0).len(), 4);
-        assert_eq!(t.truncate_to(2).len(), 2);
-        assert_eq!(t.truncate_to(99).len(), 5);
     }
 
     #[test]
