@@ -5,7 +5,7 @@
 //!           [--group NAME]   writing the JSON report to PATH; --group
 //!                            runs one invariant group in isolation
 //!                            (schemes, assoc, conservation, fused,
-//!                            coherence, model)
+//!                            coherence, model, patel)
 //! uca lint [--root PATH]     lint crates/*/src for determinism rules
 //!          [--json PATH]     (root defaults to the current directory)
 //! uca lint --self-test       verify the linter detects seeded

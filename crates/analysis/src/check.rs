@@ -25,6 +25,9 @@
 //!   (`clusters × BAS == lines`) and a dense drive makes each cluster hold
 //!   `BAS` simultaneously-resident blocks.
 //! * **Skewed** — both bank hashes are surjective within every tag group.
+//! * **Patel search** — adding a bit to a bit-selection index never adds
+//!   direct-mapped misses (refinement monotonicity), the fact the exact
+//!   search's pruning bound rests on.
 //!
 //! Checks run on the paper geometry (1024 sets × 32 B) plus a small
 //! 64-set geometry, and are pure computation: no trace files, no I/O.
@@ -109,6 +112,7 @@ pub const GROUPS: &[&str] = &[
     "fused",
     "coherence",
     "model",
+    "patel",
 ];
 
 /// Runs one named invariant group, or `None` for an unknown name.
@@ -125,6 +129,7 @@ pub fn run_group(name: &str) -> Option<Report> {
         "fused" => check_fused_conservation(&mut report),
         "coherence" => check_coherence(&mut report),
         "model" => crate::model_check::check_model(&mut report),
+        "patel" => check_patel(&mut report),
         _ => return None,
     }
     Some(report)
@@ -144,6 +149,7 @@ pub fn run_all() -> Report {
     check_fused_conservation(&mut report);
     check_coherence(&mut report);
     crate::model_check::check_model(&mut report);
+    check_patel(&mut report);
     report
 }
 
@@ -1400,6 +1406,66 @@ pub fn check_coherence(report: &mut Report) {
     }
 }
 
+/// Layer 1f — refinement monotonicity of Patel's search cost: for seeded
+/// bit sets `S` and every bit `b ∉ S`, `cost(S ∪ {b}) <= cost(S)`. Adding a
+/// bit splits sets without merging any, and a direct-mapped replay under a
+/// finer partition only turns misses into hits; the exact search prunes a
+/// subtree on exactly this bound. Runs on the conservation stream and on
+/// two passes over the trace-trained schemes' training blocks (one pass of
+/// unique blocks misses under every bit set).
+pub fn check_patel(report: &mut Report) {
+    use unicache_indexing::PatelSearch;
+
+    const BITS: u32 = 24;
+    let streams = [
+        (
+            "conservation stream (20000 refs)",
+            conservation_stream(20_000),
+        ),
+        (
+            "training blocks x 2 passes",
+            training_blocks(4096).repeat(2),
+        ),
+    ];
+    for (glabel, blocks) in &streams {
+        let mut x = 0x853c49e6748fea9bu64;
+        let (mut checked, mut violation) = (0usize, None);
+        for size in 0..12 {
+            // A seeded `size`-bit subset of the low `BITS` block bits.
+            let mut set: Vec<u32> = Vec::new();
+            while set.len() < size {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let bit = ((x >> 33) % u64::from(BITS)) as u32;
+                if !set.contains(&bit) {
+                    set.push(bit);
+                }
+            }
+            set.sort_unstable();
+            let base = PatelSearch::cost(&set, blocks);
+            for b in (0..BITS).filter(|b| !set.contains(b)) {
+                let mut finer = set.clone();
+                finer.push(b);
+                let cost = PatelSearch::cost(&finer, blocks);
+                checked += 1;
+                if cost > base && violation.is_none() {
+                    violation = Some(format!("{set:?} + bit {b}: {base} -> {cost} misses"));
+                }
+            }
+        }
+        report.push(
+            "patel",
+            *glabel,
+            "refinement-monotone",
+            violation.is_none(),
+            violation.unwrap_or_else(|| {
+                format!("{checked} one-bit refinements of 12 seeded bit sets never add a miss")
+            }),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1443,7 +1509,13 @@ mod tests {
         assert!(failed.is_empty(), "failing invariants: {failed:#?}");
         // Sanity: the run actually covered the registry and the assoc set.
         assert!(report.entries.len() > 40, "unexpectedly few checks");
-        for needle in ["XOR", "Prime_Modulo", "column_associative", "b_cache"] {
+        for needle in [
+            "XOR",
+            "Prime_Modulo",
+            "column_associative",
+            "b_cache",
+            "patel",
+        ] {
             assert!(
                 report.entries.iter().any(|e| e.scheme == needle),
                 "missing {needle}"

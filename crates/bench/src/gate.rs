@@ -52,6 +52,17 @@ pub fn json_f64(src: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The top level of a `--timing-json` artifact: the text after its
+/// `"phases"` array, whose entries repeat aggregate keys such as
+/// `records_per_sec` ahead of the top-level ones. An artifact without a
+/// phase list is all top level.
+fn top_level(src: &str) -> &str {
+    match src.find("\"phases\"") {
+        Some(at) => src[at..].find(']').map_or("", |end| &src[at + end..]),
+        None => src,
+    }
+}
+
 /// Integer form of [`json_f64`] (counts like `sims_run`).
 pub fn json_u64(src: &str, key: &str) -> Option<u64> {
     let v = json_f64(src, key)?;
@@ -203,9 +214,10 @@ pub fn compare_with_phases(
     max_regress: f64,
     gated_phases: &[&str],
 ) -> Result<Comparison, String> {
-    let base_rps = json_f64(baseline, "records_per_sec")
+    let (base_top, cur_top) = (top_level(baseline), top_level(current));
+    let base_rps = json_f64(base_top, "records_per_sec")
         .ok_or_else(|| "baseline artifact lacks records_per_sec".to_string())?;
-    let cur_rps = json_f64(current, "records_per_sec")
+    let cur_rps = json_f64(cur_top, "records_per_sec")
         .ok_or_else(|| "current artifact lacks records_per_sec".to_string())?;
     if base_rps <= 0.0 {
         return Err(format!("baseline records_per_sec not positive: {base_rps}"));
@@ -214,10 +226,10 @@ pub fn compare_with_phases(
 
     let mut phases = Vec::new();
     if !gated_phases.is_empty() {
-        let base_total = json_f64(baseline, "total_seconds")
+        let base_total = json_f64(base_top, "total_seconds")
             .filter(|&t| t > 0.0)
             .ok_or_else(|| "baseline artifact lacks a positive total_seconds".to_string())?;
-        let cur_total = json_f64(current, "total_seconds")
+        let cur_total = json_f64(cur_top, "total_seconds")
             .filter(|&t| t > 0.0)
             .ok_or_else(|| "current artifact lacks a positive total_seconds".to_string())?;
         for &name in gated_phases {
@@ -261,7 +273,7 @@ pub fn compare_with_phases(
 
     let mut warnings = Vec::new();
     for key in ["sims_run", "records_simulated"] {
-        match (json_u64(baseline, key), json_u64(current, key)) {
+        match (json_u64(base_top, key), json_u64(cur_top, key)) {
             (Some(b), Some(c)) if b != c => {
                 warnings.push(format!("work drift: {key} {b} -> {c} (informational)"));
             }
@@ -285,9 +297,9 @@ pub fn compare_with_phases(
 /// Wall-clock speedup of `parallel` over `serial` (both `--timing-json`
 /// contents): serial total seconds divided by parallel total seconds.
 pub fn speedup(serial: &str, parallel: &str) -> Result<f64, String> {
-    let s = json_f64(serial, "total_seconds")
+    let s = json_f64(top_level(serial), "total_seconds")
         .ok_or_else(|| "serial artifact lacks total_seconds".to_string())?;
-    let p = json_f64(parallel, "total_seconds")
+    let p = json_f64(top_level(parallel), "total_seconds")
         .ok_or_else(|| "parallel artifact lacks total_seconds".to_string())?;
     if p <= 0.0 {
         return Err(format!("parallel total_seconds not positive: {p}"));
@@ -398,6 +410,19 @@ mod tests {
              \"total_seconds\": {total:.6},\n  \"sims_run\": 100,\n  \
              \"records_simulated\": 1000000,\n  \"records_per_sec\": {rps:.0}\n}}"
         )
+    }
+
+    #[test]
+    fn aggregate_is_read_after_the_phase_list() {
+        // Both phases carry a records_per_sec that differs from the
+        // aggregate; the gate must compare the top-level value.
+        let a = phased_rps(100000.0, 10.0, 2.0, 300000.0);
+        let b = phased_rps(80000.0, 12.5, 2.0, 300000.0);
+        let c = compare(&a, &b, 0.25).unwrap();
+        assert_eq!((c.base_rps, c.cur_rps), (100000.0, 80000.0));
+        assert!((c.regress - 0.2).abs() < 1e-9);
+        assert!(c.warnings.is_empty(), "{:?}", c.warnings);
+        assert!((speedup(&b, &a).unwrap() - 1.25).abs() < 1e-9);
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub fn classification(store: &SimStore) -> ExperimentTable {
 }
 
 /// §II.F — bounded Patel search on truncated traces: misses of the found
-/// index vs conventional and XOR on the same truncated trace.
+/// index vs the conventional low bits on the same truncated trace. The
+/// references the search replayed count as simulated records.
 pub fn patel(store: &SimStore, trace_cap: usize, index_bits: usize) -> ExperimentTable {
     let workloads = Workload::mibench();
     store.prefetch_traces(&workloads);
@@ -66,8 +67,9 @@ pub fn patel(store: &SimStore, trace_cap: usize, index_bits: usize) -> Experimen
         let candidates: Vec<u32> = (0..(2 * index_bits as u32 + 4)).collect();
         let search = PatelSearch::new(index_bits, candidates, 200_000).expect("valid search");
         let outcome = search.search(&blocks);
+        store.count_records(outcome.replayed);
         // Reference costs under the same (truncated) trace and small
-        // cache: conventional low bits and XOR-folded bits.
+        // cache: the conventional low bits.
         let conventional: Vec<u32> = (0..index_bits as u32).collect();
         let conv_cost = PatelSearch::cost(&conventional, &blocks);
         vec![

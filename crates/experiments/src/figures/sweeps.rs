@@ -83,7 +83,8 @@ pub fn associativity(store: &SimStore) -> ExperimentTable {
 }
 
 /// End-to-end cycles through the paper's two-level hierarchy for the
-/// baseline and the three Section III schemes, per workload.
+/// baseline and the three Section III schemes, per workload. Each of the
+/// four L1 replays counts the trace's length as simulated records.
 pub fn hierarchy_cycles(store: &SimStore) -> ExperimentTable {
     let workloads = Workload::mibench();
     store.prefetch_traces(&workloads);
@@ -95,6 +96,7 @@ pub fn hierarchy_cycles(store: &SimStore) -> ExperimentTable {
         let run = |l1: Box<dyn CacheModel>, secondary: f64| -> f64 {
             let mut h = Hierarchy::paper(l1, secondary, lat);
             h.run(trace.records());
+            store.count_records(trace.len() as u64);
             h.amat()
         };
         let base = run(

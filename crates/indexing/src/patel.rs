@@ -9,14 +9,23 @@
 //!
 //! The paper *describes* the scheme but excludes it from evaluation
 //! "because of the intractability of the computations". We implement it
-//! with an explicit combination budget: below the budget the search is
-//! exhaustive (provably optimal over the candidate set); above it, it
-//! degrades to greedy forward selection. The `xp patel` experiment runs it
-//! on truncated traces as the extension study DESIGN.md calls out.
+//! with an explicit combination budget: below the budget a pruned
+//! depth-first search is exhaustive (provably optimal over the candidate
+//! set); above it, it degrades to greedy forward selection. The `xp patel`
+//! experiment runs it on truncated traces as the extension study DESIGN.md
+//! calls out.
 
 use crate::bitselect::BitSelectIndex;
 use unicache_core::hasher::det_map;
 use unicache_core::{BlockAddr, ConfigError, DetHashMap, Result};
+
+/// Most index bits a search may choose: keeps the `2^m`-entry resident
+/// table of one replay at 64 MiB and the `u32` set index from overflowing.
+const MAX_INDEX_BITS: usize = 24;
+
+/// Widest bound set the exhaustive search replays (a 4 MiB `2^bits`
+/// table); nodes whose bound set is wider are descended without pruning.
+const PRUNE_MAX_BITS: usize = 20;
 
 /// Configurable optimal-index search.
 #[derive(Debug, Clone)]
@@ -41,6 +50,8 @@ pub struct SearchOutcome {
     pub cost: u64,
     /// True if every combination was evaluated (optimal over candidates).
     pub exhaustive: bool,
+    /// Compacted references the search replayed (aborted replays up to the abort).
+    pub replayed: u64,
 }
 
 /// A trace compiled against a candidate set, shared by every combination
@@ -51,37 +62,43 @@ pub struct SearchOutcome {
 /// Evaluating a combination then costs one small table build over the
 /// unique blocks plus a linear pass over the compacted sequence, instead
 /// of re-extracting `m` bits from every raw reference.
+#[derive(Default)]
 struct CompiledTrace {
     /// Per unique block: bit `j` holds the value of candidate bit `j`.
     sigs: Vec<u64>,
     /// The reference stream as unique-block ids, consecutive duplicates
     /// removed.
     seq: Vec<u32>,
+    /// Replay buffers reused by every combination, and the compacted
+    /// references replayed so far.
+    idx_of: Vec<u32>,
+    resident: Vec<u32>,
+    replayed: u64,
 }
 
 impl CompiledTrace {
     fn new(candidates: &[u32], blocks: &[BlockAddr]) -> Self {
         let mut ids: DetHashMap<BlockAddr, u32> = det_map();
-        let mut sigs: Vec<u64> = Vec::new();
-        let mut seq: Vec<u32> = Vec::with_capacity(blocks.len());
+        let mut ct = CompiledTrace::default();
+        ct.seq.reserve(blocks.len());
         let mut prev: Option<BlockAddr> = None;
         for &b in blocks {
             if prev == Some(b) {
                 continue;
             }
             prev = Some(b);
-            let next = sigs.len() as u32;
+            let next = ct.sigs.len() as u32;
             let id = *ids.entry(b).or_insert_with(|| {
                 let sig = candidates
                     .iter()
                     .enumerate()
                     .fold(0u64, |acc, (j, &bit)| acc | (((b >> bit) & 1) << j));
-                sigs.push(sig);
+                ct.sigs.push(sig);
                 next
             });
-            seq.push(id);
+            ct.seq.push(id);
         }
-        CompiledTrace { sigs, seq }
+        ct
     }
 
     /// Misses of the direct-mapped cache indexed by the candidate
@@ -93,38 +110,32 @@ impl CompiledTrace {
     /// `>= bound` as well; a caller that keeps its winner under a strict
     /// `<` comparison against `bound` selects exactly the combination an
     /// unbounded evaluation would. Pass `u64::MAX` for an exact count.
-    /// `idx_of` and `resident` are caller-owned scratch so the hot search
-    /// loops do not reallocate per combination.
-    fn cost(
-        &self,
-        pos: &[usize],
-        bound: u64,
-        idx_of: &mut Vec<u32>,
-        resident: &mut Vec<u32>,
-    ) -> u64 {
+    fn cost(&mut self, pos: &[usize], bound: u64) -> u64 {
         // Position-outer, signatures-inner: each pass is one contiguous
         // shift/mask/or sweep over the signature array, which the
         // compiler vectorizes; the per-signature fold over `pos` did not.
-        idx_of.clear();
-        idx_of.resize(self.sigs.len(), 0);
+        self.idx_of.clear();
+        self.idx_of.resize(self.sigs.len(), 0);
         for (out, &p) in pos.iter().enumerate() {
-            for (acc, &sig) in idx_of.iter_mut().zip(&self.sigs) {
+            for (acc, &sig) in self.idx_of.iter_mut().zip(&self.sigs) {
                 *acc |= (((sig >> p) & 1) as u32) << out;
             }
         }
-        resident.clear();
-        resident.resize(1usize << pos.len(), u32::MAX);
+        self.resident.clear();
+        self.resident.resize(1usize << pos.len(), u32::MAX);
         let mut misses = 0u64;
-        for &id in &self.seq {
-            let slot = idx_of[id as usize] as usize;
-            if resident[slot] != id {
+        for (i, &id) in self.seq.iter().enumerate() {
+            let slot = self.idx_of[id as usize] as usize;
+            if self.resident[slot] != id {
                 misses += 1;
                 if misses >= bound {
+                    self.replayed += i as u64 + 1;
                     return misses;
                 }
-                resident[slot] = id;
+                self.resident[slot] = id;
             }
         }
+        self.replayed += self.seq.len() as u64;
         misses
     }
 }
@@ -132,17 +143,35 @@ impl CompiledTrace {
 impl PatelSearch {
     /// A search for `m` bits among `candidates`, exhaustive up to
     /// `max_combinations` evaluated combinations.
+    ///
+    /// # Errors
+    /// [`ConfigError`] unless `1 <= m <= 24`, there are between `m` and 64
+    /// distinct candidates, and every candidate bit is below 64.
     pub fn new(m: usize, candidates: Vec<u32>, max_combinations: u64) -> Result<Self> {
-        if m == 0 {
+        if m == 0 || m > MAX_INDEX_BITS {
             return Err(ConfigError::OutOfRange {
                 what: "index bits",
-                expected: ">= 1".into(),
-                got: 0,
+                expected: format!("1..={MAX_INDEX_BITS}"),
+                got: m as u64,
             });
         }
         if candidates.len() < m {
             return Err(ConfigError::InvalidParameter {
                 what: format!("need at least {m} candidate bits, got {}", candidates.len()),
+            });
+        }
+        if candidates.len() > 64 {
+            return Err(ConfigError::OutOfRange {
+                what: "candidate bit count",
+                expected: "<= 64".into(),
+                got: candidates.len() as u64,
+            });
+        }
+        if let Some(&bit) = candidates.iter().find(|&&bit| bit >= 64) {
+            return Err(ConfigError::OutOfRange {
+                what: "candidate bit",
+                expected: "< 64".into(),
+                got: u64::from(bit),
             });
         }
         let mut sorted = candidates.clone();
@@ -198,69 +227,59 @@ impl PatelSearch {
 
     /// Runs the search over an ordered block-address trace.
     pub fn search(&self, blocks: &[BlockAddr]) -> SearchOutcome {
-        let compiled = CompiledTrace::new(&self.candidates, blocks);
+        let mut compiled = CompiledTrace::new(&self.candidates, blocks);
         if self.combination_count() <= self.max_combinations {
-            self.search_exhaustive(&compiled)
+            self.search_exhaustive(&mut compiled)
         } else {
-            self.search_greedy(&compiled)
+            self.search_greedy(&mut compiled)
         }
     }
 
-    fn search_exhaustive(&self, ct: &CompiledTrace) -> SearchOutcome {
+    /// The lexicographically first minimizer over every `m`-combination of
+    /// candidate positions.
+    fn search_exhaustive(&self, ct: &mut CompiledTrace) -> SearchOutcome {
+        let mut pos = Vec::with_capacity(self.candidates.len());
+        let mut best = (u64::MAX, Vec::new());
+        self.descend(ct, &mut pos, &mut best);
+        SearchOutcome {
+            bits: best.1.iter().map(|&i| self.candidates[i]).collect(),
+            cost: best.0,
+            exhaustive: true,
+            replayed: ct.replayed,
+        }
+    }
+
+    /// Lexicographic DFS (its first leaf is the conventional low bits) that
+    /// extends the prefix `pos` and keeps the cheapest leaf in `best`, only
+    /// on a strict `<`. Adding a bit refines the set partition, and a finer
+    /// direct-mapped partition only turns misses into hits, so the cost of
+    /// `pos ∪ {p+1, …, n−1}` bounds every completion of a prefix ending at
+    /// `p`; a bound that reaches the incumbent prunes the subtree and all
+    /// later siblings, whose bound sets are subsets.
+    fn descend(&self, ct: &mut CompiledTrace, pos: &mut Vec<usize>, best: &mut (u64, Vec<usize>)) {
         let n = self.candidates.len();
-        let m = self.m;
-        let mut idx_of = Vec::new();
-        let mut resident = Vec::new();
-        let mut idx: Vec<usize> = (0..m).collect();
-        // Seed the incumbent bound with the greedy solution (a few dozen
-        // evaluations) so pruning bites from the first combination. The
-        // bound starts one *above* the seed's cost: every combination
-        // whose true cost ties the seed is still replayed exactly, so the
-        // winner remains the lexicographically first minimizer — the same
-        // outcome an unseeded search reports. The greedy set is itself one
-        // of the enumerated combinations, so `best_pos` is always
-        // overwritten before the search returns.
-        let seed = self.search_greedy(ct);
-        let mut best_pos = idx.clone();
-        let mut best_cost = seed.cost + 1;
-        let first = ct.cost(&idx, best_cost, &mut idx_of, &mut resident);
-        if first < best_cost {
-            best_cost = first;
-        }
-        loop {
-            // Advance to the next m-combination of 0..n in lexicographic
-            // order.
-            let mut i = m;
-            loop {
-                if i == 0 {
-                    return SearchOutcome {
-                        bits: best_pos.iter().map(|&i| self.candidates[i]).collect(),
-                        cost: best_cost,
-                        exhaustive: true,
-                    };
+        let depth = pos.len();
+        let from = pos.last().map_or(0, |&p| p + 1);
+        for p in from..=n - (self.m - depth) {
+            pos.push(p);
+            if depth + 1 == self.m {
+                let cost = ct.cost(pos, best.0);
+                if cost < best.0 {
+                    *best = (cost, pos.clone());
                 }
-                i -= 1;
-                if idx[i] != i + n - m {
-                    break;
+            } else {
+                pos.extend(p + 1..n);
+                if pos.len() <= PRUNE_MAX_BITS && ct.cost(pos, best.0) >= best.0 {
+                    return;
                 }
+                pos.truncate(depth + 1);
+                self.descend(ct, pos, best);
             }
-            idx[i] += 1;
-            for j in i + 1..m {
-                idx[j] = idx[j - 1] + 1;
-            }
-            // Bounded by the incumbent: a combination that reaches
-            // `best_cost` misses can no longer win, so its replay aborts.
-            let cost = ct.cost(&idx, best_cost, &mut idx_of, &mut resident);
-            if cost < best_cost {
-                best_cost = cost;
-                best_pos.copy_from_slice(&idx);
-            }
+            pos.truncate(depth);
         }
     }
 
-    fn search_greedy(&self, ct: &CompiledTrace) -> SearchOutcome {
-        let mut idx_of = Vec::new();
-        let mut resident = Vec::new();
+    fn search_greedy(&self, ct: &mut CompiledTrace) -> SearchOutcome {
         let mut selected: Vec<usize> = Vec::with_capacity(self.m);
         let mut remaining: Vec<usize> = (0..self.candidates.len()).collect();
         while selected.len() < self.m {
@@ -270,7 +289,7 @@ impl PatelSearch {
                 trial.push(cand);
                 trial.sort_unstable();
                 let bound = best.map_or(u64::MAX, |(_, c)| c);
-                let cost = ct.cost(&trial, bound, &mut idx_of, &mut resident);
+                let cost = ct.cost(&trial, bound);
                 match best {
                     None => best = Some((pos, cost)),
                     Some((_, c)) if cost < c => best = Some((pos, cost)),
@@ -285,11 +304,12 @@ impl PatelSearch {
             selected.sort_unstable();
         }
         // Exact (unbounded) cost for the reported outcome.
-        let cost = ct.cost(&selected, u64::MAX, &mut idx_of, &mut resident);
+        let cost = ct.cost(&selected, u64::MAX);
         SearchOutcome {
             bits: selected.iter().map(|&i| self.candidates[i]).collect(),
             cost,
             exhaustive: false,
+            replayed: ct.replayed,
         }
     }
 
@@ -311,7 +331,32 @@ impl PatelSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use unicache_core::IndexFunction;
+
+    /// The reference the DFS must match: every `m`-combination of
+    /// `candidates` in lexicographic order, each costed exactly by
+    /// [`PatelSearch::cost`], the first strict minimum winning.
+    fn lexicographic_oracle(m: usize, candidates: &[u32], blocks: &[u64]) -> (Vec<u32>, u64) {
+        let n = candidates.len();
+        let mut idx: Vec<usize> = (0..m).collect();
+        let mut best = (Vec::new(), u64::MAX);
+        loop {
+            let bits: Vec<u32> = idx.iter().map(|&i| candidates[i]).collect();
+            let cost = PatelSearch::cost(&bits, blocks);
+            if cost < best.1 {
+                best = (bits, cost);
+            }
+            let Some(i) = (0..m).rev().find(|&i| idx[i] != i + n - m) else {
+                return best;
+            };
+            idx[i] += 1;
+            for j in i + 1..m {
+                idx[j] = idx[j - 1] + 1;
+            }
+        }
+    }
 
     #[test]
     fn validation() {
@@ -319,6 +364,99 @@ mod tests {
         assert!(PatelSearch::new(3, vec![0, 1], 100).is_err());
         assert!(PatelSearch::new(2, vec![0, 0, 1], 100).is_err());
         assert!(PatelSearch::new(2, vec![0, 1, 2], 100).is_ok());
+    }
+
+    #[test]
+    fn candidate_bit_beyond_the_block_word_is_rejected() {
+        assert!(matches!(
+            PatelSearch::new(1, vec![0, 64], 100),
+            Err(ConfigError::OutOfRange { got: 64, .. })
+        ));
+        assert!(PatelSearch::new(1, vec![0, 63], 100).is_ok());
+    }
+
+    #[test]
+    fn more_than_64_candidates_are_rejected() {
+        assert!(matches!(
+            PatelSearch::new(1, (0..65).collect(), 100),
+            Err(ConfigError::OutOfRange { got: 65, .. })
+        ));
+        assert!(PatelSearch::new(1, (0..64).collect(), 100).is_ok());
+    }
+
+    #[test]
+    fn more_than_24_index_bits_are_rejected() {
+        assert!(matches!(
+            PatelSearch::new(25, (0..32).collect(), 100),
+            Err(ConfigError::OutOfRange { got: 25, .. })
+        ));
+        assert!(PatelSearch::new(24, (0..32).collect(), 100).is_ok());
+    }
+
+    #[test]
+    fn dfs_matches_the_lexicographic_oracle_on_tie_heavy_traces() {
+        // Few distinct blocks and short traces make many combinations tie,
+        // so the DFS must also pick the oracle's lexicographically first
+        // minimizer, not just its cost.
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..400 {
+            let n = rng.gen_range(1usize..=10);
+            let m = rng.gen_range(1usize..=n.min(4));
+            let mut candidates: Vec<u32> = Vec::new();
+            while candidates.len() < n {
+                let bit = rng.gen_range(0u32..16);
+                if !candidates.contains(&bit) {
+                    candidates.push(bit);
+                }
+            }
+            candidates.sort_unstable();
+            let pool: Vec<u64> = (0..rng.gen_range(1usize..=12))
+                .map(|_| rng.gen_range(0u64..1 << 16))
+                .collect();
+            let blocks: Vec<u64> = (0..rng.gen_range(0usize..80))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let out = PatelSearch::new(m, candidates.clone(), u64::MAX)
+                .unwrap()
+                .search(&blocks);
+            assert!(out.exhaustive);
+            let (bits, cost) = lexicographic_oracle(m, &candidates, &blocks);
+            assert_eq!(
+                (&out.bits, out.cost),
+                (&bits, cost),
+                "case {case}: m={m} candidates={candidates:?} blocks={blocks:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dfs_descends_unpruned_above_the_bound_width_cap() {
+        // 24 candidates: the first nodes' bound sets exceed
+        // `PRUNE_MAX_BITS` and are descended without a bound replay.
+        let mut rng = StdRng::seed_from_u64(5);
+        let blocks: Vec<u64> = (0..600).map(|_| rng.gen_range(0u64..1 << 24)).collect();
+        let candidates: Vec<u32> = (0..24).collect();
+        assert!(candidates.len() > PRUNE_MAX_BITS);
+        let out = PatelSearch::new(2, candidates.clone(), u64::MAX)
+            .unwrap()
+            .search(&blocks);
+        assert!(out.exhaustive);
+        assert_eq!(
+            (out.bits, out.cost),
+            lexicographic_oracle(2, &candidates, &blocks)
+        );
+    }
+
+    #[test]
+    fn replayed_counts_compacted_references() {
+        // One combination, no pruning possible: exactly one full replay of
+        // the compacted trace (the repeated 5 collapses).
+        let blocks = [1u64, 5, 5, 2, 1];
+        let out = PatelSearch::new(1, vec![0], 100).unwrap().search(&blocks);
+        assert_eq!(out.replayed, 4);
+        let greedy = PatelSearch::new(1, vec![0, 1], 1).unwrap().search(&blocks);
+        assert!(!greedy.exhaustive);
+        assert!(greedy.replayed >= 4);
     }
 
     #[test]

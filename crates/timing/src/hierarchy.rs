@@ -9,7 +9,9 @@
 //! * L1 primary hit → `l1_hit`;
 //! * L1 secondary hit → `secondary_cost` (set per scheme);
 //! * L1 miss → add an L2 access (`l2_hit`); an L2 miss adds `memory`;
-//! * dirty L1 victims are written back into the L2 (an L2 store).
+//! * every L1 victim the model reports, clean or dirty, is written back
+//!   into the L2 (an L2 store): [`AccessResult::evicted`] names any valid
+//!   victim, not only dirty ones.
 
 use crate::latency::LatencyModel;
 use unicache_core::{AccessKind, AccessResult, CacheModel, HitWhere, MemRecord};
@@ -80,8 +82,9 @@ impl Hierarchy {
                     unicache_obs::count(unicache_obs::Event::HierMemoryAccess);
                     cost += self.lat.memory;
                 }
-                // Write back the dirty victim (L2 store, off the critical
-                // path for latency but it perturbs L2 contents).
+                // Write back the victim, clean or dirty (an L2 store, off
+                // the critical path for latency but it perturbs L2
+                // contents).
                 if let Some(victim_block) = evicted {
                     unicache_obs::count(unicache_obs::Event::HierWriteback);
                     let victim_addr = self.l1d.geometry().block_base(victim_block);
