@@ -23,10 +23,9 @@
 //!   --jobs N` governs).
 //! * **`unsafe-outside-simd`** — no `unsafe` blocks and no
 //!   `std::arch`/`core::arch`/`std::simd` paths outside the audited
-//!   unsafe homes: the SIMD tier's kernel files (`core/src/index.rs`,
-//!   `cachesim/src/packed.rs`, deliberately safe autovectorized array code
-//!   today, DESIGN §12) and the executor's process-tuning FFI shim
-//!   (`exec/src/sys.rs`).
+//!   unsafe homes: the SIMD tier's kernel file (`core/src/index.rs`,
+//!   deliberately safe autovectorized array code today, DESIGN §12) and
+//!   the executor's process-tuning FFI shim (`exec/src/sys.rs`).
 //!
 //! A trailing `// uca:allow(rule)` comment suppresses a rule on that line
 //! (used where wall-clock time is the *point*, e.g. `xp --timing`).
@@ -148,15 +147,11 @@ const THREAD_CRATE: &str = "exec";
 const THREAD_NEEDLES: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
 /// The only files allowed to contain `unsafe` blocks or SIMD intrinsic
-/// paths: the SIMD tier's kernel homes (DESIGN §12) and the executor's
+/// paths: the SIMD tier's kernel home (DESIGN §12) and the executor's
 /// process-tuning FFI shim. The shipped kernels are safe autovectorized
 /// array code; this allowlist is where any future intrinsics — and all
 /// libc FFI — have to live to be auditable in one place.
-const SIMD_FILES: &[&str] = &[
-    "crates/core/src/index.rs",
-    "crates/cachesim/src/packed.rs",
-    "crates/exec/src/sys.rs",
-];
+const SIMD_FILES: &[&str] = &["crates/core/src/index.rs", "crates/exec/src/sys.rs"];
 
 /// Intrinsic module paths banned outside [`SIMD_FILES`].
 const SIMD_NEEDLES: &[&str] = &["std::arch", "core::arch", "std::simd"];

@@ -15,10 +15,10 @@
 //!
 //! 2. **SIMD vs scalar fused traversal** — the same fused group with the
 //!    `SimdLanes` ablation knob on and off.
-//! 3. **Per-phase ns/record** for the direct-mapped fast path — index
-//!    (`index_many` alone), classify (`classify_chunk` minus index) and
-//!    update (full fused pass minus both) — so a perf regression
-//!    localizes to a phase instead of one aggregate number.
+//! 3. **Per-phase ns/record** for a direct-mapped lane — index
+//!    (`index_many` alone) and commit (the full fused pass minus index)
+//!    — so a perf regression localizes to a phase instead of one
+//!    aggregate number.
 //! 4. **A roofline** — records/sec against measured memory bandwidth
 //!    (streaming-copy probe), placing the inner loop relative to the
 //!    machine ceiling; `--roofline-out` writes it as its own artifact.
@@ -326,10 +326,9 @@ fn main() -> ExitCode {
         per_record_best as f64 / chunked_best as f64
     );
 
-    // Section 4: per-phase ns/record for the direct-mapped fast path.
-    // index = `index_many` alone over 1024-record chunks; classify =
-    // `classify_chunk` (index + batched tag compare, read-only) minus
-    // index; update = a full fused pass minus both. Each phase regresses
+    // Section 4: per-phase ns/record for a direct-mapped lane. index =
+    // `index_many` alone over 1024-record chunks; commit = a full fused
+    // pass (index plus the commit loop) minus index. Each phase regresses
     // independently, so an aggregate slowdown localizes here.
     let index: Arc<dyn IndexFunction> =
         Arc::new(XorIndex::new(geom.num_sets()).expect("valid xor index"));
@@ -339,19 +338,6 @@ fn main() -> ExitCode {
         for chunk in blocks.chunks(FUSE_CHUNK) {
             index.index_many(chunk, &mut sets);
             black_box(&sets);
-        }
-    });
-    // Classify against a warmed cache so the hit/miss mix is realistic.
-    let mut warmed = CacheBuilder::new(geom)
-        .index(Arc::clone(&index))
-        .build()
-        .expect("valid cache");
-    run_fused(&mut [&mut warmed], &stream);
-    let mut hits = vec![false; FUSE_CHUNK];
-    let index_classify_ns = min_nanos(args.reps, || {
-        for chunk in blocks.chunks(FUSE_CHUNK) {
-            assert!(warmed.classify_chunk(chunk, &mut hits));
-            black_box(&hits);
         }
     });
     let mut single_total_ns = u64::MAX;
@@ -364,17 +350,14 @@ fn main() -> ExitCode {
         run_fused(&mut [&mut lane as &mut dyn FusedLane], &stream);
         single_total_ns = single_total_ns.min(sw.elapsed_nanos());
     }
-    let classify_ns = index_classify_ns.saturating_sub(index_ns);
-    let update_ns = single_total_ns.saturating_sub(index_classify_ns);
+    let commit_ns = single_total_ns.saturating_sub(index_ns);
     let per_record = |ns: u64| ns as f64 / args.records as f64;
     let _ = write!(
         sections,
         "    \"phases/dm_1024x1_xor\": {{\n      \"index_ns_per_record\": {:.4},\n      \
-         \"classify_ns_per_record\": {:.4},\n      \"update_ns_per_record\": {:.4},\n      \
-         \"total_ns_per_record\": {:.4}\n    }}\n",
+         \"commit_ns_per_record\": {:.4},\n      \"total_ns_per_record\": {:.4}\n    }}\n",
         per_record(index_ns),
-        per_record(classify_ns),
-        per_record(update_ns),
+        per_record(commit_ns),
         per_record(single_total_ns)
     );
 

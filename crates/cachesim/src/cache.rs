@@ -6,13 +6,21 @@
 //!   [`IndexFunction`]),
 //! * the higher-associativity comparison points (2/4/8-way), and
 //! * the L2 of the simulated hierarchy.
+//!
+//! Every access, one at a time or a fused chunk at a time, runs the same
+//! per-record body, generic over the shape of the set store (DESIGN §12).
+//! A fused chunk picks that shape once — a direct-mapped [`PackedSets`],
+//! an N-way one, or one [`CacheSet`] per set — and replays every record
+//! through the body. Per-set counters move on every record; the
+//! aggregate totals are added into [`CacheStats`] once per chunk through
+//! [`CacheStats::tally`].
 
 use crate::packed::PackedSets;
-use crate::set::{CacheSet, FillOutcome, ReplacementPolicy};
+use crate::set::{CacheSet, ReplacementPolicy};
 use std::sync::Arc;
 use unicache_core::{
-    AccessResult, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane, HitWhere,
-    IndexFunction, MemRecord, Result, SimdLanes,
+    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane,
+    HitWhere, IndexFunction, MemRecord, Result, Tally,
 };
 
 /// Set storage backing a [`Cache`].
@@ -27,22 +35,6 @@ enum SetStore {
 }
 
 impl SetStore {
-    #[inline]
-    fn lookup(&mut self, set: usize, block: u64, is_write: bool) -> bool {
-        match self {
-            SetStore::Packed(s) => s.lookup(set, block, is_write),
-            SetStore::PerSet(sets) => sets[set].lookup(block, is_write).is_some(),
-        }
-    }
-
-    #[inline]
-    fn fill(&mut self, set: usize, block: u64, is_write: bool) -> FillOutcome {
-        match self {
-            SetStore::Packed(s) => s.fill(set, block, is_write),
-            SetStore::PerSet(sets) => sets[set].fill(block, is_write),
-        }
-    }
-
     fn probe(&self, set: usize, block: u64) -> bool {
         match self {
             SetStore::Packed(s) => s.probe(set, block).is_some(),
@@ -58,6 +50,107 @@ impl SetStore {
     }
 }
 
+/// One shape of set store, as the commit loop sees it.
+trait Lines {
+    /// Looks `block` up in `set`; a hit updates the replacement metadata
+    /// and, on a write, the dirty bit.
+    fn lookup(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool;
+    /// Fills `block` into `set` and returns the valid block it evicted.
+    fn fill(&mut self, set: usize, block: BlockAddr, is_write: bool) -> Option<BlockAddr>;
+}
+
+/// A direct-mapped [`PackedSets`]: the same store, without its `ways`
+/// test on the hit path.
+struct DirectMapped<'a>(&'a mut PackedSets);
+
+impl Lines for DirectMapped<'_> {
+    #[inline(always)]
+    fn lookup(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool {
+        self.0.lookup_dm(set, block, is_write)
+    }
+    #[inline(always)]
+    fn fill(&mut self, set: usize, block: BlockAddr, is_write: bool) -> Option<BlockAddr> {
+        self.0.fill(set, block, is_write).evicted
+    }
+}
+
+impl Lines for PackedSets {
+    #[inline(always)]
+    fn lookup(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool {
+        PackedSets::lookup(self, set, block, is_write)
+    }
+    #[inline(always)]
+    fn fill(&mut self, set: usize, block: BlockAddr, is_write: bool) -> Option<BlockAddr> {
+        PackedSets::fill(self, set, block, is_write).evicted
+    }
+}
+
+impl Lines for [CacheSet] {
+    #[inline(always)]
+    fn lookup(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool {
+        self[set].lookup(block, is_write).is_some()
+    }
+    #[inline(always)]
+    fn fill(&mut self, set: usize, block: BlockAddr, is_write: bool) -> Option<BlockAddr> {
+        self[set].fill(block, is_write).evicted
+    }
+}
+
+/// The per-record body of the commit loop: one access with its set index
+/// already computed.
+#[inline(always)]
+fn commit<L: Lines + ?Sized>(
+    lines: &mut L,
+    tally: &mut Tally<'_>,
+    write_allocate: bool,
+    set: usize,
+    block: BlockAddr,
+    is_write: bool,
+) -> AccessResult {
+    tally.write(is_write);
+    if lines.lookup(set, block, is_write) {
+        tally.hit(set);
+        return AccessResult {
+            where_hit: HitWhere::Primary,
+            set,
+            evicted: None,
+        };
+    }
+    tally.miss(set);
+    // Write-around: a store miss neither fills nor evicts.
+    let evicted = if !write_allocate && is_write {
+        None
+    } else {
+        lines.fill(set, block, is_write)
+    };
+    if evicted.is_some() {
+        tally.eviction(set);
+    }
+    AccessResult {
+        where_hit: HitWhere::MissDirect,
+        set,
+        evicted,
+    }
+}
+
+/// Replays a chunk through [`commit`] on one store shape; the aggregate
+/// totals reach `stats` once, at the end.
+#[inline(always)]
+fn replay<L: Lines + ?Sized>(
+    lines: &mut L,
+    stats: &mut CacheStats,
+    write_allocate: bool,
+    sets: &[usize],
+    blocks: &[BlockAddr],
+    writes: &[bool],
+) {
+    stats.tally(|t| {
+        for ((&set, &block), &w) in sets.iter().zip(blocks).zip(writes) {
+            commit(lines, t, write_allocate, set, block, w);
+        }
+    });
+}
+
 /// A set-associative cache.
 pub struct Cache {
     geom: CacheGeometry,
@@ -68,15 +161,6 @@ pub struct Cache {
     name: String,
     /// Chunk-sized set-index scratch reused across fused steps.
     idx_buf: Vec<usize>,
-    /// Chunk-sized hit/miss mask scratch (the batched classify phase).
-    hit_buf: Vec<bool>,
-    /// `touched[set] == epoch` marks a set refilled earlier in the chunk
-    /// currently being replayed, whose classify-phase verdict is stale.
-    /// Sized lazily to `num_sets` on the first mixed chunk.
-    touched: Vec<u64>,
-    /// Chunk generation counter for `touched` (bumped per mixed chunk, so
-    /// the marks from previous chunks expire without a clear).
-    epoch: u64,
 }
 
 /// Builder for [`Cache`].
@@ -190,9 +274,6 @@ impl CacheBuilder {
             write_allocate: self.write_allocate,
             name,
             idx_buf: Vec::new(),
-            hit_buf: Vec::new(),
-            touched: Vec::new(),
-            epoch: 0,
         })
     }
 }
@@ -223,141 +304,16 @@ impl Cache {
         self.store.probe(set, block)
     }
 
-    /// One access with the set index already computed — the shared tail of
-    /// [`CacheModel::access_block`] and the fused chunk step (which
-    /// vectorizes the index computation and then replays this per record).
+    /// One access with its set index computed: [`commit`] for a single
+    /// record, with the store's shape picked per record.
     #[inline]
-    fn access_at(&mut self, set: usize, block: u64, is_write: bool) -> AccessResult {
-        if is_write {
-            self.stats.record_write();
-        }
+    fn access_at(&mut self, set: usize, block: BlockAddr, is_write: bool) -> AccessResult {
         unicache_obs::count(unicache_obs::Event::CacheProbe);
-        if self.store.lookup(set, block, is_write) {
-            self.stats.record(set, HitWhere::Primary);
-            return AccessResult {
-                where_hit: HitWhere::Primary,
-                set,
-                evicted: None,
-            };
-        }
-        // Miss.
-        self.stats.record(set, HitWhere::MissDirect);
-        if is_write && !self.write_allocate {
-            // Write-around: no fill, no eviction.
-            return AccessResult {
-                where_hit: HitWhere::MissDirect,
-                set,
-                evicted: None,
-            };
-        }
-        let fill = self.store.fill(set, block, is_write);
-        if fill.evicted.is_some() {
-            self.stats.record_eviction(set);
-        }
-        AccessResult {
-            where_hit: HitWhere::MissDirect,
-            set,
-            evicted: fill.evicted,
-        }
-    }
-
-    /// Benchmark/test probe: computes set indices for `blocks` and runs
-    /// the batched classify phase against the *current* contents, writing
-    /// the hit/miss mask into `hits[..blocks.len()]` without mutating any
-    /// cache state (stats and obs counters included). Returns `false`,
-    /// leaving `hits` untouched, when this cache has no batched classify
-    /// path (associative geometry, or a `Random`/`TreePlru` policy).
-    ///
-    /// # Panics
-    /// If `hits` is shorter than `blocks`.
-    #[inline(never)]
-    pub fn classify_chunk(&mut self, blocks: &[u64], hits: &mut [bool]) -> bool {
-        if self.geom.ways() != 1 || !matches!(self.store, SetStore::Packed(_)) {
-            return false;
-        }
-        let mut sets = std::mem::take(&mut self.idx_buf);
-        sets.resize(blocks.len(), 0);
-        self.index.index_many(blocks, &mut sets);
-        if let SetStore::Packed(store) = &self.store {
-            store.classify_dm(&sets, blocks, hits);
-        }
-        self.idx_buf = sets;
-        true
-    }
-
-    /// The fused chunk step's direct-mapped batch path (DESIGN §12): one
-    /// read-only classify pass over the whole chunk (eight tag compares
-    /// per iteration over the packed slots), then either a bulk commit —
-    /// the all-hits case, which never touches replacement bookkeeping —
-    /// or a serial update tail that re-validates any record whose set was
-    /// refilled earlier in the *same* chunk (the classify verdict is
-    /// computed against pre-chunk contents and goes stale at each fill).
-    ///
-    /// Produces exactly the stats, dirty bits and obs counts of replaying
-    /// [`Cache::access_at`] per record — the equivalence suite and the
-    /// obs attribution test pin this down.
-    #[inline(never)]
-    fn step_chunk_dm(&mut self, sets: &[usize], blocks: &[u64], writes: &[bool]) {
-        let n = blocks.len();
-        let mut hits = std::mem::take(&mut self.hit_buf);
-        hits.resize(n, false);
-        let SetStore::Packed(store) = &mut self.store else {
-            // `step_chunk` dispatches here only for packed storage.
-            return;
-        };
-        store.classify_dm(sets, blocks, &mut hits);
-        // One probe per record, exactly as the scalar path counts them.
-        unicache_obs::count_by(unicache_obs::Event::CacheProbe, n as u64);
-        if hits.iter().all(|&h| h) {
-            let mut stores = 0u64;
-            for (&set, &w) in sets.iter().zip(writes) {
-                if w {
-                    stores += 1;
-                    store.write_hit_dm(set);
-                }
-            }
-            self.stats.record_writes(stores);
-            self.stats.record_primary_hits(sets);
-        } else {
-            let num_sets = self.geom.num_sets();
-            if self.touched.len() < num_sets {
-                self.touched.resize(num_sets, 0);
-            }
-            self.epoch += 1;
-            let epoch = self.epoch;
-            for i in 0..n {
-                let (set, block, is_write) = (sets[i], blocks[i], writes[i]);
-                if is_write {
-                    self.stats.record_write();
-                }
-                // A fill earlier in this chunk invalidates the classify
-                // verdict for its set — in both directions (the filled
-                // block now hits; the displaced block now misses).
-                let hit = if self.touched[set] == epoch {
-                    store.probe_dm(set, block)
-                } else {
-                    hits[i]
-                };
-                if hit {
-                    if is_write {
-                        store.write_hit_dm(set);
-                    }
-                    self.stats.record(set, HitWhere::Primary);
-                } else {
-                    self.stats.record(set, HitWhere::MissDirect);
-                    if is_write && !self.write_allocate {
-                        // Write-around: no fill, so no staleness either.
-                        continue;
-                    }
-                    let fill = store.fill(set, block, is_write);
-                    if fill.evicted.is_some() {
-                        self.stats.record_eviction(set);
-                    }
-                    self.touched[set] = epoch;
-                }
-            }
-        }
-        self.hit_buf = hits;
+        let (store, wa) = (&mut self.store, self.write_allocate);
+        self.stats.tally(|t| match store {
+            SetStore::Packed(s) => commit(s, t, wa, set, block, is_write),
+            SetStore::PerSet(s) => commit(s.as_mut_slice(), t, wa, set, block, is_write),
+        })
     }
 }
 
@@ -394,25 +350,23 @@ impl CacheModel for Cache {
 }
 
 impl FusedLane for Cache {
-    /// Fast chunk path: one virtual `index_many` computes the whole
-    /// chunk's set indices (its monomorphized body inlines the concrete
-    /// hash — 8-wide when the SIMD tier is on), then direct-mapped LRU/FIFO
-    /// caches take the batched classify/update split and everything else
-    /// replays the scalar per-record tail with zero virtual dispatch.
-    fn step_chunk(&mut self, blocks: &[u64], writes: &[bool]) {
+    /// One virtual `index_many` computes the whole chunk's set indices
+    /// (its monomorphized body inlines the concrete hash, 8-wide when the
+    /// SIMD tier is on), then the commit loop replays the chunk with zero
+    /// virtual dispatch.
+    fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
         let mut sets = std::mem::take(&mut self.idx_buf);
         sets.resize(blocks.len(), 0);
-        let index = Arc::clone(&self.index);
-        index.index_many(blocks, &mut sets);
-        if SimdLanes::enabled()
-            && self.geom.ways() == 1
-            && matches!(self.store, SetStore::Packed(_))
-        {
-            self.step_chunk_dm(&sets, blocks, writes);
-        } else {
-            for ((&set, &block), &is_write) in sets.iter().zip(blocks).zip(writes) {
-                self.access_at(set, block, is_write);
+        self.index.index_many(blocks, &mut sets);
+        unicache_obs::count_by(unicache_obs::Event::CacheProbe, blocks.len() as u64);
+        // The commit loop: the store's shape is picked once per chunk.
+        let (stats, wa) = (&mut self.stats, self.write_allocate);
+        match &mut self.store {
+            SetStore::Packed(s) if self.geom.ways() == 1 => {
+                replay(&mut DirectMapped(s), stats, wa, &sets, blocks, writes)
             }
+            SetStore::Packed(s) => replay(s, stats, wa, &sets, blocks, writes),
+            SetStore::PerSet(s) => replay(s.as_mut_slice(), stats, wa, &sets, blocks, writes),
         }
         self.idx_buf = sets;
     }

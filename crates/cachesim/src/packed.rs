@@ -20,6 +20,9 @@
 //! — and the lockstep tests below drive both stores side by side.
 //!
 //! * `ways == 1`: no clock or stamp traffic at all; way 0 always.
+//!   [`crate::cache::Cache`]'s commit loop, which picks the store's
+//!   shape once per chunk, probes such a store through `lookup_dm`,
+//!   which skips the `ways` test.
 //! * `ways > 1`: the set clock ticks on **every** lookup and **every**
 //!   fill, hit or miss, as `CacheSet`'s does.
 //!
@@ -29,7 +32,7 @@
 //! in test builds.
 
 use crate::set::FillOutcome;
-use unicache_core::{BlockAddr, SimdLanes, SIMD_LANES};
+use unicache_core::BlockAddr;
 
 /// One way: block address, stamp and flags in 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,15 +98,10 @@ impl PackedSets {
 
     /// Looks up `block` in `set`; on a hit refreshes the LRU stamp and
     /// sets the dirty bit if `is_write`, as `CacheSet::lookup` does.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool {
         if self.ways == 1 {
-            let s = &mut self.slots[set];
-            if s.holds(block) {
-                s.dirty |= is_write;
-                return true;
-            }
-            return false;
+            return self.lookup_dm(set, block, is_write);
         }
         let clock = self.tick(set);
         let base = set * self.ways;
@@ -166,48 +164,18 @@ impl PackedSets {
         }
     }
 
-    /// Batched direct-mapped classify: `hits[i] = sets[i] currently holds
-    /// blocks[i]`, eight tag compares per iteration over the slots.
-    /// Read-only — this is the classify phase of the fused kernel's
-    /// classify/update split; the caller applies dirty bits, stats and
-    /// fills afterwards.
-    ///
-    /// Direct-mapped only (`ways == 1`): with one way there is no recency
-    /// metadata to update on a hit, which is what makes a pure read-only
-    /// classify possible at all.
+    /// [`PackedSets::lookup`] for a direct-mapped store, without the
+    /// `ways` test: one slot per set and no recency metadata, so a hit
+    /// only sets the dirty bit on a write.
     #[inline]
-    pub(crate) fn classify_dm(&self, sets: &[usize], blocks: &[BlockAddr], hits: &mut [bool]) {
-        debug_assert_eq!(self.ways, 1, "batched classify is direct-mapped only");
-        SimdLanes::zip_map(
-            sets,
-            blocks,
-            hits,
-            |s8, b8, h8| {
-                for l in 0..SIMD_LANES {
-                    let s = &self.slots[s8[l]];
-                    // `&` (not `&&`): no short-circuit branch per lane.
-                    h8[l] = s.valid & (s.block == b8[l]);
-                }
-            },
-            |s, b| self.slots[s].holds(b),
-        );
-    }
-
-    /// Re-checks one direct-mapped slot without touching metadata — the
-    /// update tail uses this to re-validate a classified hit whose set was
-    /// refilled earlier in the same chunk.
-    #[inline]
-    pub(crate) fn probe_dm(&self, set: usize, block: BlockAddr) -> bool {
+    pub(crate) fn lookup_dm(&mut self, set: usize, block: BlockAddr, is_write: bool) -> bool {
         debug_assert_eq!(self.ways, 1);
-        self.slots[set].holds(block)
-    }
-
-    /// Marks a direct-mapped hit line dirty (the only mutation a DM write
-    /// hit performs — `lookup` does exactly this).
-    #[inline]
-    pub(crate) fn write_hit_dm(&mut self, set: usize) {
-        debug_assert_eq!(self.ways, 1);
-        self.slots[set].dirty = true;
+        let s = &mut self.slots[set];
+        let hit = s.holds(block);
+        if hit {
+            s.dirty |= is_write;
+        }
+        hit
     }
 
     /// Invalidates every line and resets all metadata.
@@ -319,27 +287,5 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
         PackedSets::new(4, 0, true);
-    }
-
-    #[test]
-    fn classify_dm_matches_scalar_probe_and_is_read_only() {
-        let mut s = PackedSets::new(16, 1, true);
-        let mut x = 7u64;
-        for _ in 0..200 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let b = (x >> 40) % 64;
-            s.fill((b % 16) as usize, b, x.is_multiple_of(3));
-        }
-        let snapshot = s.clone();
-        // Ragged length (not a multiple of 8) on purpose.
-        let blocks: Vec<u64> = (0..37u64).map(|i| i * 5 % 64).collect();
-        let sets: Vec<usize> = blocks.iter().map(|&b| (b % 16) as usize).collect();
-        let mut hits = vec![false; blocks.len()];
-        s.classify_dm(&sets, &blocks, &mut hits);
-        for i in 0..blocks.len() {
-            assert_eq!(hits[i], s.probe_dm(sets[i], blocks[i]), "slot {i}");
-            assert_eq!(hits[i], s.probe(sets[i], blocks[i]).is_some());
-        }
-        assert_eq!(s.slots, snapshot.slots, "classify mutated state");
     }
 }

@@ -100,6 +100,7 @@ impl CacheSet {
 
     /// Looks up a block; on hit updates recency metadata and the dirty bit
     /// (if `is_write`), returning the way.
+    #[inline]
     pub fn lookup(&mut self, block: BlockAddr, is_write: bool) -> Option<usize> {
         self.clock += 1;
         for (w, line) in self.lines.iter_mut().enumerate() {
@@ -124,6 +125,7 @@ impl CacheSet {
     }
 
     /// Fills `block` into the set, evicting per policy if full.
+    #[inline]
     pub fn fill(&mut self, block: BlockAddr, is_write: bool) -> FillOutcome {
         self.clock += 1;
         let way = match self.lines.iter().position(|l| !l.valid) {

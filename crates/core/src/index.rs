@@ -26,10 +26,10 @@ static SIMD_ENABLED: AtomicBool = AtomicBool::new(true); // uca:allow(shared-sta
 /// There are no intrinsics and no `std::simd` anywhere in the tree: the
 /// "SIMD tier" is hand-unrolled 8-wide array kernels whose shape the
 /// autovectorizer reliably turns into vector code. `SimdLanes` is the
-/// one place that shape lives — index functions and the tag-compare
-/// classify path express their batched bodies as a kernel over
-/// `[T; SIMD_LANES]` chunks plus a scalar fallback, and `SimdLanes`
-/// handles chunking, the ragged tail, and the global ablation knob.
+/// one place that shape lives — index functions express their batched
+/// bodies as a kernel over `[T; SIMD_LANES]` chunks plus a scalar
+/// fallback, and `SimdLanes` handles chunking, the ragged tail, and the
+/// global ablation knob.
 ///
 /// The knob ([`SimdLanes::set_enabled`]) exists so `xp --no-simd` can
 /// force every batched path onto its scalar fallback; byte-identical
@@ -88,46 +88,6 @@ impl SimdLanes {
         }
         for (slot, &b) in out_tail.iter_mut().zip(in_tail) {
             *slot = scalar(b);
-        }
-    }
-
-    /// Two-input variant of [`SimdLanes::map`]: `out[i] = f(a[i], b[i])`.
-    /// The classify phase uses this to pair set indices with block
-    /// addresses.
-    ///
-    /// # Panics
-    /// If `b` or `out` is shorter than `a`.
-    #[inline]
-    pub fn zip_map<A: Copy, B: Copy, T: Copy>(
-        a: &[A],
-        b: &[B],
-        out: &mut [T],
-        mut kernel: impl FnMut(&[A; SIMD_LANES], &[B; SIMD_LANES], &mut [T; SIMD_LANES]),
-        mut scalar: impl FnMut(A, B) -> T,
-    ) {
-        assert!(
-            b.len() >= a.len() && out.len() >= a.len(),
-            "zip_map: {} inputs need {} pair slots and {} out slots",
-            a.len(),
-            b.len(),
-            out.len()
-        );
-        let b = &b[..a.len()];
-        let out = &mut out[..a.len()];
-        if !Self::enabled() {
-            for ((slot, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *slot = scalar(x, y);
-            }
-            return;
-        }
-        let (a_bodies, a_tail) = a.as_chunks::<SIMD_LANES>();
-        let (b_bodies, b_tail) = b.as_chunks::<SIMD_LANES>();
-        let (out_bodies, out_tail) = out.as_chunks_mut::<SIMD_LANES>();
-        for ((a8, b8), o8) in a_bodies.iter().zip(b_bodies).zip(out_bodies) {
-            kernel(a8, b8, o8);
-        }
-        for ((slot, &x), &y) in out_tail.iter_mut().zip(a_tail).zip(b_tail) {
-            *slot = scalar(x, y);
         }
     }
 }
@@ -323,27 +283,6 @@ mod tests {
                 assert_eq!(out[i], (b % 8) as usize, "lane {i} of {n}");
             }
             assert!(out[n..].iter().all(|&x| x == usize::MAX));
-        }
-    }
-
-    #[test]
-    fn simd_zip_map_matches_scalar_for_any_length() {
-        for n in [0usize, 3, 8, 11, 64, 65] {
-            let a: Vec<usize> = (0..n).collect();
-            let b: Vec<u64> = (0..n).map(|i| (i as u64) * 7).collect();
-            let mut out = vec![false; n];
-            SimdLanes::zip_map(
-                &a,
-                &b,
-                &mut out,
-                |a8, b8, o8| {
-                    for l in 0..SIMD_LANES {
-                        o8[l] = (a8[l] as u64) == b8[l] / 7;
-                    }
-                },
-                |x, y| (x as u64) == y / 7,
-            );
-            assert!(out.iter().all(|&h| h), "length {n}");
         }
     }
 

@@ -19,6 +19,51 @@ pub struct SetStats {
     pub evictions: u64,
 }
 
+/// A run of single-probe accesses recorded against one [`CacheStats`]
+/// (see [`CacheStats::tally`]): each method is the named per-record
+/// `CacheStats` call, except that the aggregate counters build up here
+/// and reach the stats once, when the run ends.
+pub struct Tally<'a> {
+    per_set: &'a mut [SetStats],
+    primary_hits: u64,
+    misses_direct: u64,
+    writes: u64,
+    evictions: u64,
+}
+
+impl Tally<'_> {
+    /// `record(set, HitWhere::Primary)`.
+    #[inline(always)]
+    pub fn hit(&mut self, set: usize) {
+        let s = &mut self.per_set[set];
+        s.accesses += 1;
+        s.hits += 1;
+        self.primary_hits += 1;
+    }
+
+    /// `record(set, HitWhere::MissDirect)`.
+    #[inline(always)]
+    pub fn miss(&mut self, set: usize) {
+        let s = &mut self.per_set[set];
+        s.accesses += 1;
+        s.misses += 1;
+        self.misses_direct += 1;
+    }
+
+    /// `record_eviction(set)`.
+    #[inline(always)]
+    pub fn eviction(&mut self, set: usize) {
+        self.per_set[set].evictions += 1;
+        self.evictions += 1;
+    }
+
+    /// `record_write()` if `is_write`, without a branch on it.
+    #[inline(always)]
+    pub fn write(&mut self, is_write: bool) {
+        self.writes += u64::from(is_write);
+    }
+}
+
 /// Aggregate and per-set statistics for one cache model.
 ///
 /// The `HitWhere` taxonomy separates primary hits, secondary hits and the
@@ -107,25 +152,32 @@ impl CacheStats {
         self.writes += 1;
     }
 
-    /// Records `n` stores in one call (the fused kernel's bulk-commit
-    /// path). Equivalent to `n` calls of [`CacheStats::record_write`].
+    /// Records `n` stores in one call. Equivalent to `n` calls of
+    /// [`CacheStats::record_write`].
     #[inline]
     pub fn record_writes(&mut self, n: u64) {
         self.writes += n;
     }
 
-    /// Records one primary hit per element of `sets` in one call — the
-    /// fused kernel's all-hits bulk commit. The per-set counters still
-    /// walk element-by-element; the aggregate adds once. Equivalent to
-    /// `record(set, HitWhere::Primary)` per element.
-    #[inline]
-    pub fn record_primary_hits(&mut self, sets: &[usize]) {
-        for &set in sets {
-            let s = &mut self.per_set[set];
-            s.accesses += 1;
-            s.hits += 1;
-        }
-        self.primary_hits += sets.len() as u64;
+    /// Runs `f` over a [`Tally`] of these counters, then adds the tally's
+    /// aggregate totals in once: the fused kernel's chunk commit. Per-set
+    /// counters move on every tally call; the aggregates wait for `f` to
+    /// return.
+    #[inline(always)]
+    pub fn tally<R>(&mut self, f: impl FnOnce(&mut Tally<'_>) -> R) -> R {
+        let mut t = Tally {
+            per_set: &mut self.per_set,
+            primary_hits: 0,
+            misses_direct: 0,
+            writes: 0,
+            evictions: 0,
+        };
+        let r = f(&mut t);
+        self.primary_hits += t.primary_hits;
+        self.misses_direct += t.misses_direct;
+        self.writes += t.writes;
+        self.evictions += t.evictions;
+        r
     }
 
     /// Records a block relocation (swap / move to alternate location).

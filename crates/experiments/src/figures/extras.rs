@@ -480,7 +480,7 @@ fn online_run(
 }
 
 /// Online-selection study: the Fig. 5 flow end to end. Per workload:
-/// conventional fixed, the online selector ([`online_run`], profiling
+/// conventional fixed, the online selector (`online_run`, profiling
 /// the first 10% of the trace, max 100k refs), and the off-line oracle
 /// (best fixed technique from [`scheme_selection`]), all as overall
 /// miss rates.

@@ -292,35 +292,48 @@ fn reset_zeroes_every_counter() {
         .all(|(_, buckets)| buckets.is_empty()));
 }
 
-/// The batched classify/update split (DESIGN §12) attributes its one
-/// `count_by(CacheProbe, chunk_len)` exactly as the scalar path's
-/// per-access `count(CacheProbe)` — no double counting from the serial
-/// update tail, and hit/miss attribution in `CacheStats` unchanged.
-/// Runs the same stream with the SIMD tier forced on and off and
-/// demands identical counters both times.
+/// `Cache`'s commit loop (DESIGN §12) counts one
+/// `count_by(CacheProbe, chunk_len)` per chunk; it must attribute exactly
+/// as the per-record path's per-access `count(CacheProbe)` does, with the
+/// same `CacheStats`, for every store shape the loop picks: direct-mapped
+/// and 4-way `PackedSets` and per-set Random `CacheSet`s. A chunk loop
+/// that drops or double-counts a probe, or a chunk total, fails here.
 #[test]
-fn batched_classify_attributes_counters_like_scalar_path() {
-    use unicache::core::SimdLanes;
+fn fused_commit_attributes_counters_like_per_record_replay() {
     use unicache_obs::Event;
     let _guard = obs_guard!();
+    // 12_003 records: the last chunk is ragged.
     let trace = synth::hotspot(77, 12_003, 0, 128, 1 << 14, 0.75);
-    let stream = BlockStream::from_records(trace.records(), geom().line_bytes());
-    let run = |wide: bool| {
+    let shapes = [
+        (1, ReplacementPolicy::Lru),
+        (4, ReplacementPolicy::Lru),
+        (4, ReplacementPolicy::Random),
+    ];
+    for (ways, policy) in shapes {
+        let g = CacheGeometry::from_sets(64, 32, ways).unwrap();
+        let mk = || CacheBuilder::new(g).replacement(policy).build().unwrap();
         unicache_obs::reset();
-        SimdLanes::set_enabled(wide);
-        let mut c = CacheBuilder::new(geom()).build().unwrap();
-        run_fused(&mut [&mut c as &mut dyn FusedLane], &stream);
-        SimdLanes::set_enabled(true);
-        (
-            unicache_obs::counter_value(Event::CacheProbe),
-            c.stats().clone(),
-        )
-    };
-    let (probes_wide, stats_wide) = run(true);
-    let (probes_narrow, stats_narrow) = run(false);
-    assert_eq!(stats_wide, stats_narrow, "stats diverged across the knob");
-    assert_eq!(probes_wide, probes_narrow, "probe counts diverged");
-    assert_eq!(probes_wide, stats_wide.accesses());
-    assert_eq!(stats_wide.accesses(), 12_003);
-    assert_eq!(outcome_sum(&stats_wide), stats_wide.accesses());
+        let mut per_record = mk();
+        per_record.run(trace.records());
+        let probes_per_record = unicache_obs::counter_value(Event::CacheProbe);
+        unicache_obs::reset();
+        let mut fused = mk();
+        let stream = BlockStream::from_records(trace.records(), g.line_bytes());
+        run_fused(&mut [&mut fused as &mut dyn FusedLane], &stream);
+        let probes_fused = unicache_obs::counter_value(Event::CacheProbe);
+        let s = fused.stats();
+        assert_eq!(
+            s,
+            per_record.stats(),
+            "{ways}-way {policy:?}: stats diverged"
+        );
+        assert_eq!(
+            probes_fused,
+            s.accesses(),
+            "{ways}-way {policy:?}: fused probes"
+        );
+        assert_eq!(probes_per_record, s.accesses(), "{ways}-way {policy:?}");
+        assert_eq!(s.accesses(), 12_003);
+        assert_eq!(outcome_sum(s), s.accesses());
+    }
 }

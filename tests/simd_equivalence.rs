@@ -1,8 +1,8 @@
 //! The SIMD tier must be a pure optimisation (DESIGN §12): every 8-wide
-//! kernel — the per-scheme `index_many` bodies and the direct-mapped
-//! batched classify — must agree element-for-element with the scalar
+//! `index_many` kernel must agree element-for-element with the scalar
 //! path it replaces, on every registered scheme, both reference
-//! geometries, and ragged lengths (chunk % 8 != 0). These tests toggle
+//! geometries, and ragged lengths (chunk % 8 != 0), and a fused `Cache`
+//! run must leave the same stats with the tier on and off. These tests toggle
 //! the global ablation knob (`SimdLanes::set_enabled`), so every
 //! knob-toggling test serializes on one lock and restores the default.
 
@@ -82,10 +82,9 @@ proptest! {
         }
     }
 
-    /// The batched classify/update split leaves stats identical to the
-    /// scalar per-record path for every registry scheme on a conflict-
-    /// heavy mix — including chunks whose classify verdicts go stale
-    /// mid-chunk (fills landing in sets revisited later in the chunk).
+    /// A fused run leaves stats and contents identical with the SIMD tier
+    /// on and off for every registry scheme on a conflict-heavy mix —
+    /// fills landing in sets revisited later in the same chunk included.
     #[test]
     fn batched_classify_matches_scalar_path_for_every_scheme(seed in 0u64..4000) {
         let _g = knob_lock();
@@ -121,41 +120,21 @@ proptest! {
             }
         }
     }
-
-    /// `classify_chunk` (the read-only probe the phase benchmark uses)
-    /// agrees with `contains_block` per element and counts nothing.
-    #[test]
-    fn classify_chunk_matches_contains_block(seed in 0u64..4000, len in 1usize..200) {
-        for geom in geometries() {
-            let trace = synth::uniform_rw(seed, 1500, 0x2000, 1 << 16, 0.25);
-            let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
-            let mut cache = CacheBuilder::new(geom).build().unwrap();
-            run_fused(&mut [&mut cache as &mut dyn FusedLane], &stream);
-            let stats_before = cache.stats().clone();
-            let blocks: Vec<u64> = (0..len as u64)
-                .map(|i| seed.wrapping_mul(i * 2 + 1) % (1 << 12))
-                .collect();
-            let mut hits = vec![false; len];
-            prop_assert!(cache.classify_chunk(&blocks, &mut hits));
-            for (i, &b) in blocks.iter().enumerate() {
-                prop_assert_eq!(hits[i], cache.contains_block(b), "slot {}", i);
-            }
-            prop_assert_eq!(&stats_before, cache.stats(), "classify_chunk mutated stats");
-        }
-    }
 }
 
-/// Deterministic worst case for classify staleness: conflicting blocks
+/// Deterministic worst case for the commit loop: conflicting blocks
 /// revisited inside a single chunk, in every hit/miss interleaving the
 /// 4-set cache can express — with writes mixed in, under both
-/// write-allocate policies.
+/// write-allocate policies — against per-record `access` and across
+/// the SIMD knob.
 #[test]
 fn intra_chunk_conflicts_match_scalar_path_exactly() {
     let _g = knob_lock();
     let geom = CacheGeometry::from_sets(4, 32, 1).unwrap();
     // Blocks 0,4,8 all land in set 0 under conventional indexing; the
-    // pattern revisits each within one FUSE_CHUNK so classify verdicts
-    // go stale in both directions (new fill hits, displaced block misses).
+    // pattern revisits each within one FUSE_CHUNK, so a fill decides the
+    // next probe of its set in both directions (new fill hits, displaced
+    // block misses).
     let mut addrs = Vec::new();
     for round in 0..300u64 {
         for &b in &[0u64, 4, 0, 8, 4, 0, 8, 8, 1, 5, 0] {
@@ -185,57 +164,24 @@ fn intra_chunk_conflicts_match_scalar_path_exactly() {
         };
         let mut wide = mk();
         let mut narrow = mk();
+        let mut per_record = mk();
         SimdLanes::set_enabled(true);
         run_fused(&mut [&mut wide as &mut dyn FusedLane], &stream);
         SimdLanes::set_enabled(false);
         run_fused(&mut [&mut narrow as &mut dyn FusedLane], &stream);
         SimdLanes::set_enabled(true);
+        per_record.run(&records);
         assert_eq!(
             wide.stats(),
             narrow.stats(),
-            "staleness handling diverged (write_allocate={write_allocate})"
+            "commit loop diverged (write_allocate={write_allocate})"
+        );
+        assert_eq!(
+            wide.stats(),
+            per_record.stats(),
+            "commit loop diverged from per-record access (write_allocate={write_allocate})"
         );
     }
-}
-
-/// An all-hits chunk takes the bulk-commit path (no replacement
-/// bookkeeping at all); its stats must still match the scalar replay.
-#[test]
-fn all_hits_bulk_commit_matches_scalar_path() {
-    let _g = knob_lock();
-    let geom = CacheGeometry::from_sets(64, 32, 1).unwrap();
-    // Warm-up stream touches every block once; the main stream then
-    // cycles the same resident working set (alternating reads/writes),
-    // so every post-warm-up chunk is all-hits.
-    let working_set: Vec<u64> = (0..64u64).collect();
-    let mut addrs: Vec<u64> = working_set.iter().map(|&b| b * 32).collect();
-    for round in 0..100u64 {
-        addrs.extend(working_set.iter().map(|&b| b * 32 + (round % 4)));
-    }
-    let records: Vec<MemRecord> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| MemRecord {
-            addr: a,
-            kind: if i % 2 == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            tid: 0,
-        })
-        .collect();
-    let stream = BlockStream::from_records(&records, geom.line_bytes());
-    let mut wide = CacheBuilder::new(geom).build().unwrap();
-    let mut narrow = CacheBuilder::new(geom).build().unwrap();
-    SimdLanes::set_enabled(true);
-    run_fused(&mut [&mut wide as &mut dyn FusedLane], &stream);
-    SimdLanes::set_enabled(false);
-    run_fused(&mut [&mut narrow as &mut dyn FusedLane], &stream);
-    SimdLanes::set_enabled(true);
-    assert_eq!(wide.stats(), narrow.stats());
-    // Sanity: the pattern really was hit-dominated.
-    assert!(wide.stats().miss_rate() < 0.05);
 }
 
 /// SIMD_LANES is the one width every kernel is written against; the
