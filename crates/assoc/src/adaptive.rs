@@ -39,7 +39,7 @@
 
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
-    LruSet, MemRecord, Result, ThreadId,
+    LruSet, MemRecord, Result, StatsSink, ThreadId,
 };
 
 /// Sizing knobs for the SHT and OUT tables.
@@ -232,25 +232,33 @@ impl HostMap {
     }
 }
 
-/// The adaptive group-associative cache: the SHT/OUT engine behind both
-/// this solo cache and [`AdaptivePartitionedCache`].
-pub struct AdaptiveGroupCache {
-    geom: CacheGeometry,
+/// The SHT/OUT engine: the lines, both directories and the host bitmap
+/// behind [`AdaptiveGroupCache`] and [`AdaptivePartitionedCache`]. It
+/// keeps no counters: each access writes them to the [`StatsSink`] it is
+/// handed, so the cache's [`CacheStats`] can be borrowed beside it.
+struct Engine {
     lines: Vec<Line>,
     sht: Sht,
     out: OutDir,
     hosts: HostMap,
-    stats: CacheStats,
     search: HostSearch,
     /// Sets per partition (all of them in the solo cache).
     part_sets: usize,
     /// Highest partition tag; larger thread ids share its partition.
     top_tid: u8,
-    name: String,
     /// Test builds only: answer relocation searches with the scalar scan
     /// the host bitmap replaced, as the reference it is checked against.
     #[cfg(test)]
     scalar_search: bool,
+}
+
+/// The adaptive group-associative cache: the SHT/OUT engine behind both
+/// this solo cache and [`AdaptivePartitionedCache`].
+pub struct AdaptiveGroupCache {
+    geom: CacheGeometry,
+    engine: Engine,
+    stats: CacheStats,
+    name: String,
 }
 
 impl AdaptiveGroupCache {
@@ -302,47 +310,77 @@ impl AdaptiveGroupCache {
         }
         Ok(AdaptiveGroupCache {
             geom,
-            lines: vec![Line::empty(); n],
-            sht: Sht::new(n, sht_cap),
-            out: OutDir::new(out_cap),
-            hosts: HostMap::all_hosts(n),
+            engine: Engine {
+                lines: vec![Line::empty(); n],
+                sht: Sht::new(n, sht_cap),
+                out: OutDir::new(out_cap),
+                hosts: HostMap::all_hosts(n),
+                search,
+                part_sets: n / threads,
+                top_tid: u8::try_from(threads - 1).unwrap_or(u8::MAX),
+                #[cfg(test)]
+                scalar_search: false,
+            },
             stats: CacheStats::new(n),
-            search,
-            part_sets: n / threads,
-            top_tid: u8::try_from(threads - 1).unwrap_or(u8::MAX),
             name,
-            #[cfg(test)]
-            scalar_search: false,
         })
-    }
-
-    /// The partition tag of thread `tid` and the primary set it maps
-    /// `block` to: slot `block mod part_sets` of partition `tag`. Sets
-    /// are a power of two and the partition count divides them, so the
-    /// modulo is a mask.
-    #[inline]
-    fn primary_of(&self, tid: u8, block: BlockAddr) -> (u8, usize) {
-        let tag = tid.min(self.top_tid);
-        let slot = block as usize & (self.part_sets - 1);
-        (tag, usize::from(tag) * self.part_sets + slot)
     }
 
     /// True if `block` is resident anywhere (primary or out-of-position).
     pub fn contains_block(&mut self, block: BlockAddr) -> bool {
-        let (tag, p) = self.primary_of(0, block);
+        let e = &mut self.engine;
+        let (tag, p) = e.primary_of(0, block);
         let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
-        if holds(&self.lines[p]) {
+        if holds(&e.lines[p]) {
             return true;
         }
-        match self.out.get((tag, block)) {
-            Some(s) => holds(&self.lines[s]),
+        match e.out.get((tag, block)) {
+            Some(s) => holds(&e.lines[s]),
             None => false,
         }
     }
 
     /// Current number of OUT entries (tests/introspection).
     pub fn out_len(&self) -> usize {
-        self.out.len()
+        self.engine.out.len()
+    }
+
+    /// Simulates one reference by thread `tid` on the per-record path:
+    /// the engine's access body with its counters written straight into
+    /// the stats.
+    #[inline]
+    fn access_tid(&mut self, tid: u8, block: BlockAddr, is_write: bool) -> AccessResult {
+        unicache_obs::count(unicache_obs::Event::AdaptiveProbe);
+        self.engine.access(&mut self.stats, tid, block, is_write)
+    }
+
+    /// Steps one chunk through the engine's access body, record by record
+    /// in trace order (every access reads the SHT/OUT state the previous
+    /// one left), each record run as the thread `tids` yields for it. The
+    /// aggregate counters reach the stats once, through
+    /// [`CacheStats::tally`].
+    #[inline(always)]
+    fn step(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: impl Iterator<Item = u8>) {
+        unicache_obs::count_by(unicache_obs::Event::AdaptiveProbe, blocks.len() as u64);
+        let engine = &mut self.engine;
+        self.stats.tally(|t| {
+            for ((&block, &is_write), tid) in blocks.iter().zip(writes).zip(tids) {
+                engine.access(t, tid, block, is_write);
+            }
+        });
+    }
+}
+
+impl Engine {
+    /// The partition tag of thread `tid` and the primary set it maps
+    /// `block` to: slot `block mod part_sets` of partition `tag`. Sets
+    /// are a power of two and the partition count divides them, so the
+    /// modulo is a mask.
+    #[inline(always)]
+    fn primary_of(&self, tid: u8, block: BlockAddr) -> (u8, usize) {
+        let tag = tid.min(self.top_tid);
+        let slot = block as usize & (self.part_sets - 1);
+        (tag, usize::from(tag) * self.part_sets + slot)
     }
 
     /// May `set`'s line host a relocated block? It may if it is
@@ -367,7 +405,7 @@ impl AdaptiveGroupCache {
     /// in an SHT set never hosts, so `p`'s own line write may skip the
     /// bitmap. Outside the SHT, only an out-of-position line keeps the
     /// dropped set from hosting.
-    #[inline]
+    #[inline(always)]
     fn touch_sht(&mut self, p: usize) {
         let dropped = self.sht.touch(p);
         self.hosts.put(p, false);
@@ -415,31 +453,48 @@ impl AdaptiveGroupCache {
         }
     }
 
-    /// Simulates one reference by thread `tid` (clamped to the last
-    /// partition, tag included).
-    #[inline]
-    fn access_tid(&mut self, tid: u8, block: BlockAddr, is_write: bool) -> AccessResult {
-        if is_write {
-            self.stats.record_write();
-        }
-        unicache_obs::count(unicache_obs::Event::AdaptiveProbe);
+    /// One reference by thread `tid` (clamped to the last partition, tag
+    /// included), its counters written to `sink`: the per-record body of
+    /// every path, per record and per chunk. A primary hit commits here,
+    /// inline; every other outcome is [`Self::miss`]'s.
+    #[inline(always)]
+    fn access<S: StatsSink>(
+        &mut self,
+        sink: &mut S,
+        tid: u8,
+        block: BlockAddr,
+        is_write: bool,
+    ) -> AccessResult {
+        sink.write(is_write);
         let (tag, p) = self.primary_of(tid, block);
-        let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
-
         // Primary probe (OUT is probed in parallel in hardware; a primary
         // hit never waits on it).
-        if holds(&self.lines[p]) {
-            if is_write {
-                self.lines[p].dirty = true;
-            }
+        let l = &mut self.lines[p];
+        if l.valid && l.block == block && l.tid == tag {
+            l.dirty |= is_write;
             self.touch_sht(p);
-            self.stats.record(p, HitWhere::Primary);
+            sink.record(p, HitWhere::Primary);
             return AccessResult {
                 where_hit: HitWhere::Primary,
                 set: p,
                 evicted: None,
             };
         }
+        self.miss(sink, tag, p, block, is_write)
+    }
+
+    /// [`Self::access`] past a primary miss: the OUT probe and swap-back,
+    /// or the fill with its relocation or eviction.
+    #[inline(never)]
+    fn miss<S: StatsSink>(
+        &mut self,
+        sink: &mut S,
+        tag: u8,
+        p: usize,
+        block: BlockAddr,
+        is_write: bool,
+    ) -> AccessResult {
+        let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
 
         // OUT probe: the block may live out of position.
         if let Some(alt) = self.out.get((tag, block)) {
@@ -450,9 +505,7 @@ impl AdaptiveGroupCache {
                 // slot (its OUT entry replaces ours).
                 let mut incoming = self.lines[alt];
                 incoming.out_of_position = false;
-                if is_write {
-                    incoming.dirty = true;
-                }
+                incoming.dirty |= is_write;
                 let outgoing = self.lines[p];
                 self.out.remove((tag, block));
                 self.lines[p] = incoming;
@@ -469,9 +522,9 @@ impl AdaptiveGroupCache {
                     self.put_line(alt, Line::empty());
                 }
                 self.touch_sht(p);
-                self.stats.record(p, HitWhere::Secondary);
+                sink.record(p, HitWhere::Secondary);
                 unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
-                self.stats.record_relocation();
+                sink.relocation();
                 return AccessResult {
                     where_hit: HitWhere::Secondary,
                     set: p,
@@ -497,7 +550,7 @@ impl AdaptiveGroupCache {
                     self.out.remove((resident.tid, resident.block));
                 }
                 evicted = Some(resident.block);
-                self.stats.record_eviction(p);
+                sink.eviction(p);
             } else {
                 // Keep the MRU-set victim: move it to a disposable line
                 // and register it in OUT.
@@ -510,7 +563,7 @@ impl AdaptiveGroupCache {
                             self.out.remove((hosted.tid, hosted.block));
                         }
                         evicted = Some(hosted.block);
-                        self.stats.record_eviction(host);
+                        sink.eviction(host);
                     }
                     self.put_line(
                         host,
@@ -521,12 +574,12 @@ impl AdaptiveGroupCache {
                     );
                     self.out_insert((resident.tid, resident.block), host);
                     unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
-                    self.stats.record_relocation();
+                    sink.relocation();
                 } else {
                     // No disposable line within reach: fall back to plain
                     // eviction.
                     evicted = Some(resident.block);
-                    self.stats.record_eviction(p);
+                    sink.eviction(p);
                 }
             }
         }
@@ -541,7 +594,7 @@ impl AdaptiveGroupCache {
             out_of_position: false,
         };
         self.touch_sht(p);
-        self.stats.record(p, where_hit);
+        sink.record(p, where_hit);
         AccessResult {
             where_hit,
             set: p,
@@ -572,12 +625,13 @@ impl CacheModel for AdaptiveGroupCache {
     }
 
     fn flush(&mut self) {
-        for l in &mut self.lines {
+        let e = &mut self.engine;
+        for l in &mut e.lines {
             *l = Line::empty();
         }
-        self.sht.clear();
-        self.out.clear();
-        self.hosts = HostMap::all_hosts(self.lines.len());
+        e.sht.clear();
+        e.out.clear();
+        e.hosts = HostMap::all_hosts(e.lines.len());
         self.stats.reset();
     }
 
@@ -586,12 +640,15 @@ impl CacheModel for AdaptiveGroupCache {
     }
 }
 
-/// Fusable only through the default (monomorphized) chunk loop: every
-/// access consults and updates the SHT/OUT directories, so the per-record
-/// state machine has no separable index phase to vectorize. The fused
-/// pass still removes the per-record virtual dispatch and shares the
-/// decoded stream with the other lanes.
-impl unicache_core::FusedLane for AdaptiveGroupCache {}
+/// The chunk commit loop: every record runs the engine's access body as
+/// thread 0, in trace order, since each access reads the SHT/OUT state
+/// the previous one left. Primary hits commit inline; the aggregate
+/// counters reach the stats once per chunk.
+impl unicache_core::FusedLane for AdaptiveGroupCache {
+    fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
+        self.step(blocks, writes, std::iter::repeat(0));
+    }
+}
 
 /// The paper's **adaptive partitioned** cache (Section IV.E, Fig. 14):
 /// equal static per-thread partitions for isolation, plus shared SHT/OUT
@@ -655,13 +712,16 @@ impl CacheModel for AdaptivePartitionedCache {
     }
 }
 
-/// One `access_tid` per record: like the solo cache, every access
-/// consults and updates the shared SHT/OUT directories.
+/// The solo cache's chunk commit loop with record `i` run as thread
+/// `tids[i]`: the same engine body, primary hits inline, aggregate
+/// counters once per chunk.
 impl unicache_core::TaggedLane for AdaptivePartitionedCache {
     fn step_tagged(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]) {
-        for ((&block, &is_write), &tid) in blocks.iter().zip(writes).zip(tids) {
-            self.0.access_tid(tid, block, is_write);
-        }
+        assert!(
+            writes.len() == blocks.len() && tids.len() == blocks.len(),
+            "step_tagged: chunk slices differ in length"
+        );
+        self.0.step(blocks, writes, tids.iter().copied());
     }
 }
 
@@ -687,9 +747,40 @@ mod tests {
     /// Every OUT entry points at an out-of-position line holding its
     /// (tag, block).
     fn assert_out_points_at_its_lines(c: &AdaptiveGroupCache) {
-        for ((tid, b), s) in c.out.entries() {
-            let l = &c.lines[s];
+        for ((tid, b), s) in c.engine.out.entries() {
+            let l = &c.engine.lines[s];
             assert!(l.valid && l.block == b && l.tid == tid && l.out_of_position);
+        }
+    }
+
+    /// OUT is always consistent: after every access, on solo traffic
+    /// under a narrow relocation window and on partitioned traffic with
+    /// clockwise spills (plus a thread id past the last partition), each
+    /// OUT entry points at its out-of-position line, so the stale-entry
+    /// branch of the miss path never meets a stale entry.
+    #[test]
+    fn out_points_at_its_lines_after_every_access() {
+        let mut rng = StdRng::seed_from_u64(55);
+        let cfg = AdaptiveConfig {
+            sht_fraction: 0.5,
+            out_fraction: 1.0 / 8.0,
+            relocation_window: 4,
+        };
+        let solo = AdaptiveGroupCache::with_config(geom(64), cfg).unwrap();
+        let partitioned = AdaptivePartitionedCache::new(geom(64), 4).unwrap().0;
+        for (mut c, threads) in [(solo, 1u8), (partitioned, 5)] {
+            for i in 0..20_000 {
+                let tid = rng.gen_range(0..threads);
+                let b = if rng.gen_bool(0.7) {
+                    rng.gen_range(0..24) + 64 * rng.gen_range(0..3)
+                } else {
+                    rng.gen_range(0..1024)
+                };
+                c.access_tid(tid, b, i % 3 == 0);
+                assert_out_points_at_its_lines(&c);
+            }
+            let s = c.stats();
+            assert!(s.secondary_hits > 0 && s.relocations > s.secondary_hits);
         }
     }
 
@@ -733,7 +824,7 @@ mod tests {
         for b in 6..48u64 {
             c.access(read_block(b));
         }
-        assert!(!c.sht.contains(5));
+        assert!(!c.engine.sht.contains(5));
         let before = c.out_len();
         let r = c.access(read_block(64 + 5)); // conflicts with block 5
         assert_eq!(r.where_hit, HitWhere::MissDirect);
@@ -768,6 +859,7 @@ mod tests {
                 // Count copies of a sample of blocks.
                 for probe in 0..256u64 {
                     let copies = c
+                        .engine
                         .lines
                         .iter()
                         .filter(|l| l.valid && l.block == probe)
@@ -907,8 +999,12 @@ mod tests {
 
     /// Asserts the host bitmap agrees with the line/SHT state it caches.
     fn assert_host_map_exact(c: &AdaptiveGroupCache) {
-        for s in 0..c.lines.len() {
-            assert_eq!(c.hosts.get(s), c.is_host(s), "host bit of set {s}");
+        for s in 0..c.engine.lines.len() {
+            assert_eq!(
+                c.engine.hosts.get(s),
+                c.engine.is_host(s),
+                "host bit of set {s}"
+            );
         }
     }
 
@@ -919,7 +1015,7 @@ mod tests {
     fn assert_matches_scalar_reference(make: impl Fn() -> AdaptiveGroupCache, refs: &[(u8, u64)]) {
         let mut fast = make();
         let mut slow = make();
-        slow.scalar_search = true;
+        slow.engine.scalar_search = true;
         for (i, &(tid, b)) in refs.iter().enumerate() {
             let is_write = i % 3 == 0;
             assert_eq!(
@@ -934,7 +1030,7 @@ mod tests {
         assert_host_map_exact(&fast);
         assert_eq!(fast.stats(), slow.stats());
         assert_eq!(fast.out_len(), slow.out_len());
-        assert_eq!(fast.lines, slow.lines);
+        assert_eq!(fast.engine.lines, slow.engine.lines);
         assert!(fast.stats().relocations > 0, "stream never relocated");
         fast.flush();
         assert_host_map_exact(&fast);
@@ -1026,7 +1122,8 @@ mod tests {
                 for tid in 0..2u8 {
                     for b in 0..64u64 {
                         let copies =
-                            c.0.lines
+                            c.0.engine
+                                .lines
                                 .iter()
                                 .filter(|l| l.valid && l.block == b && l.tid == tid)
                                 .count();
@@ -1041,14 +1138,14 @@ mod tests {
     /// SHT and OUT capacities: fill both tables past the line count and
     /// read back their sizes.
     fn table_capacities(c: &mut AdaptiveGroupCache) -> (usize, usize) {
-        let n = c.lines.len();
+        let n = c.engine.lines.len();
         for s in 0..n {
-            c.sht.touch(s);
+            c.engine.sht.touch(s);
         }
         for b in 0..=n as u64 {
-            c.out.insert((0, b), 0);
+            c.engine.out.insert((0, b), 0);
         }
-        (c.sht.len(), c.out.len())
+        (c.engine.sht.len(), c.engine.out.len())
     }
 
     #[test]

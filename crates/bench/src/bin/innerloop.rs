@@ -30,6 +30,14 @@
 //!    -line fast path) and record-at-a-time `access`, in ns/record, plus
 //!    the fraction of accesses the fast path committed.
 //!
+//! Since the SHT/OUT and per-thread commit loops it also carries:
+//!
+//! 6. **Chunked vs per-record SMT and adaptive lanes** — ns/record for
+//!    `PerThreadIndexCache` (2 threads, odd multipliers) and
+//!    `AdaptivePartitionedCache` (2 threads) stepped as tagged chunks
+//!    against per-record `access`, and for the solo
+//!    `AdaptiveGroupCache` under `run_fused` against per-record `access`.
+//!
 //! Usage: `innerloop [--records N] [--reps R] [--block-mask HEX]
 //!                   [--out FILE]
 //!                   [--roofline-out FILE]`
@@ -47,13 +55,15 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
+use unicache_assoc::AdaptiveGroupCache;
 use unicache_core::{
-    run_fused, BlockStream, CacheGeometry, CoherentModel, FusedLane, IndexFunction, MemRecord,
-    SimdLanes, FUSE_CHUNK,
+    run_fused, BlockStream, CacheGeometry, CacheModel, CoherentModel, FusedLane, IndexFunction,
+    MemRecord, SimdLanes, TaggedLane, FUSE_CHUNK,
 };
 use unicache_hierarchy::{HierarchyBuilder, L2Mode};
-use unicache_indexing::XorIndex;
+use unicache_indexing::{OddMultiplierIndex, XorIndex};
 use unicache_sim::CacheBuilder;
+use unicache_smt::{AdaptivePartitionedCache, PerThreadIndexCache};
 use unicache_timing::Stopwatch;
 
 /// Deterministic LCG access stream over a block space of `block_mask +
@@ -109,6 +119,43 @@ fn memory_bandwidth_gbps(reps: usize) -> f64 {
     }
     // 16 bytes move per word (8 in, 8 out); bytes/ns == GB/s.
     (WORDS * 16) as f64 / best.max(1) as f64
+}
+
+/// One `*_chunk_vs_record/*` section: the best chunked and per-record
+/// passes of fresh lanes from `build` over `records`, in ns/record.
+/// `chunked` drives a lane over the decoded stream; the per-record pass
+/// calls `access` on every record.
+fn chunk_vs_record<L: CacheModel>(
+    name: &str,
+    records: &[MemRecord],
+    reps: usize,
+    build: impl Fn() -> L,
+    chunked: impl Fn(&mut L),
+) -> String {
+    let (mut chunk_best, mut record_best) = (u64::MAX, u64::MAX);
+    for _ in 0..reps {
+        let mut lane = build();
+        let sw = Stopwatch::start();
+        chunked(&mut lane);
+        chunk_best = chunk_best.min(sw.elapsed_nanos());
+        black_box(lane.stats());
+
+        let mut lane = build();
+        let sw = Stopwatch::start();
+        for &r in records {
+            lane.access(r);
+        }
+        record_best = record_best.min(sw.elapsed_nanos());
+        black_box(lane.stats());
+    }
+    let per_record = |ns: u64| ns as f64 / records.len().max(1) as f64;
+    format!(
+        "    \"{name}\": {{\n      \"chunk_ns_per_record\": {:.4},\n      \
+         \"per_record_ns_per_record\": {:.4},\n      \"speedup\": {:.4}\n    }},\n",
+        per_record(chunk_best),
+        per_record(record_best),
+        record_best as f64 / chunk_best.max(1) as f64
+    )
 }
 
 struct Args {
@@ -326,7 +373,72 @@ fn main() -> ExitCode {
         per_record_best as f64 / chunked_best as f64
     );
 
-    // Section 4: per-phase ns/record for a direct-mapped lane. index =
+    // Section 4: chunked vs per-record SMT and adaptive lanes at the paper
+    // L1. Each of two threads loops over its own 512-block hot footprint
+    // (the two side by side fill the cache) and strays into a wide span
+    // one time in eight, so, like the Fig. 13/14 mixes, most references
+    // hit and the rest exercise eviction, relocation and OUT.
+    let smt_records: Vec<MemRecord> = synth_records(args.records, u64::MAX)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let tid = (i % 2) as u64;
+            let x = r.addr >> 5;
+            let block = if x % 32 == 0 {
+                x & 0xFFFF
+            } else {
+                tid << 9 | (x & 0x1FF)
+            };
+            MemRecord {
+                addr: block * 32,
+                ..r.with_tid(tid as u8)
+            }
+        })
+        .collect();
+    let smt_blocks: Vec<u64> = smt_records.iter().map(|r| r.addr >> 5).collect();
+    let smt_writes: Vec<bool> = smt_records.iter().map(|r| r.kind.is_write()).collect();
+    let smt_tids: Vec<u8> = smt_records.iter().map(|r| r.tid).collect();
+    let tagged = |lane: &mut dyn TaggedLane| {
+        for ((b, w), t) in smt_blocks
+            .chunks(FUSE_CHUNK)
+            .zip(smt_writes.chunks(FUSE_CHUNK))
+            .zip(smt_tids.chunks(FUSE_CHUNK))
+        {
+            lane.step_tagged(b, w, t);
+        }
+    };
+    sections.push_str(&chunk_vs_record(
+        "smt_chunk_vs_record/per_thread_oddmul_2t",
+        &smt_records,
+        args.reps,
+        || {
+            let fns = [9, 21]
+                .map(|m| {
+                    Arc::new(OddMultiplierIndex::new(geom.num_sets(), m).expect("odd multiplier"))
+                        as Arc<dyn IndexFunction>
+                })
+                .to_vec();
+            PerThreadIndexCache::new(geom, fns).expect("valid shared cache")
+        },
+        |lane| tagged(lane),
+    ));
+    sections.push_str(&chunk_vs_record(
+        "smt_chunk_vs_record/adaptive_partitioned_2t",
+        &smt_records,
+        args.reps,
+        || AdaptivePartitionedCache::new(geom, 2).expect("sets divide among threads"),
+        |lane| tagged(lane),
+    ));
+    let solo_stream = BlockStream::from_records(&smt_records, geom.line_bytes());
+    sections.push_str(&chunk_vs_record(
+        "assoc_chunk_vs_record/adaptive_solo",
+        &smt_records,
+        args.reps,
+        || AdaptiveGroupCache::new(geom).expect("valid adaptive cache"),
+        |lane| run_fused(&mut [lane], &solo_stream),
+    ));
+
+    // Section 5: per-phase ns/record for a direct-mapped lane. index =
     // `index_many` alone over 1024-record chunks; commit = a full fused
     // pass (index plus the commit loop) minus index. Each phase regresses
     // independently, so an aggregate slowdown localizes here.

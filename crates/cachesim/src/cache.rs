@@ -20,7 +20,7 @@ use crate::set::{CacheSet, ReplacementPolicy};
 use std::sync::Arc;
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane,
-    HitWhere, IndexFunction, MemRecord, Result, Tally,
+    HitWhere, IndexFunction, MemRecord, Result, StatsSink,
 };
 
 /// Set storage backing a [`Cache`].
@@ -97,26 +97,26 @@ impl Lines for [CacheSet] {
 }
 
 /// The per-record body of the commit loop: one access with its set index
-/// already computed.
+/// already computed, its counters written to `sink`.
 #[inline(always)]
-fn commit<L: Lines + ?Sized>(
+fn commit<L: Lines + ?Sized, S: StatsSink>(
     lines: &mut L,
-    tally: &mut Tally<'_>,
+    sink: &mut S,
     write_allocate: bool,
     set: usize,
     block: BlockAddr,
     is_write: bool,
 ) -> AccessResult {
-    tally.write(is_write);
+    sink.write(is_write);
     if lines.lookup(set, block, is_write) {
-        tally.hit(set);
+        sink.record(set, HitWhere::Primary);
         return AccessResult {
             where_hit: HitWhere::Primary,
             set,
             evicted: None,
         };
     }
-    tally.miss(set);
+    sink.record(set, HitWhere::MissDirect);
     // Write-around: a store miss neither fills nor evicts.
     let evicted = if !write_allocate && is_write {
         None
@@ -124,7 +124,7 @@ fn commit<L: Lines + ?Sized>(
         lines.fill(set, block, is_write)
     };
     if evicted.is_some() {
-        tally.eviction(set);
+        sink.eviction(set);
     }
     AccessResult {
         where_hit: HitWhere::MissDirect,
@@ -305,15 +305,16 @@ impl Cache {
     }
 
     /// One access with its set index computed: [`commit`] for a single
-    /// record, with the store's shape picked per record.
+    /// record, with the store's shape picked per record and the counters
+    /// written straight into the stats.
     #[inline]
     fn access_at(&mut self, set: usize, block: BlockAddr, is_write: bool) -> AccessResult {
         unicache_obs::count(unicache_obs::Event::CacheProbe);
-        let (store, wa) = (&mut self.store, self.write_allocate);
-        self.stats.tally(|t| match store {
-            SetStore::Packed(s) => commit(s, t, wa, set, block, is_write),
-            SetStore::PerSet(s) => commit(s.as_mut_slice(), t, wa, set, block, is_write),
-        })
+        let (stats, wa) = (&mut self.stats, self.write_allocate);
+        match &mut self.store {
+            SetStore::Packed(s) => commit(s, stats, wa, set, block, is_write),
+            SetStore::PerSet(s) => commit(s.as_mut_slice(), stats, wa, set, block, is_write),
+        }
     }
 }
 

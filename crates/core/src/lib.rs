@@ -42,7 +42,7 @@ pub use index::{set_histogram, IndexFunction, SimdLanes, SIMD_LANES};
 pub use lru::{LruDir, LruSet};
 pub use model::{AccessResult, CacheModel, CoherentModel, HitWhere};
 pub use record::{AccessKind, MemRecord, ThreadId};
-pub use stats::{CacheStats, SetStats, Tally};
+pub use stats::{CacheStats, SetStats, StatsSink, Tally};
 
 /// A physical/virtual memory address. The paper's experiments use 32-bit
 /// Alpha addresses; we use 64 bits so synthetic address spaces can place

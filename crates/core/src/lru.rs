@@ -13,20 +13,21 @@
 use crate::hasher::{det_map_with_capacity, DetHashMap};
 use std::hash::Hash;
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 /// An LRU-ordered set of small integers (cache set indices) with O(1)
-/// `touch`: an intrusive doubly-linked list threaded through per-index
-/// `prev`/`next` arrays. Exactly equivalent to keeping a `VecDeque` in
-/// MRU-to-LRU order and linearly re-positioning on every touch — without
-/// the linear scan.
+/// `touch`: an intrusive doubly-linked list threaded through one
+/// per-index `[prev, next]` array, so a relink reads and writes both
+/// neighbours' links from one line each. Exactly equivalent to keeping a
+/// `VecDeque` in MRU-to-LRU order and linearly re-positioning on every
+/// touch — without the linear scan.
 #[derive(Debug)]
 pub struct LruSet {
     member: Vec<bool>,
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
+    /// `[prev, next]` of every member, `NIL` at either end of the list.
+    links: Vec<[u32; 2]>,
+    head: u32,
+    tail: u32,
     len: usize,
     capacity: usize,
 }
@@ -34,11 +35,17 @@ pub struct LruSet {
 impl LruSet {
     /// An empty set over the universe `0..universe`, evicting beyond
     /// `capacity` members (minimum 1).
+    ///
+    /// # Panics
+    /// If `universe` does not fit the `u32` links (`>= u32::MAX`).
     pub fn new(universe: usize, capacity: usize) -> Self {
+        assert!(
+            universe < NIL as usize,
+            "LruSet universe {universe} exceeds the u32 links"
+        );
         LruSet {
             member: vec![false; universe],
-            prev: vec![NIL; universe],
-            next: vec![NIL; universe],
+            links: vec![[NIL; 2]; universe],
             head: NIL,
             tail: NIL,
             len: 0,
@@ -62,28 +69,27 @@ impl LruSet {
         self.len == 0
     }
 
-    fn unlink(&mut self, set: usize) {
-        let (p, n) = (self.prev[set], self.next[set]);
+    fn unlink(&mut self, set: u32) {
+        let [p, n] = self.links[set as usize];
         if p == NIL {
             self.head = n;
         } else {
-            self.next[p] = n;
+            self.links[p as usize][1] = n;
         }
         if n == NIL {
             self.tail = p;
         } else {
-            self.prev[n] = p;
+            self.links[n as usize][0] = p;
         }
         self.len -= 1;
     }
 
-    fn push_front(&mut self, set: usize) {
-        self.prev[set] = NIL;
-        self.next[set] = self.head;
+    fn push_front(&mut self, set: u32) {
+        self.links[set as usize] = [NIL, self.head];
         if self.head == NIL {
             self.tail = set;
         } else {
-            self.prev[self.head] = set;
+            self.links[self.head as usize][0] = set;
         }
         self.head = set;
         self.len += 1;
@@ -91,18 +97,29 @@ impl LruSet {
 
     /// Marks `set` most-recently used (inserting it if absent) and
     /// returns the member evicted to stay within capacity, if any.
+    /// Touching the MRU member changes nothing and returns at once.
+    #[inline]
     pub fn touch(&mut self, set: usize) -> Option<usize> {
+        // Every set is below `NIL`, so an empty list never matches.
+        if self.head as usize == set {
+            return None;
+        }
+        self.relink(set)
+    }
+
+    fn relink(&mut self, set: usize) -> Option<usize> {
+        let s = set as u32;
         if self.member[set] {
-            self.unlink(set);
+            self.unlink(s);
         } else {
             self.member[set] = true;
         }
-        self.push_front(set);
+        self.push_front(s);
         let evicted = if self.len > self.capacity {
             let old = self.tail;
             self.unlink(old);
-            self.member[old] = false;
-            Some(old)
+            self.member[old as usize] = false;
+            Some(old as usize)
         } else {
             None
         };
@@ -113,7 +130,8 @@ impl LruSet {
 
     /// Cross-checks the intrusive list against the membership bitmap:
     /// capacity respected, list length equal to `len`, every listed set
-    /// marked a member. O(len) per call, so gated behind `checked`.
+    /// marked a member and linked back to its predecessor. O(len) per
+    /// call, so gated behind `checked`.
     #[cfg(feature = "checked")]
     fn debug_check(&self) {
         debug_assert!(
@@ -123,12 +141,15 @@ impl LruSet {
             self.capacity
         );
         let mut walked = 0;
-        let mut s = self.head;
+        let (mut prev, mut s) = (NIL, self.head);
         while s != NIL {
-            debug_assert!(self.member[s], "listed set {s} not marked member");
+            debug_assert!(self.member[s as usize], "listed set {s} not marked member");
+            debug_assert_eq!(self.links[s as usize][0], prev, "set {s}: prev link broken");
             walked += 1;
-            s = self.next[s];
+            prev = s;
+            s = self.links[s as usize][1];
         }
+        debug_assert_eq!(prev, self.tail, "LruSet tail is not the last listed set");
         debug_assert_eq!(walked, self.len, "LruSet list length diverged from len");
     }
 
@@ -136,10 +157,9 @@ impl LruSet {
     pub fn clear(&mut self) {
         let mut s = self.head;
         while s != NIL {
-            let n = self.next[s];
-            self.member[s] = false;
-            self.prev[s] = NIL;
-            self.next[s] = NIL;
+            let n = self.links[s as usize][1];
+            self.member[s as usize] = false;
+            self.links[s as usize] = [NIL; 2];
             s = n;
         }
         self.head = NIL;
@@ -172,8 +192,6 @@ struct Node<K> {
     next: u32,
 }
 
-const DNIL: u32 = u32::MAX;
-
 impl<K: Copy + Eq + Hash> LruDir<K> {
     /// An empty directory holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
@@ -182,20 +200,20 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
             map: det_map_with_capacity(capacity * 2),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
-            head: DNIL,
-            tail: DNIL,
+            head: NIL,
+            tail: NIL,
             capacity,
         }
     }
 
     fn unlink(&mut self, i: u32) {
         let (p, n) = (self.nodes[i as usize].prev, self.nodes[i as usize].next);
-        if p == DNIL {
+        if p == NIL {
             self.head = n;
         } else {
             self.nodes[p as usize].next = n;
         }
-        if n == DNIL {
+        if n == NIL {
             self.tail = p;
         } else {
             self.nodes[n as usize].prev = p;
@@ -203,9 +221,9 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
     }
 
     fn push_front(&mut self, i: u32) {
-        self.nodes[i as usize].prev = DNIL;
+        self.nodes[i as usize].prev = NIL;
         self.nodes[i as usize].next = self.head;
-        if self.head == DNIL {
+        if self.head == NIL {
             self.tail = i;
         } else {
             self.nodes[self.head as usize].prev = i;
@@ -258,8 +276,8 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
                 self.nodes[i as usize] = Node {
                     key,
                     set,
-                    prev: DNIL,
-                    next: DNIL,
+                    prev: NIL,
+                    next: NIL,
                 };
                 i
             }
@@ -267,8 +285,8 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
                 self.nodes.push(Node {
                     key,
                     set,
-                    prev: DNIL,
-                    next: DNIL,
+                    prev: NIL,
+                    next: NIL,
                 });
                 (self.nodes.len() - 1) as u32
             }
@@ -293,7 +311,7 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
         );
         let mut walked = 0;
         let mut i = self.head;
-        while i != DNIL {
+        while i != NIL {
             debug_assert!(
                 self.map.get(&self.nodes[i as usize].key) == Some(&i),
                 "listed node not indexed by map"
@@ -326,8 +344,8 @@ impl<K: Copy + Eq + Hash> LruDir<K> {
         self.map.clear();
         self.nodes.clear();
         self.free.clear();
-        self.head = DNIL;
-        self.tail = DNIL;
+        self.head = NIL;
+        self.tail = NIL;
     }
 }
 

@@ -19,48 +19,75 @@ pub struct SetStats {
     pub evictions: u64,
 }
 
-/// A run of single-probe accesses recorded against one [`CacheStats`]
-/// (see [`CacheStats::tally`]): each method is the named per-record
-/// `CacheStats` call, except that the aggregate counters build up here
-/// and reach the stats once, when the run ends.
+/// Where one access's counters go. The per-record paths write straight
+/// into [`CacheStats`], each call moving only the counters it names; a
+/// chunk commit writes into a [`Tally`], whose aggregate totals reach the
+/// stats once per chunk. Each method is the named `CacheStats` call.
+pub trait StatsSink {
+    /// [`CacheStats::record`].
+    fn record(&mut self, set: usize, outcome: HitWhere);
+    /// [`CacheStats::record_eviction`].
+    fn eviction(&mut self, set: usize);
+    /// [`CacheStats::record_write`] if `is_write`, without a branch on it.
+    fn write(&mut self, is_write: bool);
+    /// [`CacheStats::record_relocation`].
+    fn relocation(&mut self);
+}
+
+/// A run of accesses recorded against one [`CacheStats`] (see
+/// [`CacheStats::tally`]): per-set counters move on every call, the
+/// aggregate counters build up here and reach the stats once, when the
+/// run ends.
 pub struct Tally<'a> {
     per_set: &'a mut [SetStats],
     primary_hits: u64,
+    secondary_hits: u64,
     misses_direct: u64,
+    misses_after_probe: u64,
     writes: u64,
     evictions: u64,
+    relocations: u64,
 }
 
-impl Tally<'_> {
-    /// `record(set, HitWhere::Primary)`.
+impl StatsSink for Tally<'_> {
     #[inline(always)]
-    pub fn hit(&mut self, set: usize) {
+    fn record(&mut self, set: usize, outcome: HitWhere) {
         let s = &mut self.per_set[set];
         s.accesses += 1;
-        s.hits += 1;
-        self.primary_hits += 1;
+        match outcome {
+            HitWhere::Primary => {
+                s.hits += 1;
+                self.primary_hits += 1;
+            }
+            HitWhere::Secondary => {
+                s.hits += 1;
+                self.secondary_hits += 1;
+            }
+            HitWhere::MissDirect => {
+                s.misses += 1;
+                self.misses_direct += 1;
+            }
+            HitWhere::MissAfterProbe => {
+                s.misses += 1;
+                self.misses_after_probe += 1;
+            }
+        }
     }
 
-    /// `record(set, HitWhere::MissDirect)`.
     #[inline(always)]
-    pub fn miss(&mut self, set: usize) {
-        let s = &mut self.per_set[set];
-        s.accesses += 1;
-        s.misses += 1;
-        self.misses_direct += 1;
-    }
-
-    /// `record_eviction(set)`.
-    #[inline(always)]
-    pub fn eviction(&mut self, set: usize) {
+    fn eviction(&mut self, set: usize) {
         self.per_set[set].evictions += 1;
         self.evictions += 1;
     }
 
-    /// `record_write()` if `is_write`, without a branch on it.
     #[inline(always)]
-    pub fn write(&mut self, is_write: bool) {
+    fn write(&mut self, is_write: bool) {
         self.writes += u64::from(is_write);
+    }
+
+    #[inline(always)]
+    fn relocation(&mut self) {
+        self.relocations += 1;
     }
 }
 
@@ -160,23 +187,28 @@ impl CacheStats {
     }
 
     /// Runs `f` over a [`Tally`] of these counters, then adds the tally's
-    /// aggregate totals in once: the fused kernel's chunk commit. Per-set
-    /// counters move on every tally call; the aggregates wait for `f` to
-    /// return.
+    /// aggregate totals in once: the chunk commit. Per-set counters move
+    /// on every tally call; the aggregates wait for `f` to return.
     #[inline(always)]
     pub fn tally<R>(&mut self, f: impl FnOnce(&mut Tally<'_>) -> R) -> R {
         let mut t = Tally {
             per_set: &mut self.per_set,
             primary_hits: 0,
+            secondary_hits: 0,
             misses_direct: 0,
+            misses_after_probe: 0,
             writes: 0,
             evictions: 0,
+            relocations: 0,
         };
         let r = f(&mut t);
         self.primary_hits += t.primary_hits;
+        self.secondary_hits += t.secondary_hits;
         self.misses_direct += t.misses_direct;
+        self.misses_after_probe += t.misses_after_probe;
         self.writes += t.writes;
         self.evictions += t.evictions;
+        self.relocations += t.relocations;
         r
     }
 
@@ -322,6 +354,28 @@ impl CacheStats {
     }
 }
 
+impl StatsSink for CacheStats {
+    #[inline(always)]
+    fn record(&mut self, set: usize, outcome: HitWhere) {
+        CacheStats::record(self, set, outcome);
+    }
+
+    #[inline(always)]
+    fn eviction(&mut self, set: usize) {
+        self.record_eviction(set);
+    }
+
+    #[inline(always)]
+    fn write(&mut self, is_write: bool) {
+        self.writes += u64::from(is_write);
+    }
+
+    #[inline(always)]
+    fn relocation(&mut self) {
+        self.record_relocation();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +392,42 @@ mod tests {
         st.record_write();
         st.record_relocation();
         st
+    }
+
+    /// Every outcome through a [`Tally`] and straight into the stats, the
+    /// two [`StatsSink`]s, leaves the same counters.
+    #[test]
+    fn tally_and_direct_sinks_agree() {
+        fn replay(sink: &mut impl StatsSink) {
+            let outcomes = [
+                HitWhere::Primary,
+                HitWhere::Secondary,
+                HitWhere::MissDirect,
+                HitWhere::MissAfterProbe,
+            ];
+            for i in 0..40 {
+                sink.record(i % 4, outcomes[i / 4 % 4]);
+                sink.write(i % 3 == 0);
+                if i % 5 == 0 {
+                    sink.eviction(i % 4);
+                }
+                if i % 7 == 0 {
+                    sink.relocation();
+                }
+            }
+        }
+        let mut direct = CacheStats::new(4);
+        replay(&mut direct);
+        let mut tallied = CacheStats::new(4);
+        tallied.tally(|t| replay(t));
+        assert_eq!(direct, tallied);
+        assert_eq!(direct.accesses(), 40);
+        assert_eq!(
+            (direct.writes, direct.evictions, direct.relocations),
+            (14, 8, 6)
+        );
+        assert_eq!(direct.secondary_hits, 12);
+        assert_eq!(direct.misses_after_probe, 8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use unicache_core::{
     AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere,
-    IndexFunction, MemRecord, Result, TaggedLane, ThreadId, FUSE_CHUNK,
+    IndexFunction, MemRecord, Result, StatsSink, TaggedLane, ThreadId, FUSE_CHUNK,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -33,10 +33,11 @@ pub struct PerThreadIndexCache {
     lines: Vec<Line>,
     stats: CacheStats,
     name: String,
-    /// Chunk-step scratch, [`FUSE_CHUNK`] slots each: the chunk's sets,
-    /// and the chunk indexed under one thread's function.
-    sets: Vec<usize>,
-    thread_sets: Vec<usize>,
+    /// Chunk-step scratch: two [`FUSE_CHUNK`]-slot buffers, read as one
+    /// run of `2 × FUSE_CHUNK` slots holding a row per index function
+    /// (see the [`TaggedLane`] impl). Its size does not grow with the
+    /// thread count.
+    rows: [Vec<usize>; 2],
 }
 
 impl PerThreadIndexCache {
@@ -47,9 +48,12 @@ impl PerThreadIndexCache {
                 what: "per-thread-index cache is direct-mapped".into(),
             });
         }
-        if index_fns.is_empty() {
+        if index_fns.is_empty() || index_fns.len() > 256 {
             return Err(ConfigError::InvalidParameter {
-                what: "need at least one thread index function".into(),
+                what: format!(
+                    "need 1 to 256 thread index functions (thread ids are 8-bit), got {}",
+                    index_fns.len()
+                ),
             });
         }
         for f in &index_fns {
@@ -78,57 +82,53 @@ impl PerThreadIndexCache {
                 geom.num_sets()
             ],
             stats: CacheStats::new(geom.num_sets()),
+            rows: [vec![0; FUSE_CHUNK], vec![0; FUSE_CHUNK]],
             index_fns,
             name,
-            sets: vec![0; FUSE_CHUNK],
-            thread_sets: vec![0; FUSE_CHUNK],
         })
     }
+}
 
-    /// Looks up and fills `set` for one reference. The line is tagged
-    /// with the unclamped `tid`, so two ids sharing an index function
-    /// still keep distinct copies of a block.
-    #[inline]
-    fn commit(
-        &mut self,
-        set: usize,
-        block: BlockAddr,
-        is_write: bool,
-        tid: ThreadId,
-    ) -> AccessResult {
-        if is_write {
-            self.stats.record_write();
-        }
-        let line = &mut self.lines[set];
-        if line.valid && line.block == block && line.tid == tid {
-            if is_write {
-                line.dirty = true;
-            }
-            self.stats.record(set, HitWhere::Primary);
-            return AccessResult {
-                where_hit: HitWhere::Primary,
-                set,
-                evicted: None,
-            };
-        }
-        // Miss: replace whatever lives here (possibly another thread's
-        // line — the inter-thread conflict the experiment measures).
-        let evicted = if line.valid { Some(line.block) } else { None };
-        if line.valid {
-            self.stats.record_eviction(set);
-        }
-        *line = Line {
-            block,
-            tid,
-            valid: true,
-            dirty: is_write,
-        };
-        self.stats.record(set, HitWhere::MissDirect);
-        AccessResult {
-            where_hit: HitWhere::MissDirect,
+/// Looks up and fills `set` for one reference, its counters written to
+/// `sink`. The line is tagged with the unclamped `tid`, so two ids
+/// sharing an index function still keep distinct copies of a block.
+#[inline(always)]
+fn commit<S: StatsSink>(
+    lines: &mut [Line],
+    sink: &mut S,
+    set: usize,
+    block: BlockAddr,
+    is_write: bool,
+    tid: ThreadId,
+) -> AccessResult {
+    sink.write(is_write);
+    let line = &mut lines[set];
+    if line.valid && line.block == block && line.tid == tid {
+        line.dirty |= is_write;
+        sink.record(set, HitWhere::Primary);
+        return AccessResult {
+            where_hit: HitWhere::Primary,
             set,
-            evicted,
-        }
+            evicted: None,
+        };
+    }
+    // Miss: replace whatever lives here (possibly another thread's
+    // line — the inter-thread conflict the experiment measures).
+    let evicted = if line.valid { Some(line.block) } else { None };
+    if line.valid {
+        sink.eviction(set);
+    }
+    *line = Line {
+        block,
+        tid,
+        valid: true,
+        dirty: is_write,
+    };
+    sink.record(set, HitWhere::MissDirect);
+    AccessResult {
+        where_hit: HitWhere::MissDirect,
+        set,
+        evicted,
     }
 }
 
@@ -142,7 +142,14 @@ impl CacheModel for PerThreadIndexCache {
         // Ids past the last thread take the last thread's function.
         let t = usize::from(rec.tid).min(self.index_fns.len() - 1);
         let set = self.index_fns[t].index_block(block);
-        self.commit(set, block, rec.kind.is_write(), rec.tid)
+        commit(
+            &mut self.lines,
+            &mut self.stats,
+            set,
+            block,
+            rec.kind.is_write(),
+            rec.tid,
+        )
     }
 
     fn stats(&self) -> &CacheStats {
@@ -166,41 +173,47 @@ impl CacheModel for PerThreadIndexCache {
     }
 }
 
-/// Each thread's index function maps the whole chunk with one
-/// [`IndexFunction::index_many`] call, and a branch-free select keeps
-/// the sets of that thread's records; then every record commits in
-/// trace order. Indexing the whole chunk per thread costs less than
-/// gathering each thread's run first: the gather's write cursor is a
-/// serial dependency through every record, once per thread.
+/// Each thread's index function maps the chunk into its own row of the
+/// scratch with one [`IndexFunction::index_many`] call; then every
+/// record commits in trace order, reading its set from the row of its
+/// thread, with the aggregate counters added once per chunk through
+/// [`CacheStats::tally`]. Indexing the whole chunk per thread costs less
+/// than gathering each thread's run first: the gather's write cursor is
+/// a serial dependency through every record, once per thread. Up to two
+/// threads, a row holds a whole [`FUSE_CHUNK`]-record chunk; more
+/// threads step the chunk in shorter runs, a power-of-two fraction of
+/// it, so that no row straddles the two scratch buffers.
 impl TaggedLane for PerThreadIndexCache {
     fn step_tagged(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]) {
         assert!(
             writes.len() == blocks.len() && tids.len() == blocks.len(),
             "step_tagged: chunk slices differ in length"
         );
-        let top = self.index_fns.len() - 1;
-        let mut sets = std::mem::take(&mut self.sets);
+        let threads = self.index_fns.len();
+        let top = threads - 1;
+        let run = FUSE_CHUNK / threads.div_ceil(2).next_power_of_two();
         for ((blocks, writes), tids) in blocks
-            .chunks(FUSE_CHUNK)
-            .zip(writes.chunks(FUSE_CHUNK))
-            .zip(tids.chunks(FUSE_CHUNK))
+            .chunks(run)
+            .zip(writes.chunks(run))
+            .zip(tids.chunks(run))
         {
             let n = blocks.len();
-            for (t, f) in self.index_fns.iter().enumerate() {
-                f.index_many(blocks, &mut self.thread_sets[..n]);
-                for ((s, &tid), &set) in sets.iter_mut().zip(tids).zip(&self.thread_sets) {
-                    if usize::from(tid).min(top) == t {
-                        *s = set;
-                    }
+            let [first, second] = &mut self.rows;
+            let rows = first.chunks_mut(run).chain(second.chunks_mut(run));
+            for (f, row) in self.index_fns.iter().zip(rows) {
+                f.index_many(blocks, &mut row[..n]);
+            }
+            let (lines, rows) = (&mut self.lines, &self.rows);
+            self.stats.tally(|t| {
+                for (i, ((&block, &is_write), &tid)) in
+                    blocks.iter().zip(writes).zip(tids).enumerate()
+                {
+                    let slot = usize::from(tid).min(top) * run + i;
+                    let set = rows[slot / FUSE_CHUNK][slot % FUSE_CHUNK];
+                    commit(lines, t, set, block, is_write, tid);
                 }
-            }
-            for (((&block, &is_write), &tid), &set) in
-                blocks.iter().zip(writes).zip(tids).zip(&sets)
-            {
-                self.commit(set, block, is_write, tid);
-            }
+            });
         }
-        self.sets = sets;
     }
 }
 
@@ -228,6 +241,11 @@ mod tests {
     #[test]
     fn validation() {
         assert!(PerThreadIndexCache::new(geom(8), vec![]).is_err());
+        assert!(PerThreadIndexCache::new(geom(8), vec![conventional(8); 256]).is_ok());
+        assert!(
+            PerThreadIndexCache::new(geom(8), vec![conventional(8); 257]).is_err(),
+            "more index functions than 8-bit thread ids"
+        );
         assert!(
             PerThreadIndexCache::new(geom(8), vec![conventional(16)]).is_err(),
             "oversized index rejected"
@@ -298,6 +316,46 @@ mod tests {
         let s = &c.stats().per_set()[set];
         assert_eq!((s.accesses, s.hits, s.misses), (2, 1, 1));
         assert_eq!(c.stats().accesses(), 2);
+    }
+
+    /// Chunk steps == per-record `access` at every run length the
+    /// scratch splits a chunk into: whole chunks (1 and 2 threads), half
+    /// chunks (3 threads, the fourth row unused) and quarter chunks (5),
+    /// with ids past the last thread and a ragged last chunk.
+    #[test]
+    fn tagged_steps_match_per_record_access_for_any_thread_count() {
+        for threads in [1, 2, 3, 5] {
+            let fns = || {
+                (0..threads)
+                    .map(|t| oddmul(64, [9, 21, 31, 61, 3][t]))
+                    .collect::<Vec<_>>()
+            };
+            let mut chunked = PerThreadIndexCache::new(geom(64), fns()).unwrap();
+            let mut solo = PerThreadIndexCache::new(geom(64), fns()).unwrap();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let recs: Vec<MemRecord> = (0..2 * FUSE_CHUNK + 77)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let r = read((x >> 33) % 512, (i % (threads + 1)) as u8);
+                    if x >> 60 == 0 {
+                        MemRecord::write(r.addr).with_tid(r.tid)
+                    } else {
+                        r
+                    }
+                })
+                .collect();
+            for chunk in recs.chunks(FUSE_CHUNK) {
+                let blocks: Vec<u64> = chunk.iter().map(|r| r.addr / 32).collect();
+                let writes: Vec<bool> = chunk.iter().map(|r| r.kind.is_write()).collect();
+                let tids: Vec<u8> = chunk.iter().map(|r| r.tid).collect();
+                chunked.step_tagged(&blocks, &writes, &tids);
+            }
+            for &r in &recs {
+                solo.access(r);
+            }
+            assert_eq!(chunked.stats(), solo.stats(), "{threads} threads");
+            assert!(solo.stats().writes > 0 && solo.stats().hits() > 0);
+        }
     }
 
     #[test]

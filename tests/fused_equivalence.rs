@@ -92,22 +92,41 @@ fn tagged_builders(
     ]
 }
 
+/// Records replayed per record on both sides after a chunked run:
+/// hot and uniform traffic from every thread id up to one past the
+/// caches' thread count, overlapping the chunked mix's addresses.
+fn tagged_suffix(seed: u64, threads: usize) -> Vec<MemRecord> {
+    let hot = synth::hotspot(seed ^ 0x5eed, SUFFIX / 2, 0, 64, 1 << 13, 0.8);
+    let wide = synth::uniform_rw(seed ^ 0xfeed, SUFFIX / 2, 0x1000, 1 << 14, 0.3);
+    hot.records()
+        .iter()
+        .chain(wide.records())
+        .zip((0..=threads as u8).cycle())
+        .map(|(r, tid)| r.with_tid(tid))
+        .collect()
+}
+
+/// Length of the per-record suffix replayed after a chunked run.
+const SUFFIX: usize = 2048;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tagged chunk steps == per-record `access` over the merged mix for
-    /// every SMT cache, at 2 and 4 threads, under round-robin and
+    /// every SMT cache, at 1, 2 and 4 threads, under round-robin and
     /// stochastic interleaving. Thread lengths are ragged, so the last
     /// chunk is partial, and one extra thread beyond the caches' thread
     /// count exercises the tid clamp (index and partition of the last
-    /// thread, tag of its own).
+    /// thread, tag of its own). Both sides then replay one shared suffix
+    /// per record, so a line, SHT order or OUT entry that diverged
+    /// without moving a counter still shows in the stats.
     #[test]
     fn tagged_chunk_step_matches_per_record_access(seed in 0u64..4000) {
         for geom in [
             CacheGeometry::from_sets(64, 32, 1).unwrap(),
             CacheGeometry::paper_l1(),
         ] {
-            for threads in [2usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let traces: Vec<Trace> = (0..=threads as u64)
                     .map(|t| {
                         let n = 1000 + 37 * t as usize;
@@ -134,7 +153,8 @@ proptest! {
                     let n = run_interleaved(&refs, policy, &mut lanes);
                     prop_assert_eq!(n, merged.len());
                     prop_assert!(!n.is_multiple_of(FUSE_CHUNK), "last chunk must be ragged");
-                    for (mk, lane) in builders.iter().zip(&chunked) {
+                    let suffix = tagged_suffix(seed, threads);
+                    for (mk, lane) in builders.iter().zip(&mut chunked) {
                         let mut solo = mk();
                         for &r in merged.records() {
                             solo.access(r);
@@ -143,6 +163,18 @@ proptest! {
                             solo.stats(),
                             lane.stats(),
                             "{} diverged under chunking ({} threads, {:?})",
+                            lane.name(),
+                            threads,
+                            policy
+                        );
+                        for &r in &suffix {
+                            solo.access(r);
+                            lane.access(r);
+                        }
+                        prop_assert_eq!(
+                            solo.stats(),
+                            lane.stats(),
+                            "{} left different state after chunking ({} threads, {:?})",
                             lane.name(),
                             threads,
                             policy
@@ -251,6 +283,47 @@ proptest! {
                 rotated[i].stats(),
                 "{} depends on its position in the group",
                 rotated[i].name()
+            );
+        }
+    }
+}
+
+/// The solo adaptive cache under `run_fused` == per-record `access`, at
+/// the paper geometry and a small one, over traces whose last chunk is
+/// ragged; then both replay one shared suffix per record and must still
+/// agree, so diverged lines, SHT order or OUT entries fail too.
+#[test]
+fn adaptive_fused_chunks_leave_the_per_record_state() {
+    for geom in [
+        CacheGeometry::from_sets(64, 32, 1).unwrap(),
+        CacheGeometry::paper_l1(),
+    ] {
+        // Hot and uniform traffic over several times the cache, so the
+        // hot sets' victims relocate; read-only and read/write.
+        let make = |seed: u64, n: usize| {
+            if seed.is_multiple_of(2) {
+                synth::hotspot(seed, n, 0, 1 << 12, 1 << 18, 0.8)
+            } else {
+                synth::uniform_rw(seed, n, 0x1000, 1 << 17, 0.3)
+            }
+        };
+        for seed in 0..4u64 {
+            let trace = make(seed, 2 * FUSE_CHUNK + 333 + seed as usize);
+            let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
+            let mut fused = AdaptiveGroupCache::new(geom).unwrap();
+            run_fused(&mut [&mut fused], &stream);
+            let mut solo = AdaptiveGroupCache::new(geom).unwrap();
+            solo.run(trace.records());
+            assert_eq!(solo.stats(), fused.stats(), "chunked run, seed {seed}");
+            assert!(solo.stats().relocations > 0, "seed {seed} never relocated");
+            for &r in make(seed + 2, SUFFIX).records() {
+                solo.access(r);
+                fused.access(r);
+            }
+            assert_eq!(
+                solo.stats(),
+                fused.stats(),
+                "suffix after chunking, seed {seed}"
             );
         }
     }

@@ -36,10 +36,11 @@ fn drive(model: &mut dyn CacheModel, seed: u64) -> CacheStats {
     model.stats().clone()
 }
 
-/// [`drive`] with the records dealt round-robin to `threads` thread ids.
-fn drive_threads(model: &mut dyn CacheModel, seed: u64, threads: u8) -> CacheStats {
+/// Resets the counters and drives `trace` through the model with its
+/// records dealt round-robin to `threads` thread ids, returning the
+/// final stats. Callers must hold [`OBS_LOCK`].
+fn drive_threads(model: &mut dyn CacheModel, trace: &Trace, threads: u8) -> CacheStats {
     unicache_obs::reset();
-    let trace = synth::uniform_rw(seed, 12_000, 0x4000, 1 << 15, 0.25);
     for (rec, tid) in trace.records().iter().zip((0..threads).cycle()) {
         model.access(rec.with_tid(tid));
     }
@@ -127,42 +128,79 @@ fn bcache_walk_histogram_totals_accesses() {
     assert!(unicache_obs::counter_value(Event::BcacheLineCompare) >= s.accesses());
 }
 
+/// The adaptive engine's counters after a run: probes, OUT hits, SHT
+/// hits, relocations, and the host-search histogram's total.
+fn adaptive_counters() -> [u64; 5] {
+    use unicache_obs::{Event, HistEvent, BUCKETS};
+    [
+        unicache_obs::counter_value(Event::AdaptiveProbe),
+        unicache_obs::counter_value(Event::AdaptiveOutHit),
+        unicache_obs::counter_value(Event::AdaptiveShtHit),
+        unicache_obs::counter_value(Event::AdaptiveRelocation),
+        (0..BUCKETS)
+            .map(|i| unicache_obs::hist_bucket(HistEvent::AdaptiveRelocSearch, i))
+            .sum(),
+    ]
+}
+
+/// Per record, the adaptive counters agree with the stats; chunked (the
+/// solo cache under `run_fused`, the partitioned cache under
+/// `run_interleaved`, each with a ragged last chunk), every counter
+/// equals its per-record value.
 #[test]
 fn adaptive_directory_accounting() {
-    use unicache_obs::{Event, HistEvent, BUCKETS};
     let _guard = obs_guard!();
-    let solo = AdaptiveGroupCache::new(geom()).unwrap();
-    let partitioned = AdaptivePartitionedCache::new(geom(), 4).unwrap();
-    let inputs: [(Box<dyn CacheModel>, u64, u8); 2] =
-        [(Box::new(solo), 404, 1), (Box::new(partitioned), 405, 4)];
-    for (mut c, seed, threads) in inputs {
-        let s = drive_threads(&mut *c, seed, threads);
-        assert_eq!(
-            unicache_obs::counter_value(Event::AdaptiveProbe),
-            s.accesses()
-        );
+    let n = 12_000 + 4 * 111;
+    for (seed, threads) in [(404u64, 1u8), (405, 4)] {
+        let trace = synth::uniform_rw(seed, n, 0x4000, 1 << 15, 0.25);
+        let solo = || AdaptiveGroupCache::new(geom()).unwrap();
+        let partitioned = || AdaptivePartitionedCache::new(geom(), usize::from(threads)).unwrap();
+        let mut c: Box<dyn CacheModel> = if threads == 1 {
+            Box::new(solo())
+        } else {
+            Box::new(partitioned())
+        };
+        let s = drive_threads(&mut *c, &trace, threads);
+        let [probes, out_hits, sht_hits, relocations, searches] = adaptive_counters();
+        assert_eq!(probes, s.accesses());
         // OUT-directory hits are the secondary hits; SHT lookups that
         // still miss are the probed misses; relocation events match the
         // stats.
-        assert_eq!(
-            unicache_obs::counter_value(Event::AdaptiveOutHit),
-            s.secondary_hits
-        );
-        assert_eq!(
-            unicache_obs::counter_value(Event::AdaptiveShtHit),
-            s.misses_after_probe
-        );
-        assert_eq!(
-            unicache_obs::counter_value(Event::AdaptiveRelocation),
-            s.relocations
-        );
+        assert_eq!(out_hits, s.secondary_hits);
+        assert_eq!(sht_hits, s.misses_after_probe);
+        assert_eq!(relocations, s.relocations);
         // A relocation is a swap-back (one per secondary hit) or a spill,
         // and each spill records its host search distance once.
-        let searches: u64 = (0..BUCKETS)
-            .map(|i| unicache_obs::hist_bucket(HistEvent::AdaptiveRelocSearch, i))
-            .sum();
         assert_eq!(searches, s.relocations - s.secondary_hits, "{}", c.name());
         assert!(searches > 0, "{}: stream never spilled", c.name());
+
+        unicache_obs::reset();
+        let chunked_stats = if threads == 1 {
+            let mut fused = solo();
+            let stream = BlockStream::from_records(trace.records(), geom().line_bytes());
+            run_fused(&mut [&mut fused as &mut dyn FusedLane], &stream);
+            fused.stats().clone()
+        } else {
+            // Thread t issues records t, t + threads, ...: the round-robin
+            // merge replays the per-record order above.
+            let per_thread: Vec<Trace> = (0..threads)
+                .map(|t| {
+                    let mine = trace.records().iter().skip(usize::from(t));
+                    mine.step_by(usize::from(threads)).copied().collect()
+                })
+                .collect();
+            let refs: Vec<&Trace> = per_thread.iter().collect();
+            let mut lane = partitioned();
+            run_interleaved(&refs, InterleavePolicy::RoundRobin, &mut [&mut lane]);
+            lane.stats().clone()
+        };
+        assert_eq!(chunked_stats, s, "{}: chunked stats", c.name());
+        assert_eq!(
+            adaptive_counters(),
+            [probes, out_hits, sht_hits, relocations, searches],
+            "{}: chunked counters",
+            c.name()
+        );
     }
 }
 
