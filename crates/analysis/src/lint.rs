@@ -22,10 +22,10 @@
 //!   parallelism must route through `unicache_exec::map` (which `xp
 //!   --jobs N` governs).
 //! * **`unsafe-outside-simd`** — no `unsafe` blocks and no
-//!   `std::arch`/`core::arch`/`std::simd` paths outside the audited
-//!   unsafe homes: the SIMD tier's kernel file (`core/src/index.rs`,
-//!   deliberately safe autovectorized array code today, DESIGN §12) and
-//!   the executor's process-tuning FFI shim (`exec/src/sys.rs`).
+//!   `std::arch`/`core::arch`/`std::simd` paths outside the one audited
+//!   unsafe home: the executor's process-tuning FFI shim
+//!   (`exec/src/sys.rs`). Simulation code, the batched index loops
+//!   included, is safe Rust that the compiler vectorizes on its own.
 //!
 //! A trailing `// uca:allow(rule)` comment suppresses a rule on that line
 //! (used where wall-clock time is the *point*, e.g. `xp --timing`).
@@ -146,15 +146,13 @@ const THREAD_CRATE: &str = "exec";
 /// per-crate *scheduling* is not.
 const THREAD_NEEDLES: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
-/// The only files allowed to contain `unsafe` blocks or SIMD intrinsic
-/// paths: the SIMD tier's kernel home (DESIGN §12) and the executor's
-/// process-tuning FFI shim. The shipped kernels are safe autovectorized
-/// array code; this allowlist is where any future intrinsics — and all
-/// libc FFI — have to live to be auditable in one place.
-const SIMD_FILES: &[&str] = &["crates/core/src/index.rs", "crates/exec/src/sys.rs"];
+/// The only file allowed to contain `unsafe` blocks or SIMD intrinsic
+/// paths: the executor's process-tuning FFI shim, so all libc FFI is
+/// auditable in one place.
+const UNSAFE_FILES: &[&str] = &["crates/exec/src/sys.rs"];
 
-/// Intrinsic module paths banned outside [`SIMD_FILES`].
-const SIMD_NEEDLES: &[&str] = &["std::arch", "core::arch", "std::simd"];
+/// Intrinsic module paths banned outside [`UNSAFE_FILES`].
+const INTRINSIC_NEEDLES: &[&str] = &["std::arch", "core::arch", "std::simd"];
 
 const INT_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
@@ -222,7 +220,7 @@ pub fn lint_source(path: &str, crate_name: &str, src: &str) -> Vec<Violation> {
     let cast_scoped = NARROWING_CAST_FILES.contains(&path);
     let wallclock_scoped = crate_name != WALLCLOCK_CRATE;
     let thread_scoped = crate_name != THREAD_CRATE;
-    let simd_scoped = !SIMD_FILES.contains(&path);
+    let unsafe_scoped = !UNSAFE_FILES.contains(&path);
 
     let mut violations = Vec::new();
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -294,24 +292,25 @@ pub fn lint_source(path: &str, crate_name: &str, src: &str) -> Vec<Violation> {
                 }
             }
         }
-        if simd_scoped {
+        if unsafe_scoped {
             if contains_ident(line, "unsafe") {
                 push(
                     lineno,
                     "unsafe-outside-simd",
-                    "`unsafe` outside the allowlisted SIMD kernel modules; keep simulation \
-                     code safe (the SIMD tier is autovectorized array code)"
+                    "`unsafe` outside the allowlisted FFI shim (`exec/src/sys.rs`); keep \
+                     simulation code safe (plain slice loops vectorize without it)"
                         .to_string(),
                 );
             } else {
-                for needle in SIMD_NEEDLES {
+                for needle in INTRINSIC_NEEDLES {
                     if line.contains(needle) {
                         push(
                             lineno,
                             "unsafe-outside-simd",
                             format!(
-                                "`{needle}` outside the allowlisted SIMD kernel modules; \
-                                 express vector code through `SimdLanes` array kernels"
+                                "`{needle}` outside the allowlisted FFI shim \
+                                 (`exec/src/sys.rs`); write vector code as plain slice \
+                                 loops the compiler vectorizes"
                             ),
                         );
                         break;

@@ -496,44 +496,45 @@ impl Engine {
     ) -> AccessResult {
         let holds = |l: &Line| l.valid && l.block == block && l.tid == tag;
 
-        // OUT probe: the block may live out of position.
+        // OUT probe: the block may live out of position. OUT is kept
+        // consistent on every fill, relocation and eviction, so an entry
+        // always points at its out-of-position line.
         if let Some(alt) = self.out.get((tag, block)) {
-            if holds(&self.lines[alt]) {
-                unicache_obs::count(unicache_obs::Event::AdaptiveOutHit);
-                // Swap back toward the primary position to shorten future
-                // hits; the displaced primary resident takes the alternate
-                // slot (its OUT entry replaces ours).
-                let mut incoming = self.lines[alt];
-                incoming.out_of_position = false;
-                incoming.dirty |= is_write;
-                let outgoing = self.lines[p];
-                self.out.remove((tag, block));
-                self.lines[p] = incoming;
-                if outgoing.valid {
-                    self.put_line(
-                        alt,
-                        Line {
-                            out_of_position: true,
-                            ..outgoing
-                        },
-                    );
-                    self.out_insert((outgoing.tid, outgoing.block), alt);
-                } else {
-                    self.put_line(alt, Line::empty());
-                }
-                self.touch_sht(p);
-                sink.record(p, HitWhere::Secondary);
-                unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
-                sink.relocation();
-                return AccessResult {
-                    where_hit: HitWhere::Secondary,
-                    set: p,
-                    evicted: None,
-                };
-            }
-            // Stale entry: the alternate line was reclaimed. Clean up.
-            unicache_obs::count(unicache_obs::Event::AdaptiveOutStale);
+            debug_assert!(
+                holds(&self.lines[alt]),
+                "stale OUT entry for block {block:#x} at line {alt}"
+            );
+            unicache_obs::count(unicache_obs::Event::AdaptiveOutHit);
+            // Swap back toward the primary position to shorten future
+            // hits; the displaced primary resident takes the alternate
+            // slot (its OUT entry replaces ours).
+            let mut incoming = self.lines[alt];
+            incoming.out_of_position = false;
+            incoming.dirty |= is_write;
+            let outgoing = self.lines[p];
             self.out.remove((tag, block));
+            self.lines[p] = incoming;
+            if outgoing.valid {
+                self.put_line(
+                    alt,
+                    Line {
+                        out_of_position: true,
+                        ..outgoing
+                    },
+                );
+                self.out_insert((outgoing.tid, outgoing.block), alt);
+            } else {
+                self.put_line(alt, Line::empty());
+            }
+            self.touch_sht(p);
+            sink.record(p, HitWhere::Secondary);
+            unicache_obs::count(unicache_obs::Event::AdaptiveRelocation);
+            sink.relocation();
+            return AccessResult {
+                where_hit: HitWhere::Secondary,
+                set: p,
+                evicted: None,
+            };
         }
 
         // Miss. Decide the fate of the primary resident.
@@ -756,8 +757,8 @@ mod tests {
     /// OUT is always consistent: after every access, on solo traffic
     /// under a narrow relocation window and on partitioned traffic with
     /// clockwise spills (plus a thread id past the last partition), each
-    /// OUT entry points at its out-of-position line, so the stale-entry
-    /// branch of the miss path never meets a stale entry.
+    /// OUT entry points at its out-of-position line, as the miss path's
+    /// OUT probe debug-asserts.
     #[test]
     fn out_points_at_its_lines_after_every_access() {
         let mut rng = StdRng::seed_from_u64(55);

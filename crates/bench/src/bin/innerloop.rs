@@ -5,38 +5,28 @@
 //!    driven by one `run_fused` pass (decode each chunk once, step every
 //!    lane over it) and by one single-lane `run_fused` pass per lane
 //!    (the stream decoded and streamed once per lane).
+//! 2. **Chunked vs per-record coherent traversal** (DESIGN §16) — the
+//!    same 4-core MESI hierarchy driven through `step_chunk` (batched
+//!    index, private-line fast path) and record-at-a-time `access`, in
+//!    ns/record, plus the fraction of accesses the fast path committed.
+//! 3. **Chunked vs per-record SMT and adaptive lanes** — ns/record for
+//!    `PerThreadIndexCache` (2 threads, odd multipliers) and
+//!    `AdaptivePartitionedCache` (2 threads) stepped as tagged chunks
+//!    against per-record `access`, and for the solo
+//!    `AdaptiveGroupCache` under `run_fused` against per-record `access`.
+//! 4. **Per-phase ns/record** for a direct-mapped lane — index
+//!    (`index_many` alone) and commit (the full fused pass minus index)
+//!    — so a perf regression localizes to a phase instead of one
+//!    aggregate number.
+//! 5. **A roofline** — records/sec of section 1's fused pass against
+//!    measured memory bandwidth (streaming-copy probe), placing the
+//!    inner loop relative to the machine ceiling; `--roofline-out`
+//!    writes it as its own artifact.
 //!
 //! Emits a single JSON document on stdout (and optionally to `--out`)
 //! so CI can archive the numbers as an artifact next to the perfgate
 //! diff. Wall-clock goes through `unicache_timing::Stopwatch`, the one
 //! sanctioned timing primitive (`uca lint`, rule `wallclock`).
-//!
-//! Since the SIMD tier (DESIGN §12) the report also carries:
-//!
-//! 2. **SIMD vs scalar fused traversal** — the same fused group with the
-//!    `SimdLanes` ablation knob on and off.
-//! 3. **Per-phase ns/record** for a direct-mapped lane — index
-//!    (`index_many` alone) and commit (the full fused pass minus index)
-//!    — so a perf regression localizes to a phase instead of one
-//!    aggregate number.
-//! 4. **A roofline** — records/sec against measured memory bandwidth
-//!    (streaming-copy probe), placing the inner loop relative to the
-//!    machine ceiling; `--roofline-out` writes it as its own artifact.
-//!
-//! Since the chunked coherent kernel (DESIGN §16) it also carries:
-//!
-//! 5. **Chunked vs per-record coherent traversal** — the same 4-core
-//!    MESI hierarchy driven through `step_chunk` (batched index, private
-//!    -line fast path) and record-at-a-time `access`, in ns/record, plus
-//!    the fraction of accesses the fast path committed.
-//!
-//! Since the SHT/OUT and per-thread commit loops it also carries:
-//!
-//! 6. **Chunked vs per-record SMT and adaptive lanes** — ns/record for
-//!    `PerThreadIndexCache` (2 threads, odd multipliers) and
-//!    `AdaptivePartitionedCache` (2 threads) stepped as tagged chunks
-//!    against per-record `access`, and for the solo
-//!    `AdaptiveGroupCache` under `run_fused` against per-record `access`.
 //!
 //! Usage: `innerloop [--records N] [--reps R] [--block-mask HEX]
 //!                   [--out FILE]
@@ -58,7 +48,7 @@ use std::sync::Arc;
 use unicache_assoc::AdaptiveGroupCache;
 use unicache_core::{
     run_fused, BlockStream, CacheGeometry, CacheModel, CoherentModel, FusedLane, IndexFunction,
-    MemRecord, SimdLanes, TaggedLane, FUSE_CHUNK,
+    MemRecord, TaggedLane, FUSE_CHUNK,
 };
 use unicache_hierarchy::{HierarchyBuilder, L2Mode};
 use unicache_indexing::{OddMultiplierIndex, XorIndex};
@@ -271,42 +261,7 @@ fn main() -> ExitCode {
         unfused_best as f64 / fused_best as f64
     );
 
-    // Section 2: the SIMD tier's contribution — the same fused 4-lane
-    // group with the ablation knob on (8-wide kernels + batched
-    // classify) and off (every scalar fallback). Both runs produce
-    // byte-identical stats; only the clock may differ.
-    let mut simd_best = u64::MAX;
-    let mut scalar_best = u64::MAX;
-    for _ in 0..args.reps {
-        let mut lanes = build_lanes();
-        let mut refs: Vec<&mut dyn FusedLane> = lanes
-            .iter_mut()
-            .map(|l| l.as_mut() as &mut dyn FusedLane)
-            .collect();
-        SimdLanes::set_enabled(true);
-        let sw = Stopwatch::start();
-        run_fused(&mut refs, &stream);
-        simd_best = simd_best.min(sw.elapsed_nanos());
-
-        let mut lanes = build_lanes();
-        let mut refs: Vec<&mut dyn FusedLane> = lanes
-            .iter_mut()
-            .map(|l| l.as_mut() as &mut dyn FusedLane)
-            .collect();
-        SimdLanes::set_enabled(false);
-        let sw = Stopwatch::start();
-        run_fused(&mut refs, &stream);
-        scalar_best = scalar_best.min(sw.elapsed_nanos());
-        SimdLanes::set_enabled(true);
-    }
-    let _ = write!(
-        sections,
-        "    \"simd_vs_scalar/fused4\": {{\n      \"simd_ns\": {simd_best},\n      \
-         \"scalar_ns\": {scalar_best},\n      \"speedup\": {:.4}\n    }},\n",
-        scalar_best as f64 / simd_best as f64
-    );
-
-    // Section 3: chunked vs per-record traversal of the coherent
+    // Section 2: chunked vs per-record traversal of the coherent
     // hierarchy (the `xp coherent` engine, DESIGN §16). The stream has
     // the locality shape of the sweep's real mixes — each core loops
     // over a private hot footprint (fast-path food), with a shared
@@ -373,7 +328,7 @@ fn main() -> ExitCode {
         per_record_best as f64 / chunked_best as f64
     );
 
-    // Section 4: chunked vs per-record SMT and adaptive lanes at the paper
+    // Section 3: chunked vs per-record SMT and adaptive lanes at the paper
     // L1. Each of two threads loops over its own 512-block hot footprint
     // (the two side by side fill the cache) and strays into a wide span
     // one time in eight, so, like the Fig. 13/14 mixes, most references
@@ -438,7 +393,7 @@ fn main() -> ExitCode {
         |lane| run_fused(&mut [lane], &solo_stream),
     ));
 
-    // Section 5: per-phase ns/record for a direct-mapped lane. index =
+    // Section 4: per-phase ns/record for a direct-mapped lane. index =
     // `index_many` alone over 1024-record chunks; commit = a full fused
     // pass (index plus the commit loop) minus index. Each phase regresses
     // independently, so an aggregate slowdown localizes here.
@@ -473,16 +428,16 @@ fn main() -> ExitCode {
         per_record(single_total_ns)
     );
 
-    // Roofline: where the fused inner loop sits relative to the memory
-    // ceiling. The kernel reads each `MemRecord` once per chunk and
-    // decodes it for all 4 lanes, so `stream_gbps` is the *decode*
-    // traffic, while `lane_records_per_sec` is the useful simulation
-    // throughput it buys.
+    // Section 5, the roofline: where section 1's fused pass sits
+    // relative to the memory ceiling. The kernel reads each `MemRecord`
+    // once per chunk and decodes it for all 4 lanes, so `stream_gbps` is
+    // the *decode* traffic, while `lane_records_per_sec` is the useful
+    // simulation throughput it buys.
     let mem_gbps = memory_bandwidth_gbps(args.reps);
     let lanes_in_group = 4.0;
-    let lane_records_per_sec = args.records as f64 * lanes_in_group / (simd_best as f64 / 1e9);
+    let lane_records_per_sec = args.records as f64 * lanes_in_group / (fused_best as f64 / 1e9);
     let bytes_per_record = std::mem::size_of::<MemRecord>();
-    let stream_gbps = (args.records * bytes_per_record) as f64 / simd_best as f64;
+    let stream_gbps = (args.records * bytes_per_record) as f64 / fused_best as f64;
     let roofline = format!(
         "{{\n  \"mem_bandwidth_gbps\": {mem_gbps:.3},\n  \"stream_gbps\": {stream_gbps:.3},\n  \
          \"fraction_of_bandwidth\": {:.4},\n  \"lane_records_per_sec\": {lane_records_per_sec:.0},\n  \

@@ -352,9 +352,8 @@ impl CacheModel for Cache {
 
 impl FusedLane for Cache {
     /// One virtual `index_many` computes the whole chunk's set indices
-    /// (its monomorphized body inlines the concrete hash, 8-wide when the
-    /// SIMD tier is on), then the commit loop replays the chunk with zero
-    /// virtual dispatch.
+    /// (its monomorphized body inlines the concrete hash), then the
+    /// commit loop replays the chunk with zero virtual dispatch.
     fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
         let mut sets = std::mem::take(&mut self.idx_buf);
         sets.resize(blocks.len(), 0);

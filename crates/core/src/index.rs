@@ -6,91 +6,6 @@
 //! replace this mapping while leaving the rest of the cache unchanged.
 
 use crate::BlockAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Width of the batched (SIMD) tier: every vectorized kernel in the
-/// workspace processes this many elements per iteration. Eight `u64`
-/// lanes fill one AVX-512 register, two AVX2 registers, or four NEON
-/// registers — and, more importantly for this portable-Rust codebase,
-/// give the autovectorizer a fixed-trip-count inner loop with no
-/// cross-iteration dependencies.
-pub const SIMD_LANES: usize = 8;
-
-/// Whether the SIMD tier is active (ablation knob, default on).
-// Allowed shared static: process-wide ablation knob, set once before any
-// simulation runs; both settings produce byte-identical results (DESIGN §12).
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true); // uca:allow(shared-static)
-
-/// The workspace's single SIMD abstraction (DESIGN §12).
-///
-/// There are no intrinsics and no `std::simd` anywhere in the tree: the
-/// "SIMD tier" is hand-unrolled 8-wide array kernels whose shape the
-/// autovectorizer reliably turns into vector code. `SimdLanes` is the
-/// one place that shape lives — index functions express their batched
-/// bodies as a kernel over `[T; SIMD_LANES]` chunks plus a scalar
-/// fallback, and `SimdLanes` handles chunking, the ragged tail, and the
-/// global ablation knob.
-///
-/// The knob ([`SimdLanes::set_enabled`]) exists so `xp --no-simd` can
-/// force every batched path onto its scalar fallback; byte-identical
-/// experiment output across the two settings is a CI gate. The knob is
-/// process-global and `Relaxed`: both paths must produce identical
-/// results, so a racing toggle can change *speed*, never *answers*.
-pub enum SimdLanes {}
-
-impl SimdLanes {
-    /// True when batched kernels should run 8-wide (the default).
-    #[inline]
-    pub fn enabled() -> bool {
-        // Allowed Relaxed read: the knob is written only during startup
-        // (single-threaded), and the SIMD and scalar tiers are proven
-        // byte-identical, so the read cannot steer output bytes.
-        SIMD_ENABLED.load(Ordering::Relaxed) // uca:allow(relaxed-output)
-    }
-
-    /// Turns the SIMD tier on or off process-wide (ablation knob;
-    /// `xp --no-simd` and the equivalence tests use this).
-    pub fn set_enabled(on: bool) {
-        SIMD_ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Maps `blocks[i]` to `out[i]` through an 8-wide kernel, with a
-    /// scalar fallback for the ragged tail (and for the whole slice when
-    /// the tier is disabled). `kernel` and `scalar` must agree exactly.
-    ///
-    /// # Panics
-    /// If `out` is shorter than `blocks` (same contract as
-    /// [`IndexFunction::index_many`]).
-    #[inline]
-    pub fn map<T: Copy>(
-        blocks: &[BlockAddr],
-        out: &mut [T],
-        mut kernel: impl FnMut(&[BlockAddr; SIMD_LANES], &mut [T; SIMD_LANES]),
-        mut scalar: impl FnMut(BlockAddr) -> T,
-    ) {
-        assert!(
-            out.len() >= blocks.len(),
-            "index_many: out buffer holds {} slots for {} blocks",
-            out.len(),
-            blocks.len()
-        );
-        let out = &mut out[..blocks.len()];
-        if !Self::enabled() {
-            for (slot, &b) in out.iter_mut().zip(blocks) {
-                *slot = scalar(b);
-            }
-            return;
-        }
-        let (in_bodies, in_tail) = blocks.as_chunks::<SIMD_LANES>();
-        let (out_bodies, out_tail) = out.as_chunks_mut::<SIMD_LANES>();
-        for (b8, o8) in in_bodies.iter().zip(out_bodies) {
-            kernel(b8, o8);
-        }
-        for (slot, &b) in out_tail.iter_mut().zip(in_tail) {
-            *slot = scalar(b);
-        }
-    }
-}
 
 /// A cache set-index function.
 ///
@@ -144,10 +59,11 @@ pub trait IndexFunction: Send + Sync {
 /// (length [`IndexFunction::num_sets`]).
 ///
 /// Routed through [`IndexFunction::index_many`] in fixed-size chunks so
-/// the batched (SIMD-tier) kernels are used and the scratch buffer stays
-/// L1-resident. This is shared plumbing between the analytical model's
-/// placement evaluation (per-set footprint without simulating the trace)
-/// and invariant checks that need set coverage witnesses.
+/// the schemes' whole-slice overrides (bit gathers, `fastmod`) are used
+/// and the scratch buffer stays L1-resident. This is shared plumbing
+/// between the analytical model's placement evaluation (per-set
+/// footprint without simulating the trace) and invariant checks that
+/// need set coverage witnesses.
 pub fn set_histogram(f: &dyn IndexFunction, blocks: &[BlockAddr]) -> Vec<u64> {
     const CHUNK: usize = 1024;
     let mut hist = vec![0u64; f.num_sets()];
@@ -261,45 +177,5 @@ mod tests {
     fn index_many_rejects_short_out_buffer() {
         let mut out = vec![0usize; 2];
         Mod8.index_many(&[1, 2, 3], &mut out);
-    }
-
-    #[test]
-    fn simd_map_handles_ragged_tails() {
-        // Lengths straddling the 8-lane boundary, including empty.
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 1023, 1024] {
-            let blocks: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
-            let mut out = vec![usize::MAX; n + 3]; // oversize: only n slots written
-            SimdLanes::map(
-                &blocks,
-                &mut out,
-                |b8, o8| {
-                    for l in 0..SIMD_LANES {
-                        o8[l] = (b8[l] % 8) as usize;
-                    }
-                },
-                |b| (b % 8) as usize,
-            );
-            for (i, &b) in blocks.iter().enumerate() {
-                assert_eq!(out[i], (b % 8) as usize, "lane {i} of {n}");
-            }
-            assert!(out[n..].iter().all(|&x| x == usize::MAX));
-        }
-    }
-
-    #[test]
-    fn ablation_knob_switches_paths_without_changing_results() {
-        let blocks: Vec<u64> = (0..100).map(|i| i * 31).collect();
-        let run = || {
-            let mut out = vec![0usize; blocks.len()];
-            Mod8.index_many(&blocks, &mut out);
-            out
-        };
-        let wide = run();
-        SimdLanes::set_enabled(false);
-        assert!(!SimdLanes::enabled());
-        let narrow = run();
-        SimdLanes::set_enabled(true);
-        assert!(SimdLanes::enabled());
-        assert_eq!(wide, narrow);
     }
 }

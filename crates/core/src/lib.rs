@@ -38,7 +38,7 @@ pub use batch::{
 pub use error::{ConfigError, Result};
 pub use geometry::CacheGeometry;
 pub use hasher::{DetHashMap, DetHashSet, DetState};
-pub use index::{set_histogram, IndexFunction, SimdLanes, SIMD_LANES};
+pub use index::{set_histogram, IndexFunction};
 pub use lru::{LruDir, LruSet};
 pub use model::{AccessResult, CacheModel, CoherentModel, HitWhere};
 pub use record::{AccessKind, MemRecord, ThreadId};

@@ -1,10 +1,9 @@
-//! Process-tuning syscalls — the one audited home for non-SIMD `unsafe`.
+//! Process-tuning syscalls — the one audited home for `unsafe`.
 //!
 //! The workspace's `unsafe-outside-simd` lint confines `unsafe` blocks to
-//! the SIMD kernel modules plus this file: anything that has to poke the
-//! process environment through FFI (allocator knobs today; `madvise` or
-//! scheduler hints tomorrow) lives here, so the audit surface for
-//! process-level unsafe stays a single screenful.
+//! this file: anything that has to poke the process environment through
+//! FFI (allocator knobs today; `madvise` or scheduler hints tomorrow)
+//! lives here, so the audit surface for unsafe stays a single screenful.
 
 /// Tunes glibc's allocator for the experiment drivers' allocation
 /// pattern: multi-hundred-megabyte trace and stream buffers, allocated

@@ -3,7 +3,7 @@
 //! ```text
 //! xp <fig1|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|
 //!     classify|patel|belady|select|model|all> [--scale tiny|small|large] [--csv]
-//!    [--jobs N] [--no-simd] [--no-coherent-chunk] [--timing] [--timing-json FILE]
+//!    [--jobs N] [--timing] [--timing-json FILE]
 //!    [--metrics-json FILE] [--model-json FILE] [--trace-out FILE]
 //! ```
 //!
@@ -16,13 +16,6 @@
 //!   results are collected in canonical job order and the memoized
 //!   SimStore runs each simulation exactly once — so the flag only
 //!   changes wall-clock, never figures or metrics.
-//! * `--no-simd` forces the SIMD tier (DESIGN §12) onto its scalar
-//!   fallbacks — the ablation knob behind the CI byte-identity gate.
-//!   Like `--jobs`, it only changes wall-clock, never output bytes.
-//! * `--no-coherent-chunk` forces the coherent hierarchy onto its
-//!   per-record MESI path (DESIGN §16), disabling the chunked
-//!   classify/commit kernel — the second ablation knob behind the CI
-//!   byte-identity gate. Wall-clock only, never output bytes.
 //! * `--timing` prints per-experiment wall-clock to stderr plus a summary
 //!   of the [`SimStore`]'s work: simulations run vs served from cache,
 //!   aggregate records/sec through the batched engine, and the seconds
@@ -54,8 +47,7 @@ use unicache_workloads::{Scale, Workload};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: xp <experiment> [--scale tiny|small|large] [--csv] [--jobs N] [--no-simd]\n\
-         \x20         [--no-coherent-chunk]\n\
+        "usage: xp <experiment> [--scale tiny|small|large] [--csv] [--jobs N]\n\
          \x20         [--timing] [--timing-json FILE] [--metrics-json FILE] [--model-json FILE]\n\
          \x20         [--trace-out FILE]\n\
          (fig1 also takes an optional workload name, e.g. `xp fig1 susan`)\n\
@@ -209,8 +201,6 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 }
             }
-            "--no-simd" => unicache_core::SimdLanes::set_enabled(false),
-            "--no-coherent-chunk" => unicache_hierarchy::CoherentChunk::set_enabled(false),
             "--timing" => timing = true,
             "--timing-json" => {
                 i += 1;

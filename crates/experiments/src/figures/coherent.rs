@@ -71,15 +71,14 @@ fn l2_geom(l1: CacheGeometry) -> CacheGeometry {
     CacheGeometry::from_sets(l1.num_sets() * 8, l1.line_bytes(), 4).expect("valid L2 geometry")
 }
 
-/// **`xp coherent`** — scheme x cores x victim-depth sweep of the
-/// MESI-coherent hierarchy over the shared four-thread mix.
-pub fn coherent(store: &SimStore) -> ExperimentTable {
+/// The sweep's cells: one fuse-group per (cores, victim depth), in
+/// sweep order, each holding the three schemes over the mix's
+/// round-robin interleave on the sweep's L1 and shared L2.
+pub fn coherent_groups() -> Vec<CoherentGroup> {
     let mix = coherent_mix();
     let geom = sweep_l1_geom();
     let schemes = sweep_schemes();
-    // One fuse-group per (cores, victim depth): the three schemes share
-    // one hierarchy configuration and the store's coherent stream.
-    let groups: Vec<CoherentGroup> = CORE_COUNTS
+    CORE_COUNTS
         .iter()
         .flat_map(|&c| {
             let mix = &mix;
@@ -94,7 +93,16 @@ pub fn coherent(store: &SimStore) -> ExperimentTable {
                 schemes: schemes.clone(),
             })
         })
-        .collect();
+        .collect()
+}
+
+/// **`xp coherent`** — scheme x cores x victim-depth sweep of the
+/// MESI-coherent hierarchy over the shared four-thread mix.
+pub fn coherent(store: &SimStore) -> ExperimentTable {
+    let schemes = sweep_schemes();
+    // One fuse-group per (cores, victim depth): the three schemes share
+    // one hierarchy configuration and the store's coherent stream.
+    let groups = coherent_groups();
     store.prefetch_coherent_groups(&groups);
     // Rows keep the original scheme-outer order; every outcome is now a
     // cache hit against the group results above.

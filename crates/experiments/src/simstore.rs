@@ -246,6 +246,21 @@ impl CoherentGroup {
         }
     }
 
+    /// The hierarchy of member `scheme`: this group's geometry, cores,
+    /// victim depth and L2, with the chunked kernel on.
+    pub fn hierarchy(&self, scheme: IndexScheme) -> HierarchyBuilder {
+        let index = scheme
+            .build(self.geom, None)
+            .expect("coherent sweep schemes are training-free");
+        HierarchyBuilder::new(self.geom, index)
+            .cores(self.cores)
+            .victim_depth(self.victim_depth)
+            .l2(match self.l2 {
+                Some(l2) => L2Mode::Shared(l2),
+                None => L2Mode::PassThrough,
+            })
+    }
+
     fn group_key(&self) -> CohGroupKey {
         (
             self.mix.clone(),
@@ -571,26 +586,14 @@ impl SimStore {
         }
         let _span = unicache_obs::span("simulate-coherent");
         // One pass event per group with pending work: independent of
-        // `--jobs` and the `--no-coherent-chunk` knob, so the metrics
-        // artifact stays byte-identical across every ablation.
+        // `--jobs` and of `HierarchyBuilder::chunked`, so the metrics
+        // artifact stays byte-identical across worker counts.
         unicache_obs::count(unicache_obs::Event::CohFusedPass);
         unicache_obs::observe(unicache_obs::HistEvent::CohGroupLanes, pending.len() as u64);
         let stream = self.coherent_stream(&g.mix, g.policy, g.geom.line_bytes());
         let mut hiers: Vec<CoherentHierarchy> = pending
             .iter()
-            .map(|(s, _)| {
-                let index = s
-                    .build(g.geom, None)
-                    .expect("coherent sweep schemes are training-free");
-                let builder = HierarchyBuilder::new(g.geom, index)
-                    .cores(g.cores)
-                    .victim_depth(g.victim_depth)
-                    .l2(match g.l2 {
-                        Some(l2) => L2Mode::Shared(l2),
-                        None => L2Mode::PassThrough,
-                    });
-                builder.build().expect("valid hierarchy")
-            })
+            .map(|(s, _)| g.hierarchy(*s).build().expect("valid hierarchy"))
             .collect();
         // One lane at a time: each hierarchy's working set (3 L1s + L2
         // + lenses) is small enough to stay host-cache-resident for a

@@ -23,6 +23,16 @@ fn usage_on_no_args_and_bad_args() {
         .output()
         .expect("spawn");
     assert!(!out.status.success());
+
+    // The retired process-global ablation knobs (`--no-` plus the
+    // knob's name) are unknown flags now.
+    for knob in ["simd", "coherent-chunk"] {
+        let flag = format!("--no-{knob}");
+        let out = xp().args(["fig4", &flag]).output().expect("spawn");
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "{flag}: {err}");
+    }
 }
 
 #[test]

@@ -28,46 +28,18 @@
 //!   serial side effects (snoops, fills, evictions, back-invalidations)
 //!   are already visible to every later record in the chunk.
 //!
-//! Byte-identity with the per-record path is pinned by the
-//! `chunked_hierarchy_matches_per_record` property suite and the CI
-//! `--no-coherent-chunk` transcript comparison.
+//! Byte-identity with the per-record path (`HierarchyBuilder::chunked(false)`)
+//! is pinned by the `chunked_hierarchy_matches_per_record` property suite
+//! and by a replay of the coherent sweep's real interleave through every
+//! sweep cell both ways (`tests/hierarchy_equivalence.rs`).
 //!
 //! [`IndexFunction::index_many`]: unicache_core::IndexFunction::index_many
 //! [`CoherentModel::access`]: unicache_core::CoherentModel::access
 
 use crate::coherent::CoherentHierarchy;
-use std::sync::atomic::{AtomicBool, Ordering};
 use unicache_core::{
     pack_coherent_chunk, BlockAddr, CoherentModel, CoherentStream, MemRecord, ThreadId, FUSE_CHUNK,
 };
-
-/// Process-wide ablation knob, mirroring `SimdLanes`: CI byte-compares
-/// transcripts with the chunked kernel forced off (`--no-coherent-chunk`).
-static COHERENT_CHUNK_ENABLED: AtomicBool = AtomicBool::new(true); // uca:allow(shared-static)
-
-/// The chunked-kernel tier switch (DESIGN §16).
-///
-/// Like [`unicache_core::SimdLanes`], this is a process-wide default,
-/// not a synchronization point: hierarchies resolve it once at build
-/// time (or take an explicit [`HierarchyBuilder::chunked`] override), so
-/// flipping it mid-run never changes an existing hierarchy.
-///
-/// [`HierarchyBuilder::chunked`]: crate::HierarchyBuilder::chunked
-pub struct CoherentChunk;
-
-impl CoherentChunk {
-    /// Is the chunked coherent kernel enabled (default: yes)?
-    #[inline]
-    pub fn enabled() -> bool {
-        COHERENT_CHUNK_ENABLED.load(Ordering::Relaxed) // uca:allow(relaxed-output)
-    }
-
-    /// Force the per-record path (`--no-coherent-chunk`) or restore the
-    /// chunked default. Affects hierarchies built afterwards.
-    pub fn set_enabled(on: bool) {
-        COHERENT_CHUNK_ENABLED.store(on, Ordering::Relaxed); // uca:allow(relaxed-output)
-    }
-}
 
 /// Per-run scratch of the chunk kernel: the unpacked blocks and the
 /// `index_many` output of one chunk, allocated once per run and reused
@@ -147,7 +119,7 @@ mod tests {
     use crate::coherent::{HierarchyBuilder, L2Mode};
     use std::sync::Arc;
     use unicache_core::CacheGeometry;
-    use unicache_indexing::{ModuloIndex, XorIndex};
+    use unicache_indexing::XorIndex;
 
     fn trace(n: u64) -> Vec<MemRecord> {
         (0..n)
@@ -255,19 +227,5 @@ mod tests {
     fn stream_entry_rejects_line_size_mismatch() {
         let stream = CoherentStream::from_records(&trace(10), 64);
         run_coherent_stream(&mut [&mut build(true)], &stream);
-    }
-
-    #[test]
-    fn knob_sets_build_time_default() {
-        let geom = CacheGeometry::from_sets(8, 32, 1).unwrap();
-        let idx: Arc<dyn unicache_core::IndexFunction> = Arc::new(ModuloIndex::new(8).unwrap());
-        CoherentChunk::set_enabled(false);
-        let off = HierarchyBuilder::new(geom, Arc::clone(&idx))
-            .build()
-            .unwrap();
-        CoherentChunk::set_enabled(true);
-        let on = HierarchyBuilder::new(geom, idx).build().unwrap();
-        assert!(!off.is_chunked());
-        assert!(on.is_chunked());
     }
 }

@@ -9,8 +9,8 @@
 //! (snoop -> data source -> fill) before the next record is consumed,
 //! and snoops visit cores in ascending index order. Timestamps come from
 //! a [`LogicalClock`] — one tick per access, no wallclock — so
-//! transcripts are byte-identical across `--jobs 1/2/8` and `--no-simd`
-//! (parallelism only ever spans *different* hierarchy configurations via
+//! transcripts are byte-identical across `--jobs 1/2/8` (parallelism
+//! only ever spans *different* hierarchy configurations via
 //! `unicache_exec::map`). The bounded model checker in [`crate::model`]
 //! explores the orderings a real weakly-ordered bus could exhibit and
 //! proves the protocol invariants hold on all of them, so fixing one
@@ -23,7 +23,7 @@
 //! `uca check` asserts `misses == interventions + l2_demand_hits +
 //! memory_fetches` over replayed traces, in both L2 modes.
 
-use crate::chunk::{ChunkScratch, CoherentChunk};
+use crate::chunk::ChunkScratch;
 use crate::l1::CoherentL1;
 use crate::l2::SharedL2;
 use crate::mesi::{fill_state, transition, LineEvent, Mesi};
@@ -102,13 +102,13 @@ pub struct HierarchyBuilder {
     victim_depth: usize,
     l2: L2Mode,
     name: Option<String>,
-    chunked: Option<bool>,
+    chunked: bool,
 }
 
 impl HierarchyBuilder {
     /// All cores use L1s of shape `geom` indexed by `index` (any
     /// registry scheme). Defaults: 1 core, depth-0 victim buffers,
-    /// pass-through L2.
+    /// pass-through L2, chunked kernel on.
     pub fn new(geom: CacheGeometry, index: Arc<dyn IndexFunction>) -> Self {
         HierarchyBuilder {
             geom,
@@ -117,7 +117,7 @@ impl HierarchyBuilder {
             victim_depth: 0,
             l2: L2Mode::PassThrough,
             name: None,
-            chunked: None,
+            chunked: true,
         }
     }
 
@@ -146,12 +146,11 @@ impl HierarchyBuilder {
         self
     }
 
-    /// Explicit chunked-kernel override. Without it, `build()` resolves
-    /// the process-wide [`CoherentChunk`] knob once — the knob never
-    /// changes a hierarchy after construction, which keeps parallel
-    /// differential tests free of global-state races.
+    /// Whether `step_chunk` runs the chunked classify/commit kernel
+    /// (default) or the per-record MESI walk, the reference that the
+    /// differential tests and `uca check` compare the kernel against.
     pub fn chunked(mut self, on: bool) -> Self {
-        self.chunked = Some(on);
+        self.chunked = on;
         self
     }
 
@@ -188,7 +187,7 @@ impl HierarchyBuilder {
             name,
             index: self.index,
             routes: core_routes(self.cores),
-            chunked: self.chunked.unwrap_or_else(CoherentChunk::enabled),
+            chunked: self.chunked,
             fast_commits: 0,
             serial_commits: 0,
         })
@@ -210,8 +209,8 @@ pub struct CoherentHierarchy {
     /// Serving core of each thread id (`tid % cores`), built once so the
     /// chunk kernel routes a record with a load instead of a division.
     routes: [u8; 256],
-    /// Whether `step_chunk` runs the classify/commit kernel (resolved at
-    /// build time from [`CoherentChunk`] or the builder override).
+    /// Whether `step_chunk` runs the classify/commit kernel (see
+    /// [`HierarchyBuilder::chunked`]).
     chunked: bool,
     fast_commits: u64,
     serial_commits: u64,

@@ -24,8 +24,9 @@
 //! * [`coherent::CoherentHierarchy`] — the bus + victim buffers + L2
 //!   composition implementing `unicache_core::CoherentModel`;
 //! * [`chunk`] — the chunked fused kernel (DESIGN §16): chunk replay of
-//!   a packed coherent stream with a private-line fast path, plus the
-//!   `--no-coherent-chunk` ablation knob;
+//!   a packed coherent stream with a private-line fast path (the
+//!   per-record MESI walk, `HierarchyBuilder::chunked(false)`, is its
+//!   reference);
 //! * [`model`] — the litmus/model-check suite.
 
 pub mod chunk;
@@ -35,7 +36,7 @@ mod l2;
 pub mod mesi;
 pub mod model;
 
-pub use chunk::{run_coherent_fused, run_coherent_stream, CoherentChunk};
+pub use chunk::{run_coherent_fused, run_coherent_stream};
 pub use coherent::{CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode};
 pub use l1::CoherentL1;
 pub use mesi::{fill_state, transition, LineEvent, Mesi, Transition};

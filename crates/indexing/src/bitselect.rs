@@ -2,7 +2,7 @@
 //! into a set index. The building block under both the Givargis index and
 //! Patel's optimal search.
 
-use unicache_core::{BlockAddr, ConfigError, IndexFunction, Result, SimdLanes, SIMD_LANES};
+use unicache_core::{BlockAddr, ConfigError, IndexFunction, Result};
 
 /// An index formed by concatenating chosen block-address bits.
 ///
@@ -82,25 +82,26 @@ impl IndexFunction for BitSelectIndex {
     }
 
     fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        // Bits outer, lanes inner: each pass over the 8 lanes does one
-        // shift/mask/or, so the gather vectorizes even though the bit
-        // positions themselves are data-dependent.
-        SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                let mut acc = [0u64; SIMD_LANES];
-                for (out_pos, &bit) in self.bits.iter().enumerate() {
-                    for l in 0..SIMD_LANES {
-                        acc[l] |= ((b8[l] >> bit) & 1) << out_pos;
-                    }
+        // Bits outer, blocks inner: each pass over the slice moves one
+        // block bit to its index position with one shift and one mask,
+        // so the gather vectorizes even though the bit positions
+        // themselves are data-dependent.
+        let out = &mut out[..blocks.len()];
+        out.fill(0);
+        for (out_pos, &bit) in (0u32..).zip(&self.bits) {
+            let mask = 1usize << out_pos;
+            if bit >= out_pos {
+                let shift = bit - out_pos;
+                for (slot, &b) in out.iter_mut().zip(blocks) {
+                    *slot |= (b >> shift) as usize & mask;
                 }
-                for l in 0..SIMD_LANES {
-                    o8[l] = acc[l] as usize;
+            } else {
+                let shift = out_pos - bit;
+                for (slot, &b) in out.iter_mut().zip(blocks) {
+                    *slot |= (b << shift) as usize & mask;
                 }
-            },
-            |b| self.index_block(b),
-        );
+            }
+        }
     }
 }
 
@@ -153,6 +154,23 @@ mod tests {
             let bits: Vec<u32> = bits.into_iter().collect();
             let f = BitSelectIndex::new(bits).unwrap();
             prop_assert!(f.index_block(block) < f.num_sets());
+        }
+
+        /// The batched gather agrees with `index_block` whatever the bit
+        /// order, so both shift directions of `index_many` are exercised
+        /// (a bit below its index position moves left).
+        #[test]
+        fn index_many_matches_index_block_in_any_bit_order(
+            seed in proptest::num::u64::ANY,
+            bits in proptest::collection::hash_set(0u32..40, 1..12)
+        ) {
+            let f = BitSelectIndex::new(bits.into_iter().collect()).unwrap();
+            let blocks: Vec<u64> = (0..37u64).map(|i| seed.rotate_left(i as u32) ^ i).collect();
+            let mut out = vec![usize::MAX; blocks.len()];
+            f.index_many(&blocks, &mut out);
+            for (&b, &s) in blocks.iter().zip(&out) {
+                prop_assert_eq!(s, f.index_block(b));
+            }
         }
 
         #[test]

@@ -324,27 +324,13 @@ impl IndexFunction for GivargisXorIndex {
         "givargis_xor"
     }
     fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        let mask = self.mask;
-        let bits = self.tag_bits.bits();
-        unicache_core::SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                // Gather the trained tag bits (bits outer, lanes inner,
-                // as in BitSelectIndex), then fold in the conventional
-                // index bits with one XOR per lane.
-                let mut acc = [0u64; unicache_core::SIMD_LANES];
-                for (out_pos, &bit) in bits.iter().enumerate() {
-                    for l in 0..unicache_core::SIMD_LANES {
-                        acc[l] |= ((b8[l] >> bit) & 1) << out_pos;
-                    }
-                }
-                for l in 0..unicache_core::SIMD_LANES {
-                    o8[l] = ((b8[l] ^ acc[l]) & mask) as usize;
-                }
-            },
-            |b| self.index_block(b),
-        );
+        // Gather the trained tag bits (bits outer, as in BitSelectIndex),
+        // then fold in the conventional index bits with one XOR per block.
+        let out = &mut out[..blocks.len()];
+        self.tag_bits.index_many(blocks, out);
+        for (slot, &b) in out.iter_mut().zip(blocks) {
+            *slot = ((b ^ *slot as u64) & self.mask) as usize;
+        }
     }
 }
 

@@ -1,8 +1,6 @@
 //! Conventional modulo-2^m indexing — the paper's Figure 2 baseline.
 
-use unicache_core::{
-    is_pow2, BlockAddr, ConfigError, IndexFunction, Result, SimdLanes, SIMD_LANES,
-};
+use unicache_core::{is_pow2, BlockAddr, ConfigError, IndexFunction, Result};
 
 /// The traditional index: the low `m` bits of the block address.
 ///
@@ -42,20 +40,6 @@ impl IndexFunction for ModuloIndex {
 
     fn name(&self) -> &str {
         "conventional"
-    }
-
-    fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        let mask = self.mask;
-        SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                for l in 0..SIMD_LANES {
-                    o8[l] = (b8[l] & mask) as usize;
-                }
-            },
-            |b| self.index_block(b),
-        );
     }
 }
 

@@ -6,9 +6,7 @@
 //! displacement `p * T mod s` is a bijection of the tag modulo the
 //! power-of-two set count. Kharbutli et al. recommend p ∈ {9, 21, 31, 61}.
 
-use unicache_core::{
-    is_pow2, log2, BlockAddr, ConfigError, IndexFunction, Result, SimdLanes, SIMD_LANES,
-};
+use unicache_core::{is_pow2, log2, BlockAddr, ConfigError, IndexFunction, Result};
 
 /// Multipliers recommended by the original authors (paper Section II.C).
 pub const RECOMMENDED_MULTIPLIERS: [u64; 4] = [9, 21, 31, 61];
@@ -65,9 +63,10 @@ impl OddMultiplierIndex {
 impl IndexFunction for OddMultiplierIndex {
     #[inline]
     fn index_block(&self, block: BlockAddr) -> usize {
+        // (p*T + I) mod s with I = b & mask, written as (p*T + b) & mask:
+        // the dropped high bits of b are multiples of s, invisible mod s.
         let tag = block >> self.index_bits;
-        let index = block & self.mask;
-        ((self.multiplier.wrapping_mul(tag).wrapping_add(index)) & self.mask) as usize
+        (self.multiplier.wrapping_mul(tag).wrapping_add(block) & self.mask) as usize
     }
 
     fn num_sets(&self) -> usize {
@@ -76,24 +75,6 @@ impl IndexFunction for OddMultiplierIndex {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        let m = self.multiplier;
-        let bits = self.index_bits;
-        let mask = self.mask;
-        // (p*T + (b & mask)) & mask == (p*T + b) & mask — the dropped
-        // high bits of b are multiples of mask+1, invisible mod 2^m.
-        SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                for l in 0..SIMD_LANES {
-                    o8[l] = (m.wrapping_mul(b8[l] >> bits).wrapping_add(b8[l]) & mask) as usize;
-                }
-            },
-            |b| self.index_block(b),
-        );
     }
 }
 

@@ -8,9 +8,7 @@
 //! the mapping, latency in `unicache-timing`).
 
 use crate::primes::largest_prime_leq;
-use unicache_core::{
-    is_pow2, BlockAddr, ConfigError, IndexFunction, Result, SimdLanes, SIMD_LANES,
-};
+use unicache_core::{is_pow2, BlockAddr, ConfigError, IndexFunction, Result};
 
 /// Prime-modulo hashing.
 #[derive(Debug, Clone)]
@@ -33,7 +31,11 @@ fn fastmod_magic(d: u64) -> u128 {
 /// `n mod d` via the precomputed fastmod constant.
 #[inline]
 fn fastmod(n: u64, magic: u128, d: u64) -> u64 {
-    let lowbits = magic.wrapping_mul(u128::from(n));
+    // `magic * n mod 2^128`, as the 64x64-bit product of `n` and the low
+    // word of `magic` plus the wrapped product with its high word.
+    let (magic_lo, magic_hi) = (magic as u64, (magic >> 64) as u64);
+    let lowbits = (u128::from(magic_lo) * u128::from(n))
+        .wrapping_add(u128::from(magic_hi.wrapping_mul(n)) << 64);
     // High 64 bits of the 128x64-bit product `lowbits * d`, computed in
     // two 64x64 halves (no native u192).
     let d = u128::from(d);
@@ -119,21 +121,11 @@ impl IndexFunction for PrimeModuloIndex {
     }
 
     fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        let magic = self.magic;
-        let prime = self.prime;
-        // The scalar fallback stays `% prime` so the equivalence property
-        // tests cross-validate the fastmod constant against the hardware
-        // divide on every scheme sweep.
-        SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                for l in 0..SIMD_LANES {
-                    o8[l] = fastmod(b8[l], magic, prime) as usize;
-                }
-            },
-            |b| self.index_block(b),
-        );
+        // `index_block` stays `% prime`, so the equivalence tests
+        // cross-validate the fastmod constant against the hardware divide.
+        for (slot, &b) in out[..blocks.len()].iter_mut().zip(blocks) {
+            *slot = fastmod(b, self.magic, self.prime) as usize;
+        }
     }
 }
 

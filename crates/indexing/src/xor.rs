@@ -7,9 +7,7 @@
 //! collisions elsewhere, which is why the paper finds XOR helps some
 //! programs and hurts others.
 
-use unicache_core::{
-    is_pow2, log2, BlockAddr, ConfigError, IndexFunction, Result, SimdLanes, SIMD_LANES,
-};
+use unicache_core::{is_pow2, log2, BlockAddr, ConfigError, IndexFunction, Result};
 
 /// Tag-XOR-index hashing.
 #[derive(Debug, Clone)]
@@ -75,9 +73,10 @@ impl XorIndex {
 impl IndexFunction for XorIndex {
     #[inline]
     fn index_block(&self, block: BlockAddr) -> usize {
-        let index = block & self.mask;
-        let tag_slice = (block >> (self.index_bits + self.tag_skip)) & self.mask;
-        (index ^ tag_slice) as usize
+        // index ^ tag_slice, i.e. (b & m) ^ ((b >> s) & m), written as
+        // (b ^ (b >> s)) & m: AND distributes over XOR, saving one mask.
+        let tag_shift = self.index_bits + self.tag_skip;
+        ((block ^ (block >> tag_shift)) & self.mask) as usize
     }
 
     fn num_sets(&self) -> usize {
@@ -86,23 +85,6 @@ impl IndexFunction for XorIndex {
 
     fn name(&self) -> &str {
         "xor"
-    }
-
-    fn index_many(&self, blocks: &[BlockAddr], out: &mut [usize]) {
-        let mask = self.mask;
-        let shift = self.index_bits + self.tag_skip;
-        // (b & m) ^ ((b >> s) & m) == (b ^ (b >> s)) & m — AND distributes
-        // over XOR, saving one mask per lane.
-        SimdLanes::map(
-            blocks,
-            out,
-            |b8, o8| {
-                for l in 0..SIMD_LANES {
-                    o8[l] = ((b8[l] ^ (b8[l] >> shift)) & mask) as usize;
-                }
-            },
-            |b| self.index_block(b),
-        );
     }
 }
 

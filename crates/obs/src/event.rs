@@ -52,8 +52,6 @@ pub enum Event {
     AdaptiveShtHit,
     /// Adaptive SHT/OUT engine: hit served through the OUT directory.
     AdaptiveOutHit,
-    /// Adaptive SHT/OUT engine: stale OUT entry discarded on probe.
-    AdaptiveOutStale,
     /// Adaptive SHT/OUT engine: block moved out of (or back into) its
     /// primary position.
     AdaptiveRelocation,
@@ -102,9 +100,9 @@ pub enum Event {
     CohVictimHit,
     /// Chunked coherent kernel: one fused multi-hierarchy pass over a
     /// raw record trace (the coherent counterpart of `FusedPass`) —
-    /// emitted once per fuse-group with pending work, independent of
-    /// the `--no-coherent-chunk` knob, so metrics stay byte-identical
-    /// across the ablation.
+    /// emitted once per fuse-group with pending work, whether or not the
+    /// hierarchies run the chunked kernel, so metrics do not depend on
+    /// `HierarchyBuilder::chunked`.
     CohFusedPass,
     /// Analytical model: one-pass workload summary computed (shared by
     /// the model, Givargis training and characterization stats).
@@ -119,7 +117,7 @@ pub enum Event {
 
 impl Event {
     /// Number of declared events (the counter-array length).
-    pub const COUNT: usize = 40;
+    pub const COUNT: usize = 39;
 
     /// Every event, in declaration order.
     pub const ALL: [Event; Event::COUNT] = [
@@ -139,7 +137,6 @@ impl Event {
         Event::AdaptiveProbe,
         Event::AdaptiveShtHit,
         Event::AdaptiveOutHit,
-        Event::AdaptiveOutStale,
         Event::AdaptiveRelocation,
         Event::SkewedProbe,
         Event::CacheProbe,
@@ -190,7 +187,6 @@ impl Event {
             Event::AdaptiveProbe => "adaptive.probe",
             Event::AdaptiveShtHit => "adaptive.sht_hit",
             Event::AdaptiveOutHit => "adaptive.out_hit",
-            Event::AdaptiveOutStale => "adaptive.out_stale",
             Event::AdaptiveRelocation => "adaptive.relocation",
             Event::SkewedProbe => "skewed.probe",
             Event::CacheProbe => "cache.probe",

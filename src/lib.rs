@@ -87,8 +87,7 @@ pub mod prelude {
     pub use unicache_experiments::{ExperimentTable, FuseGroup, SchemeId, SimStore, TraceStore};
     pub use unicache_hierarchy::{
         check_coherence_protocol, run_coherent_fused, run_coherent_stream, CoherenceConfig,
-        CoherenceMutation, CoherentChunk, CoherentHierarchy, CoherentL1, HierarchyBuilder, L2Mode,
-        Mesi,
+        CoherenceMutation, CoherentHierarchy, CoherentL1, HierarchyBuilder, L2Mode, Mesi,
     };
     pub use unicache_indexing::{
         GivargisIndex, GivargisXorIndex, IndexScheme, ModuloIndex, OddMultiplierIndex, PatelSearch,

@@ -71,9 +71,9 @@ fn golden_covers_every_registered_experiment() {
 }
 
 /// Renders `experiment` under every execution knob the `xp` binary
-/// exposes — worker count (`--jobs 1/2/8`), the SIMD tier toggle
-/// (`--no-simd`), and rendering twice from one process — and asserts
-/// each variant is byte-identical and carries `banner`.
+/// exposes — worker count (`--jobs 1/2/8`) — and twice from one
+/// process, and asserts each variant is byte-identical and carries
+/// `banner`.
 fn assert_execution_invariant(experiment: &str, banner: &str) {
     let render = || {
         let store = SimStore::new(Scale::Tiny);
@@ -86,17 +86,10 @@ fn assert_execution_invariant(experiment: &str, banner: &str) {
     let jobs2 = render();
     unicache::exec::set_global_jobs(8);
     let jobs8 = render();
-    unicache::core::SimdLanes::set_enabled(false);
-    let scalar = render();
-    unicache::core::SimdLanes::set_enabled(true);
     unicache::exec::set_global_jobs(1);
     let again = render();
     assert_eq!(jobs1, jobs2, "--jobs 2 changed the {experiment} transcript");
     assert_eq!(jobs1, jobs8, "--jobs 8 changed the {experiment} transcript");
-    assert_eq!(
-        jobs1, scalar,
-        "--no-simd changed the {experiment} transcript"
-    );
     assert_eq!(
         jobs1, again,
         "re-rendering changed the {experiment} transcript"

@@ -25,9 +25,13 @@
 //! was packed from, commit-path counts included — and the `SimStore`
 //! must build that stream once per (mix, policy, line size), straight
 //! from the interleave, under either interleave policy.
+//!
+//! A fifth check replays the coherent sweep's real interleave through
+//! every sweep cell with the chunked kernel on and off.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use unicache::experiments::figures::coherent::coherent_groups;
 use unicache::experiments::CoherentKey;
 use unicache::prelude::*;
 use unicache::smt::interleave_refs;
@@ -330,4 +334,40 @@ fn stochastic_coherent_group_equals_record_replay() {
     assert_eq!(out.coh, *h.coherence_stats());
     assert_eq!(out.lifetime, h.merged_lifetime());
     assert_eq!(out.recency, h.merged_recency());
+}
+
+/// The `xp coherent` sweep, cell by cell: its real four-thread
+/// interleave at tiny scale through every scheme × {1,2,4} cores ×
+/// victim depth {0,4} on the sweep's L1 and shared L2, chunked kernel
+/// against the per-record MESI walk.
+#[test]
+fn coherent_sweep_cells_match_per_record_walk() {
+    let store = SimStore::new(Scale::Tiny);
+    let groups = coherent_groups();
+    assert_eq!(groups.len(), 6);
+    for g in &groups {
+        let stream = store.coherent_stream(&g.mix, g.policy, g.geom.line_bytes());
+        for &scheme in &g.schemes {
+            let mut fast = g.hierarchy(scheme).chunked(true).build().unwrap();
+            let mut slow = g.hierarchy(scheme).chunked(false).build().unwrap();
+            run_coherent_stream(&mut [&mut fast], &stream);
+            run_coherent_stream(&mut [&mut slow], &stream);
+            let what = format!(
+                "{} cores={} depth={}",
+                scheme.label(),
+                g.cores,
+                g.victim_depth
+            );
+            assert!(fast.fast_path_commits() > 0, "{what}: no fast-path commit");
+            for c in 0..g.cores {
+                assert_eq!(fast.core_stats(c), slow.core_stats(c), "{what} core {c}");
+            }
+            assert_eq!(fast.coherence_stats(), slow.coherence_stats(), "{what}");
+            assert_eq!(fast.shared_l2_stats(), slow.shared_l2_stats(), "{what}");
+            assert_eq!(fast.merged_lifetime(), slow.merged_lifetime(), "{what}");
+            assert_eq!(fast.merged_recency(), slow.merged_recency(), "{what}");
+            assert_eq!(fast.now(), slow.now(), "{what}");
+            assert_eq!(fast.now(), stream.len() as u64, "{what}");
+        }
+    }
 }
