@@ -33,6 +33,14 @@ impl LogicalClock {
         self.now
     }
 
+    /// Advances time by `n` events at once: the chunked coherent kernel
+    /// hands record `i` of a chunk tick `now() + i + 1` itself and
+    /// settles the clock once per chunk.
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        self.now += n;
+    }
+
     /// The current tick without advancing.
     #[inline]
     pub fn now(&self) -> u64 {
@@ -56,6 +64,9 @@ mod tests {
         assert_eq!(c.tick(), 1);
         assert_eq!(c.tick(), 2);
         assert_eq!(c.now(), 2);
+        c.advance(3);
+        assert_eq!(c.now(), 5);
+        assert_eq!(c.tick(), 6);
         c.reset();
         assert_eq!(c.now(), 0);
         assert_eq!(c.tick(), 1);
