@@ -23,6 +23,7 @@
 //! route by thread id, read [`CoherentStream`]: packed
 //! `(block << 1) | is_write` words plus one thread-id byte per record.
 
+use crate::footprint::BlockCounter;
 use crate::model::CacheModel;
 use crate::record::{MemRecord, ThreadId};
 use crate::BlockAddr;
@@ -81,14 +82,14 @@ impl<'a> BlockStream<'a> {
     }
 
     /// The sorted set of distinct block addresses in the view (the
-    /// Givargis training input). Sort-dedup rather than a hash set: the
-    /// output must be sorted anyway, and sorting a dense `Vec<u64>` then
-    /// deduping in place avoids per-insert hashing.
+    /// Givargis training input), counted in a [`BlockCounter`] so only
+    /// the U distinct blocks are sorted, not all n references.
     pub fn unique_blocks(&self) -> Vec<BlockAddr> {
-        let mut v: Vec<BlockAddr> = self.iter().map(|(b, _)| b).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        let mut counter = BlockCounter::new();
+        for (block, _) in self.iter() {
+            counter.add(block);
+        }
+        counter.into_blocks()
     }
 }
 

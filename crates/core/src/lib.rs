@@ -23,6 +23,7 @@
 pub mod batch;
 pub mod cast;
 pub mod error;
+pub mod footprint;
 pub mod geometry;
 pub mod hasher;
 pub mod index;
@@ -36,6 +37,7 @@ pub use batch::{
     FusedLane, TaggedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
+pub use footprint::BlockCounter;
 pub use geometry::CacheGeometry;
 pub use hasher::{DetHashMap, DetHashSet, DetState};
 pub use index::{set_histogram, IndexFunction};

@@ -411,8 +411,8 @@ impl SimStore {
 
     /// The sorted unique block list of `w` at `line_bytes` (Givargis
     /// training input) — the footprint slice of [`SimStore::summary`],
-    /// shared with it rather than recomputed (the summary's sort-dedup
-    /// pass produces exactly this list).
+    /// shared with it rather than recomputed (the summary's footprint
+    /// count produces exactly this list).
     pub fn unique_blocks(&self, w: Workload, line_bytes: u64) -> Arc<Vec<BlockAddr>> {
         Arc::clone(&self.summary(w, line_bytes).blocks)
     }

@@ -39,55 +39,71 @@ impl GivargisTrainer {
     /// Measures bit statistics over `unique_blocks` for candidate bits
     /// `0..max_bits` of the block address.
     ///
+    /// The counts come from bit columns: column `i` holds bit `i` of every
+    /// block, 64 blocks to a word, so a bit's ones are the column's
+    /// popcount and a pair's equal count is `n − popcount(col_a ^ col_c)`
+    /// (the padding past the last block is zero in every column).
+    ///
     /// # Errors
-    /// [`ConfigError::EmptyTrainingTrace`] if no addresses are supplied.
+    /// [`ConfigError::OutOfRange`] if `max_bits` exceeds 64, the width of
+    /// a block address; [`ConfigError::EmptyTrainingTrace`] if no
+    /// addresses are supplied.
     pub fn measure(unique_blocks: &[BlockAddr], max_bits: u32) -> Result<Self> {
+        if max_bits > 64 {
+            return Err(ConfigError::OutOfRange {
+                what: "givargis candidate bits",
+                expected: "0..=64".to_string(),
+                got: u64::from(max_bits),
+            });
+        }
         if unique_blocks.is_empty() {
             return Err(ConfigError::EmptyTrainingTrace);
         }
         let n = unique_blocks.len() as u64;
-        // Count ones per bit.
-        let mut ones = vec![0u64; max_bits as usize];
-        for &b in unique_blocks {
-            for (i, o) in ones.iter_mut().enumerate() {
-                *o += (b >> i) & 1;
+        let bits = max_bits as usize;
+        let words = unique_blocks.len().div_ceil(64);
+        // columns[i * words + w]: bit i of blocks 64w..64w+63.
+        let mut columns = vec![0u64; bits * words];
+        for (w, group) in unique_blocks.chunks(64).enumerate() {
+            let mut acc = [0u64; 64];
+            for (j, &b) in group.iter().enumerate() {
+                for (i, a) in acc[..bits].iter_mut().enumerate() {
+                    *a |= ((b >> i) & 1) << j;
+                }
+            }
+            for (i, &a) in acc[..bits].iter().enumerate() {
+                columns[i * words + w] = a;
             }
         }
+        let column = |i: u32| &columns[i as usize * words..][..words];
+        let ones = |i: u32| -> u64 { column(i).iter().map(|w| u64::from(w.count_ones())).sum() };
         // Candidates: every bit that actually varies. Constant bits carry
         // zero information (Q = 0) and would fragment the cache.
         let candidates: Vec<u32> = (0..max_bits)
             .filter(|&i| {
-                let o = ones[i as usize];
+                let o = ones(i);
                 o != 0 && o != n
             })
             .collect();
         let quality: Vec<f64> = candidates
             .iter()
             .map(|&i| {
-                let o = ones[i as usize];
+                let o = ones(i);
                 let z = n - o;
                 o.min(z) as f64 / o.max(z) as f64
             })
             .collect();
-        // Pairwise equal/different counts.
         let k = candidates.len();
-        let mut equal = vec![vec![0u64; k]; k];
-        for &b in unique_blocks {
-            for a in 0..k {
-                let ba = (b >> candidates[a]) & 1;
-                for c in (a + 1)..k {
-                    let bc = (b >> candidates[c]) & 1;
-                    if ba == bc {
-                        equal[a][c] += 1;
-                    }
-                }
-            }
-        }
         let mut correlation = vec![vec![1.0f64; k]; k];
         for a in 0..k {
+            let col_a = column(candidates[a]);
             for c in (a + 1)..k {
-                let e = equal[a][c];
-                let d = n - e;
+                let differ: u64 = col_a
+                    .iter()
+                    .zip(column(candidates[c]))
+                    .map(|(x, y)| u64::from((x ^ y).count_ones()))
+                    .sum();
+                let (e, d) = (n - differ, differ);
                 let corr = if e.max(d) == 0 {
                     1.0
                 } else {
@@ -377,6 +393,99 @@ mod tests {
             GivargisTrainer::measure(&[], 8),
             Err(ConfigError::EmptyTrainingTrace)
         ));
+    }
+
+    /// The per-block, per-pair counting loop the bit columns replaced,
+    /// kept as their oracle: `(candidates, quality, correlation)`.
+    fn naive_measure(blocks: &[u64], max_bits: u32) -> (Vec<u32>, Vec<f64>, Vec<Vec<f64>>) {
+        let n = blocks.len() as u64;
+        let mut ones = vec![0u64; max_bits as usize];
+        for &b in blocks {
+            for (i, o) in ones.iter_mut().enumerate() {
+                *o += (b >> i) & 1;
+            }
+        }
+        let candidates: Vec<u32> = (0..max_bits)
+            .filter(|&i| ones[i as usize] != 0 && ones[i as usize] != n)
+            .collect();
+        let quality: Vec<f64> = candidates
+            .iter()
+            .map(|&i| {
+                let o = ones[i as usize];
+                let z = n - o;
+                o.min(z) as f64 / o.max(z) as f64
+            })
+            .collect();
+        let k = candidates.len();
+        let mut equal = vec![vec![0u64; k]; k];
+        for &b in blocks {
+            for a in 0..k {
+                let ba = (b >> candidates[a]) & 1;
+                for c in (a + 1)..k {
+                    if ba == (b >> candidates[c]) & 1 {
+                        equal[a][c] += 1;
+                    }
+                }
+            }
+        }
+        let mut correlation = vec![vec![1.0f64; k]; k];
+        for a in 0..k {
+            for c in (a + 1)..k {
+                let (e, d) = (equal[a][c], n - equal[a][c]);
+                let corr = e.min(d) as f64 / e.max(d) as f64;
+                correlation[a][c] = corr;
+                correlation[c][a] = corr;
+            }
+        }
+        (candidates, quality, correlation)
+    }
+
+    #[test]
+    fn bit_columns_match_the_pair_loop() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for u in [1usize, 63, 64, 65, 1000] {
+            // Full-width random blocks, plus a correlated set where bit 3
+            // copies bit 0 and bit 5 complements it.
+            let random: Vec<u64> = (0..u).map(|_| rng.gen::<u64>()).collect();
+            let correlated: Vec<u64> = (0..u as u64)
+                .map(|i| {
+                    let b0 = i & 1;
+                    ((i * 0x9e37) & !0b10_1000) | (b0 << 3) | ((b0 ^ 1) << 5)
+                })
+                .collect();
+            for blocks in [&random, &correlated] {
+                for max_bits in [1u32, 28, 64] {
+                    let t = GivargisTrainer::measure(blocks, max_bits).unwrap();
+                    let (candidates, quality, correlation) = naive_measure(blocks, max_bits);
+                    assert_eq!(t.candidates, candidates, "U={u} bits={max_bits}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&t.quality), bits(&quality), "U={u} bits={max_bits}");
+                    assert_eq!(t.correlation.len(), correlation.len());
+                    for (row, want) in t.correlation.iter().zip(&correlation) {
+                        assert_eq!(bits(row), bits(want), "U={u} bits={max_bits}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn more_candidate_bits_than_a_block_has_are_rejected() {
+        let blocks = [1u64, 2, 3, u64::MAX];
+        assert!(GivargisTrainer::measure(&blocks, 64).is_ok());
+        let out_of_range =
+            |r: Result<()>| matches!(r, Err(ConfigError::OutOfRange { got: 65, .. }));
+        assert!(out_of_range(
+            GivargisTrainer::measure(&blocks, 65).map(drop)
+        ));
+        assert!(out_of_range(
+            GivargisIndex::train(&blocks, geom_64(), 65).map(drop)
+        ));
+        assert!(out_of_range(
+            GivargisXorIndex::train(&blocks, geom_64(), 65).map(drop)
+        ));
+        // The range check comes before the training-set check.
+        assert!(out_of_range(GivargisTrainer::measure(&[], 65).map(drop)));
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! fast path and an accuracy anchor. For A ≥ D every block fits and
 //! h = 1.
 //!
-//! Determinism: the root is found by doubling to bracket then a fixed
-//! 96-step bisection — no tolerance-dependent early exit, so the result
-//! is a pure function of the inputs down to the last bit.
+//! Determinism: the root is found by doubling to bracket, then by at
+//! most 96 bisection steps with no tolerance test. The loop stops only at
+//! its fixed point — when the midpoint rounds to `lo` or `hi`, which no
+//! later step can move — so the result is a pure function of the inputs
+//! down to the last bit, and the same bits the full 96 steps give.
 
 /// Steady-state LRU hit probability for one set: `counts[i]` references
 /// to block `i` (zeros are ignored), `ways` lines. Returns a value in
@@ -51,14 +53,14 @@ pub fn lru_hit_rate(counts: &[u64], ways: u32) -> f64 {
     if counts.iter().all(|&c| c == 0 || c == first) {
         return a / live as f64;
     }
-    // General case: bracket then bisect the characteristic time.
-    let occupancy = |t: f64| -> f64 {
-        counts
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| 1.0 - (-(c as f64 / n) * t).exp())
-            .sum()
-    };
+    // General case: bracket then bisect the characteristic time. Each
+    // live block's popularity is divided out once, not per evaluation.
+    let popularity: Vec<f64> = counts
+        .iter()
+        .filter(|&&c| c > 0)
+        .map(|&c| c as f64 / n)
+        .collect();
+    let occupancy = |t: f64| -> f64 { popularity.iter().map(|&p| 1.0 - (-p * t).exp()).sum() };
     // Double t until the expected occupancy reaches A. g(t) → live > A
     // as t → ∞, so the bracket always closes; 200 doublings overshoot
     // any representable t.
@@ -68,9 +70,15 @@ pub fn lru_hit_rate(counts: &[u64], ways: u32) -> f64 {
         hi *= 2.0;
         steps += 1;
     }
+    // Invariant: occupancy(lo) < A ≤ occupancy(hi). Once the midpoint
+    // rounds to an endpoint, the step re-assigns that endpoint to itself,
+    // and so would every remaining step.
     let mut lo = 0.0f64;
     for _ in 0..96 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if occupancy(mid) < a {
             lo = mid;
         } else {
@@ -78,13 +86,9 @@ pub fn lru_hit_rate(counts: &[u64], ways: u32) -> f64 {
         }
     }
     let t_c = 0.5 * (lo + hi);
-    let h: f64 = counts
+    let h: f64 = popularity
         .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            p * (1.0 - (-p * t_c).exp())
-        })
+        .map(|&p| p * (1.0 - (-p * t_c).exp()))
         .sum();
     h.clamp(0.0, 1.0)
 }
@@ -149,6 +153,88 @@ mod tests {
             prev = h;
         }
         assert_eq!(lru_hit_rate(&counts, 12), 1.0);
+    }
+
+    /// The solver before the fixed-point exit: all 96 bisection steps,
+    /// popularity divided out per evaluation — kept as the oracle.
+    fn fixed_96_step(counts: &[u64], ways: u32) -> f64 {
+        let total: u64 = counts.iter().sum();
+        let live = counts.iter().filter(|&&c| c > 0).count();
+        if total == 0 || live == 0 || (ways as usize) >= live {
+            return 1.0;
+        }
+        let a = ways as f64;
+        let n = total as f64;
+        let first = counts.iter().copied().find(|&c| c > 0).unwrap_or(0);
+        if counts.iter().all(|&c| c == 0 || c == first) {
+            return a / live as f64;
+        }
+        let occupancy = |t: f64| -> f64 {
+            counts
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| 1.0 - (-(c as f64 / n) * t).exp())
+                .sum()
+        };
+        let mut hi = 1.0f64;
+        let mut steps = 0;
+        while occupancy(hi) < a && steps < 200 {
+            hi *= 2.0;
+            steps += 1;
+        }
+        let mut lo = 0.0f64;
+        for _ in 0..96 {
+            let mid = 0.5 * (lo + hi);
+            if occupancy(mid) < a {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let t_c = 0.5 * (lo + hi);
+        let h: f64 = counts
+            .iter()
+            .filter(|&&c| c > 0)
+            .map(|&c| {
+                let p = c as f64 / n;
+                p * (1.0 - (-p * t_c).exp())
+            })
+            .sum();
+        h.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn early_exit_matches_the_fixed_96_step_solver_bit_for_bit() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..400 {
+            let len = 1 + (next() % 200) as usize;
+            // Mix flat, skewed and zero-laden count vectors, including
+            // counts large enough that popularities span many decades.
+            let range = [3u64, 100, 1 << 20, 1 << 40][case % 4];
+            let counts: Vec<u64> = (0..len)
+                .map(|_| {
+                    let c = next() % range;
+                    if case % 5 == 0 && c.is_multiple_of(3) {
+                        0
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            for ways in [1u32, 2, 4, 8, 16, 64] {
+                assert_eq!(
+                    lru_hit_rate(&counts, ways).to_bits(),
+                    fixed_96_step(&counts, ways).to_bits(),
+                    "case {case} ways {ways}: {counts:?}"
+                );
+            }
+        }
     }
 
     #[test]

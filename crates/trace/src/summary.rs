@@ -5,15 +5,15 @@
 //! (sorted unique blocks), per-block reference counts (the empirical
 //! popularity distribution of the independent-reference model), the
 //! read/write/fetch mix, and a coarse stride profile. It is computed in
-//! one traversal plus one sort, the same cost as
-//! [`Trace::unique_blocks`] — which it strictly subsumes, so callers
-//! that need both the footprint and the mix should take one summary
-//! instead of paying one pass per statistic (the experiments layer
-//! memoizes one per (workload, line size)).
+//! one traversal that feeds a [`BlockCounter`], plus a sort of the U
+//! distinct blocks — the same cost as [`Trace::unique_blocks`], which it
+//! strictly subsumes, so callers that need both the footprint and the
+//! mix should take one summary instead of paying one pass per statistic
+//! (the experiments layer memoizes one per (workload, line size)).
 
 use crate::trace::{AccessMix, Trace};
 use std::sync::Arc;
-use unicache_core::{AccessKind, BlockAddr};
+use unicache_core::{AccessKind, BlockAddr, BlockCounter};
 
 /// Coarse classification of successive block-address deltas.
 ///
@@ -101,7 +101,7 @@ impl WorkloadSummary {
 }
 
 /// Computes the summary for a trace at `line_bytes` (one traversal plus
-/// one sort of the block vector).
+/// one sort of the distinct blocks).
 ///
 /// # Panics
 /// If `line_bytes` is not a power of two.
@@ -113,7 +113,7 @@ pub fn summarize(trace: &Trace, line_bytes: u64) -> WorkloadSummary {
     let shift = line_bytes.trailing_zeros();
     let mut mix = AccessMix::default();
     let mut stride = StrideProfile::default();
-    let mut all_blocks: Vec<BlockAddr> = Vec::with_capacity(trace.len());
+    let mut counter = BlockCounter::new();
     let mut prev: Option<BlockAddr> = None;
     for r in trace.records() {
         match r.kind {
@@ -136,27 +136,9 @@ pub fn summarize(trace: &Trace, line_bytes: u64) -> WorkloadSummary {
             }
         }
         prev = Some(block);
-        all_blocks.push(block);
+        counter.add(block);
     }
-    // Sort-dedup with run lengths: same strategy (and therefore the same
-    // output footprint) as Trace::unique_blocks, plus per-block counts.
-    all_blocks.sort_unstable();
-    let mut blocks: Vec<BlockAddr> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    for &b in &all_blocks {
-        match blocks.last() {
-            Some(&last) if last == b => {
-                // Run continues; the matching count slot always exists.
-                if let Some(c) = counts.last_mut() {
-                    *c += 1;
-                }
-            }
-            _ => {
-                blocks.push(b);
-                counts.push(1);
-            }
-        }
-    }
+    let (blocks, counts) = counter.into_blocks_and_counts();
     WorkloadSummary {
         line_bytes,
         total_refs: trace.len(),
@@ -240,6 +222,116 @@ mod tests {
         assert_eq!(s.stride.transitions(), 0);
         assert_eq!(s.write_fraction(), 0.0);
         assert_eq!(s.stride.sequential_fraction(), 0.0);
+    }
+
+    /// The summary by sorting every block and run-length counting — the
+    /// algorithm the footprint counter replaced, kept as its oracle.
+    fn sort_dedup_summary(trace: &Trace, line_bytes: u64) -> WorkloadSummary {
+        let shift = line_bytes.trailing_zeros();
+        let mut mix = AccessMix::default();
+        let mut stride = StrideProfile::default();
+        let mut all_blocks: Vec<BlockAddr> = Vec::new();
+        let mut prev: Option<BlockAddr> = None;
+        for r in trace.records() {
+            match r.kind {
+                AccessKind::Read => mix.reads += 1,
+                AccessKind::Write => mix.writes += 1,
+                AccessKind::InstFetch => mix.fetches += 1,
+            }
+            let block = r.addr >> shift;
+            if let Some(p) = prev {
+                if block == p {
+                    stride.same_block += 1;
+                } else if block == p.wrapping_add(1) {
+                    stride.next_block += 1;
+                } else if block > p && block - p <= 8 {
+                    stride.small_forward += 1;
+                } else if block < p {
+                    stride.backward += 1;
+                } else {
+                    stride.large += 1;
+                }
+            }
+            prev = Some(block);
+            all_blocks.push(block);
+        }
+        all_blocks.sort_unstable();
+        let mut blocks: Vec<BlockAddr> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        for b in all_blocks {
+            if blocks.last() == Some(&b) {
+                *counts.last_mut().unwrap() += 1;
+            } else {
+                blocks.push(b);
+                counts.push(1);
+            }
+        }
+        WorkloadSummary {
+            line_bytes,
+            total_refs: trace.len(),
+            mix,
+            blocks: Arc::new(blocks),
+            counts,
+            stride,
+        }
+    }
+
+    fn trace_of(addrs: impl IntoIterator<Item = u64>) -> Trace {
+        let mut t = Trace::new();
+        for (i, a) in addrs.into_iter().enumerate() {
+            t.push(match i % 3 {
+                0 => MemRecord::read(a),
+                1 => MemRecord::write(a),
+                _ => MemRecord::fetch(a),
+            });
+        }
+        t
+    }
+
+    #[test]
+    fn summary_matches_the_sort_dedup_oracle() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let random: Vec<u64> = (0..20_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % (1 << 20)
+            })
+            .collect();
+        let cases: Vec<Trace> = vec![
+            Trace::new(),
+            trace_of([0x1234]),
+            sample(),
+            // Long same-block runs, then a return to the first block.
+            trace_of(
+                std::iter::repeat_n(0x40, 3000)
+                    .chain(std::iter::repeat_n(0x8000, 2000))
+                    .chain([0x41, 0x40]),
+            ),
+            // Power-of-two strides: blocks that pile onto few table slots
+            // under a weak hash, wrapping several times.
+            trace_of((0..5000u64).map(|i| (i * 4096) % (1 << 24))),
+            trace_of((0..5000u64).map(|i| i << 40)),
+            trace_of(random),
+            // The top address and address 0 at every line size, including
+            // one-byte lines where block u64::MAX is reachable.
+            trace_of([u64::MAX, 0, u64::MAX, 1, u64::MAX - 1, 0, u64::MAX]),
+        ];
+        for t in &cases {
+            for line in [1u64, 32, 64, 4096] {
+                assert_eq!(
+                    t.summarize(line),
+                    sort_dedup_summary(t, line),
+                    "line {line}"
+                );
+            }
+        }
+        let top = trace_of([u64::MAX, 0, u64::MAX]);
+        let s = top.summarize(1);
+        assert_eq!(*s.blocks, vec![0, u64::MAX]);
+        assert_eq!(s.counts, vec![1, 2]);
+        assert_eq!(top.unique_blocks(1), vec![0, u64::MAX]);
     }
 
     #[test]
