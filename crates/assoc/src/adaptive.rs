@@ -38,8 +38,8 @@
 //! at a set that actually holds its block.
 
 use unicache_core::{
-    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, HitWhere, LruDir,
-    LruSet, MemRecord, Result, StatsSink, ThreadId,
+    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, Egress,
+    EgressSink, HitWhere, LruDir, LruSet, MemRecord, Result, StatsSink, ThreadId,
 };
 
 /// Sizing knobs for the SHT and OUT tables.
@@ -356,16 +356,23 @@ impl AdaptiveGroupCache {
 
     /// Steps one chunk through the engine's access body, record by record
     /// in trace order (every access reads the SHT/OUT state the previous
-    /// one left), each record run as the thread `tids` yields for it. The
-    /// aggregate counters reach the stats once, through
-    /// [`CacheStats::tally`].
+    /// one left), each record run as the thread `tids` yields for it and
+    /// its outcome sent to `egress`. The aggregate counters reach the
+    /// stats once, through [`CacheStats::tally`].
     #[inline(always)]
-    fn step(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: impl Iterator<Item = u8>) {
+    fn step<E: EgressSink>(
+        &mut self,
+        blocks: &[BlockAddr],
+        writes: &[bool],
+        tids: impl Iterator<Item = u8>,
+        egress: &mut E,
+    ) {
         unicache_obs::count_by(unicache_obs::Event::AdaptiveProbe, blocks.len() as u64);
         let engine = &mut self.engine;
         self.stats.tally(|t| {
             for ((&block, &is_write), tid) in blocks.iter().zip(writes).zip(tids) {
-                engine.access(t, tid, block, is_write);
+                let r = engine.access(t, tid, block, is_write);
+                egress.access(block, &r);
             }
         });
     }
@@ -647,7 +654,11 @@ impl CacheModel for AdaptiveGroupCache {
 /// counters reach the stats once per chunk.
 impl unicache_core::FusedLane for AdaptiveGroupCache {
     fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
-        self.step(blocks, writes, std::iter::repeat(0));
+        self.step(blocks, writes, std::iter::repeat(0), &mut ());
+    }
+
+    fn step_chunk_egress(&mut self, blocks: &[BlockAddr], writes: &[bool], egress: &mut Egress) {
+        self.step(blocks, writes, std::iter::repeat(0), egress);
     }
 }
 
@@ -722,7 +733,7 @@ impl unicache_core::TaggedLane for AdaptivePartitionedCache {
             writes.len() == blocks.len() && tids.len() == blocks.len(),
             "step_tagged: chunk slices differ in length"
         );
-        self.0.step(blocks, writes, tids.iter().copied());
+        self.0.step(blocks, writes, tids.iter().copied(), &mut ());
     }
 }
 

@@ -21,8 +21,8 @@
 
 use std::sync::Arc;
 use unicache_core::{
-    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane,
-    HitWhere, IndexFunction, MemRecord, Result,
+    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, Egress,
+    EgressSink, FusedLane, HitWhere, IndexFunction, MemRecord, Result,
 };
 use unicache_indexing::ModuloIndex;
 
@@ -271,20 +271,33 @@ impl CacheModel for ColumnAssociativeCache {
     }
 }
 
-impl FusedLane for ColumnAssociativeCache {
-    /// Fast chunk path: the pluggable primary index (the only virtual
+impl ColumnAssociativeCache {
+    /// The chunk body: the pluggable primary index (the only virtual
     /// call on the per-record path) is vectorized with one `index_many`
     /// per chunk; the probe/reclaim/swap/displace state machine then runs
-    /// per record with zero virtual dispatch.
-    fn step_chunk(&mut self, blocks: &[u64], writes: &[bool]) {
+    /// per record with zero virtual dispatch, each outcome sent to
+    /// `egress`.
+    #[inline(always)]
+    fn step<E: EgressSink>(&mut self, blocks: &[u64], writes: &[bool], egress: &mut E) {
         let mut primaries = std::mem::take(&mut self.idx_buf);
         primaries.resize(blocks.len(), 0);
         let index = Arc::clone(&self.index);
         index.index_many(blocks, &mut primaries);
         for ((&p, &block), &is_write) in primaries.iter().zip(blocks).zip(writes) {
-            self.access_with_primary(p, block, is_write);
+            let r = self.access_with_primary(p, block, is_write);
+            egress.access(block, &r);
         }
         self.idx_buf = primaries;
+    }
+}
+
+impl FusedLane for ColumnAssociativeCache {
+    fn step_chunk(&mut self, blocks: &[u64], writes: &[bool]) {
+        self.step(blocks, writes, &mut ());
+    }
+
+    fn step_chunk_egress(&mut self, blocks: &[u64], writes: &[bool], egress: &mut Egress) {
+        self.step(blocks, writes, egress);
     }
 }
 

@@ -6,15 +6,19 @@
 //! This module computes that bound for any trace, so experiment reports can
 //! show how much headroom each technique leaves.
 
-use unicache_core::hasher::det_map;
-use unicache_core::{BlockAddr, DetHashMap, MemRecord};
+use std::num::NonZeroU64;
+use unicache_core::{BlockAddr, BlockMap, MemRecord};
 
 /// Miss count of a fully-associative cache of `capacity_lines` lines with
 /// clairvoyant (Belady MIN) replacement, over the block stream induced by
 /// `trace` and `line_bytes`.
 ///
-/// Runs in `O(n log n)` using the classic next-use index plus a max-ordered
-/// candidate structure with lazy invalidation.
+/// The records are decoded once, into next-use positions (see
+/// [`min_misses_blocks`]); no block vector is built.
+///
+/// # Panics
+/// If `capacity_lines` is 0, `line_bytes` is not a power of two, or the
+/// trace holds `u32::MAX` or more records.
 pub fn min_misses(trace: &[MemRecord], capacity_lines: usize, line_bytes: u64) -> u64 {
     assert!(capacity_lines > 0, "cache must hold at least one line");
     assert!(
@@ -22,85 +26,153 @@ pub fn min_misses(trace: &[MemRecord], capacity_lines: usize, line_bytes: u64) -
         "line size must be a power of two"
     );
     let shift = line_bytes.trailing_zeros();
-    let blocks: Vec<BlockAddr> = trace.iter().map(|r| r.addr >> shift).collect();
-    min_misses_blocks(&blocks, capacity_lines)
+    replay(
+        &next_uses(trace.iter().map(|r| r.addr >> shift)),
+        capacity_lines,
+    )
 }
 
 /// Same as [`min_misses`] over a pre-computed block stream.
+///
+/// Runs in `O(n)`. One pass finds each reference's next use through a
+/// [`BlockMap`] of last positions. The replay then keeps the resident
+/// blocks as a bitset over their next-use positions. The block
+/// referenced at position `i` is resident exactly when some resident
+/// block is next used at `i`, so bit `i` is the hit test, and the
+/// highest set bit is the block MIN evicts. Resident blocks that are
+/// never used again are only counted: they are evicted first, and which
+/// of them goes changes no later hit.
+///
+/// # Panics
+/// If `capacity_lines` is 0 or the stream holds `u32::MAX` or more blocks.
 pub fn min_misses_blocks(blocks: &[BlockAddr], capacity_lines: usize) -> u64 {
-    assert!(capacity_lines > 0);
-    let n = blocks.len();
-    // Rename blocks to dense ids in one pass; every structure the
-    // replay loop touches then indexes a plain vector instead of probing
-    // a hash map per reference.
-    let mut id_of: DetHashMap<BlockAddr, u32> = det_map();
-    let mut ids: Vec<u32> = Vec::with_capacity(n);
-    for &b in blocks {
-        let next = id_of.len() as u32;
-        ids.push(*id_of.entry(b).or_insert(next));
-    }
-    let unique = id_of.len();
-    drop(id_of);
-    // next_use[i] = next position after i referencing the same block, or n.
-    let mut next_use = vec![n; n];
-    let mut last_pos = vec![usize::MAX; unique];
-    for (i, &id) in ids.iter().enumerate().rev() {
-        let p = last_pos[id as usize];
-        if p != usize::MAX {
-            next_use[i] = p;
-        }
-        last_pos[id as usize] = i;
-    }
-    drop(last_pos);
+    assert!(capacity_lines > 0, "cache must hold at least one line");
+    replay(&next_uses(blocks.iter().copied()), capacity_lines)
+}
 
-    use std::collections::BinaryHeap;
-    // Heap of (next_use_position, id); max next-use = Belady victim. Ties
-    // exist only at position `n` (blocks never referenced again) and break
-    // by id; any never-again victim leaves the MIN miss count unchanged,
-    // since no future reference distinguishes which dead block stayed.
-    let mut heap: BinaryHeap<(usize, u32)> = BinaryHeap::new();
-    // stamp[id] = the next-use stamp most recently pushed for a resident
-    // block (successive stamps for one id strictly increase, so a stale
-    // heap entry never matches), or usize::MAX when not resident.
-    let mut stamp = vec![usize::MAX; unique];
-    // Every hit pushes an entry and strands the old one, so the heap
-    // would grow with the trace. Past this size it is compacted to its
-    // live entries (at most one per resident block); stale entries never
-    // win a pop, so compaction leaves the eviction sequence unchanged.
-    let compact_above = 2 * capacity_lines.max(64);
+/// `next[i]`: the position of the first reference after `i` to the
+/// block referenced at `i`, or `n` (the stream's length) if there is
+/// none.
+fn next_uses(blocks: impl ExactSizeIterator<Item = BlockAddr>) -> Vec<u32> {
+    let n = blocks.len();
+    assert!(
+        n < u32::MAX as usize,
+        "Belady MIN positions are 32-bit: {n} references"
+    );
+    let mut next = vec![n as u32; n];
+    // Each block's last position so far, plus one (0 marks a new block).
+    let mut last = BlockMap::new();
+    for (i, block) in blocks.enumerate() {
+        last.update(block, |prev| {
+            if let Some(p) = (prev as usize).checked_sub(1) {
+                next[p] = i as u32;
+            }
+            NonZeroU64::MIN.saturating_add(i as u64)
+        });
+    }
+    next
+}
+
+/// The MIN replay over next-use positions: the miss count of a
+/// `capacity`-line fully-associative cache.
+fn replay(next: &[u32], capacity: usize) -> u64 {
+    let end = next.len() as u32;
+    let mut live = NextUses::new(next.len());
+    // Resident blocks never used again.
+    let mut dead = 0usize;
     let mut resident = 0usize;
     let mut misses = 0u64;
-    for (i, &id) in ids.iter().enumerate() {
-        let nu = next_use[i];
-        let s = &mut stamp[id as usize];
-        if *s != usize::MAX {
-            // Hit: refresh its priority (lazy: old heap entry goes stale).
-            *s = nu;
-            heap.push((nu, id));
-            if heap.len() > compact_above {
-                heap.retain(|&(st, cand)| stamp[cand as usize] == st);
-            }
-            continue;
-        }
-        misses += 1;
-        if resident == capacity_lines {
-            // Evict the resident block with the farthest next use, skipping
-            // stale heap entries. Every resident block has a live heap
-            // entry, so the drain always finds one before emptying.
-            while let Some((st, cand)) = heap.pop() {
-                if stamp[cand as usize] == st {
-                    unicache_obs::count(unicache_obs::Event::BeladyEvict);
-                    stamp[cand as usize] = usize::MAX;
-                    resident -= 1;
-                    break;
+    for (i, &nu) in next.iter().enumerate() {
+        if !live.remove(i) {
+            misses += 1;
+            if resident == capacity {
+                unicache_obs::count(unicache_obs::Event::BeladyEvict);
+                if dead > 0 {
+                    dead -= 1;
+                } else {
+                    live.remove_last();
                 }
+            } else {
+                resident += 1;
             }
         }
-        stamp[id as usize] = nu;
-        resident += 1;
-        heap.push((nu, id));
+        if nu == end {
+            dead += 1;
+        } else {
+            live.insert(nu as usize);
+        }
     }
     misses
+}
+
+/// A set of positions in `0..n` as a bitset with two levels of summary
+/// words: bit `w` of `mid` says `bits[w] != 0`, and bit `s` of `top`
+/// says `mid[s] != 0`. So one word covers 64 positions, one `mid` word
+/// 4096 and one `top` word 2^18, and the highest member is found with
+/// three leading-zero counts below the highest nonzero `top` word.
+struct NextUses {
+    bits: Vec<u64>,
+    mid: Vec<u64>,
+    top: Vec<u64>,
+    /// No `top` word above this index is nonzero.
+    hi: usize,
+}
+
+impl NextUses {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64).max(1);
+        let mids = words.div_ceil(64);
+        NextUses {
+            bits: vec![0; words],
+            mid: vec![0; mids],
+            top: vec![0; mids.div_ceil(64)],
+            hi: 0,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, j: usize) {
+        self.bits[j >> 6] |= 1 << (j & 63);
+        self.mid[j >> 12] |= 1 << ((j >> 6) & 63);
+        self.top[j >> 18] |= 1 << ((j >> 12) & 63);
+        self.hi = self.hi.max(j >> 18);
+    }
+
+    /// Removes `j`; returns whether it was a member.
+    #[inline]
+    fn remove(&mut self, j: usize) -> bool {
+        let word = &mut self.bits[j >> 6];
+        let bit = 1 << (j & 63);
+        if *word & bit == 0 {
+            return false;
+        }
+        *word &= !bit;
+        if *word == 0 {
+            let mid = &mut self.mid[j >> 12];
+            *mid &= !(1 << ((j >> 6) & 63));
+            if *mid == 0 {
+                self.top[j >> 18] &= !(1 << ((j >> 12) & 63));
+            }
+        }
+        true
+    }
+
+    /// Removes the highest member. The set must not be empty.
+    fn remove_last(&mut self) {
+        while self.top[self.hi] == 0 {
+            self.hi -= 1;
+        }
+        let s = (self.hi << 6) | highest_bit(self.top[self.hi]);
+        let w = (s << 6) | highest_bit(self.mid[s]);
+        let j = (w << 6) | highest_bit(self.bits[w]);
+        self.remove(j);
+    }
+}
+
+/// The index of the highest set bit of a nonzero word.
+#[inline]
+fn highest_bit(word: u64) -> usize {
+    63 - word.leading_zeros() as usize
 }
 
 /// The MIN miss *rate* for a trace and cache capacity.
@@ -184,6 +256,63 @@ mod tests {
         assert!(min <= lru_misses, "MIN {min} > LRU {lru_misses}");
     }
 
+    /// The lazily compacted max-heap MIN that the next-use bitset
+    /// replaced, kept as its oracle.
+    fn min_misses_heap(blocks: &[BlockAddr], capacity_lines: usize) -> u64 {
+        use std::collections::BinaryHeap;
+        use unicache_core::hasher::det_map;
+        use unicache_core::DetHashMap;
+        let n = blocks.len();
+        let mut id_of: DetHashMap<BlockAddr, u32> = det_map();
+        let mut ids: Vec<u32> = Vec::with_capacity(n);
+        for &b in blocks {
+            let next = id_of.len() as u32;
+            ids.push(*id_of.entry(b).or_insert(next));
+        }
+        let unique = id_of.len();
+        let mut next_use = vec![n; n];
+        let mut last_pos = vec![usize::MAX; unique];
+        for (i, &id) in ids.iter().enumerate().rev() {
+            let p = last_pos[id as usize];
+            if p != usize::MAX {
+                next_use[i] = p;
+            }
+            last_pos[id as usize] = i;
+        }
+        // (next use, id) entries; a hit strands its old entry, which the
+        // stamp check skips and compaction drops.
+        let mut heap: BinaryHeap<(usize, u32)> = BinaryHeap::new();
+        let mut stamp = vec![usize::MAX; unique];
+        let compact_above = 2 * capacity_lines.max(64);
+        let mut resident = 0usize;
+        let mut misses = 0u64;
+        for (i, &id) in ids.iter().enumerate() {
+            let nu = next_use[i];
+            if stamp[id as usize] != usize::MAX {
+                stamp[id as usize] = nu;
+                heap.push((nu, id));
+                if heap.len() > compact_above {
+                    heap.retain(|&(st, cand)| stamp[cand as usize] == st);
+                }
+                continue;
+            }
+            misses += 1;
+            if resident == capacity_lines {
+                while let Some((st, cand)) = heap.pop() {
+                    if stamp[cand as usize] == st {
+                        stamp[cand as usize] = usize::MAX;
+                        resident -= 1;
+                        break;
+                    }
+                }
+            }
+            stamp[id as usize] = nu;
+            resident += 1;
+            heap.push((nu, id));
+        }
+        misses
+    }
+
     /// O(n^2) reference implementation for cross-checking.
     fn brute_force_min(blocks: &[u64], cap: usize) -> u64 {
         let mut resident: Vec<u64> = Vec::new();
@@ -215,15 +344,68 @@ mod tests {
     }
 
     #[test]
-    fn heap_compaction_keeps_the_min_miss_count() {
-        // Capacity 3 compacts whenever the heap passes 128 entries, so
-        // this hit-heavy stream compacts many times.
+    fn hit_heavy_streams_match_brute_force() {
+        // Eight blocks over 3000 references: almost every reference hits,
+        // so the heap oracle compacts many times.
         let mut rng = StdRng::seed_from_u64(7);
         for cap in [1usize, 3, 5] {
             let blocks: Vec<u64> = (0..3000).map(|_| rng.gen_range(0u64..8)).collect();
+            let min = min_misses_blocks(&blocks, cap);
+            assert_eq!(min, brute_force_min(&blocks, cap), "capacity {cap}");
+            assert_eq!(min, min_misses_heap(&blocks, cap), "capacity {cap}");
+        }
+    }
+
+    /// Random streams over `span` blocks, at lengths on each side of the
+    /// bitset's word (64) and summary-word (4096) boundaries.
+    #[test]
+    fn bitset_matches_heap_and_brute_force_across_word_boundaries() {
+        let mut rng = StdRng::seed_from_u64(0xBE1A);
+        for n in [1usize, 63, 64, 65, 127, 4095, 4096, 4097, 8193] {
+            for span in [2u64, 16, 300] {
+                let blocks: Vec<u64> = (0..n).map(|_| rng.gen_range(0..span)).collect();
+                let footprint = blocks
+                    .iter()
+                    .collect::<std::collections::HashSet<_>>()
+                    .len();
+                for cap in (1..=8).chain([footprint, footprint + 1]) {
+                    let min = min_misses_blocks(&blocks, cap);
+                    assert_eq!(
+                        min,
+                        min_misses_heap(&blocks, cap),
+                        "n {n} span {span} cap {cap}"
+                    );
+                    if n <= 4097 {
+                        assert_eq!(
+                            min,
+                            brute_force_min(&blocks, cap),
+                            "n {n} span {span} cap {cap}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitset_matches_heap_past_one_top_summary_word() {
+        // More than 2^18 positions, so eviction searches cross `top`
+        // words; a wide span keeps far next uses in the set.
+        let mut rng = StdRng::seed_from_u64(0x2_0000);
+        let n = (1 << 18) + 5000;
+        let blocks: Vec<u64> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    rng.gen_range(0..100_000)
+                } else {
+                    rng.gen_range(0..200)
+                }
+            })
+            .collect();
+        for cap in [1usize, 8, 150, 4096] {
             assert_eq!(
                 min_misses_blocks(&blocks, cap),
-                brute_force_min(&blocks, cap),
+                min_misses_heap(&blocks, cap),
                 "capacity {cap}"
             );
         }
@@ -235,10 +417,9 @@ mod tests {
             blocks in proptest::collection::vec(0u64..24, 1..120),
             cap in 1usize..8
         ) {
-            prop_assert_eq!(
-                min_misses_blocks(&blocks, cap),
-                brute_force_min(&blocks, cap)
-            );
+            let min = min_misses_blocks(&blocks, cap);
+            prop_assert_eq!(min, brute_force_min(&blocks, cap));
+            prop_assert_eq!(min, min_misses_heap(&blocks, cap));
         }
 
         #[test]

@@ -19,8 +19,8 @@ use crate::packed::PackedSets;
 use crate::set::{CacheSet, ReplacementPolicy};
 use std::sync::Arc;
 use unicache_core::{
-    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, FusedLane,
-    HitWhere, IndexFunction, MemRecord, Result, StatsSink,
+    AccessResult, BlockAddr, CacheGeometry, CacheModel, CacheStats, ConfigError, Egress,
+    EgressSink, FusedLane, HitWhere, IndexFunction, MemRecord, Result, StatsSink,
 };
 
 /// Set storage backing a [`Cache`].
@@ -133,20 +133,22 @@ fn commit<L: Lines + ?Sized, S: StatsSink>(
     }
 }
 
-/// Replays a chunk through [`commit`] on one store shape; the aggregate
-/// totals reach `stats` once, at the end.
+/// Replays a chunk through [`commit`] on one store shape, each outcome
+/// sent to `egress`; the aggregate totals reach `stats` once, at the end.
 #[inline(always)]
-fn replay<L: Lines + ?Sized>(
+fn replay<L: Lines + ?Sized, E: EgressSink>(
     lines: &mut L,
     stats: &mut CacheStats,
     write_allocate: bool,
     sets: &[usize],
     blocks: &[BlockAddr],
     writes: &[bool],
+    egress: &mut E,
 ) {
     stats.tally(|t| {
         for ((&set, &block), &w) in sets.iter().zip(blocks).zip(writes) {
-            commit(lines, t, write_allocate, set, block, w);
+            let r = commit(lines, t, write_allocate, set, block, w);
+            egress.access(block, &r);
         }
     });
 }
@@ -350,11 +352,13 @@ impl CacheModel for Cache {
     }
 }
 
-impl FusedLane for Cache {
-    /// One virtual `index_many` computes the whole chunk's set indices
-    /// (its monomorphized body inlines the concrete hash), then the
-    /// commit loop replays the chunk with zero virtual dispatch.
-    fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
+impl Cache {
+    /// The chunk body: one virtual `index_many` computes the whole
+    /// chunk's set indices (its monomorphized body inlines the concrete
+    /// hash), then the commit loop replays the chunk with zero virtual
+    /// dispatch, sending each outcome to `egress`.
+    #[inline(always)]
+    fn step<E: EgressSink>(&mut self, blocks: &[BlockAddr], writes: &[bool], egress: &mut E) {
         let mut sets = std::mem::take(&mut self.idx_buf);
         sets.resize(blocks.len(), 0);
         self.index.index_many(blocks, &mut sets);
@@ -362,13 +366,31 @@ impl FusedLane for Cache {
         // The commit loop: the store's shape is picked once per chunk.
         let (stats, wa) = (&mut self.stats, self.write_allocate);
         match &mut self.store {
-            SetStore::Packed(s) if self.geom.ways() == 1 => {
-                replay(&mut DirectMapped(s), stats, wa, &sets, blocks, writes)
+            SetStore::Packed(s) if self.geom.ways() == 1 => replay(
+                &mut DirectMapped(s),
+                stats,
+                wa,
+                &sets,
+                blocks,
+                writes,
+                egress,
+            ),
+            SetStore::Packed(s) => replay(s, stats, wa, &sets, blocks, writes, egress),
+            SetStore::PerSet(s) => {
+                replay(s.as_mut_slice(), stats, wa, &sets, blocks, writes, egress)
             }
-            SetStore::Packed(s) => replay(s, stats, wa, &sets, blocks, writes),
-            SetStore::PerSet(s) => replay(s.as_mut_slice(), stats, wa, &sets, blocks, writes),
         }
         self.idx_buf = sets;
+    }
+}
+
+impl FusedLane for Cache {
+    fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
+        self.step(blocks, writes, &mut ());
+    }
+
+    fn step_chunk_egress(&mut self, blocks: &[BlockAddr], writes: &[bool], egress: &mut Egress) {
+        self.step(blocks, writes, egress);
     }
 }
 

@@ -24,7 +24,7 @@
 //! `(block << 1) | is_write` words plus one thread-id byte per record.
 
 use crate::footprint::BlockCounter;
-use crate::model::CacheModel;
+use crate::model::{AccessResult, CacheModel};
 use crate::record::{MemRecord, ThreadId};
 use crate::BlockAddr;
 
@@ -100,6 +100,71 @@ impl<'a> BlockStream<'a> {
 /// resident in a 32 KB L1D alongside the hot set arrays.
 pub const FUSE_CHUNK: usize = 1024;
 
+/// One lane's traffic to the next cache level, in the order a two-level
+/// hierarchy sends it: for every miss, the missed block (a fill read),
+/// then the victim the miss reported, if any (a write-back, clean
+/// victims included). Hits send nothing. `blocks()[i]` pairs with
+/// `writes()[i]`, `true` for a write-back.
+#[derive(Debug, Default)]
+pub struct Egress {
+    blocks: Vec<BlockAddr>,
+    writes: Vec<bool>,
+}
+
+impl Egress {
+    /// The logged block addresses, in order.
+    #[inline]
+    pub fn blocks(&self) -> &[BlockAddr] {
+        &self.blocks
+    }
+
+    /// `writes()[i]`: whether `blocks()[i]` is a write-back rather than a
+    /// fill.
+    #[inline]
+    pub fn writes(&self) -> &[bool] {
+        &self.writes
+    }
+
+    /// Empties the log, keeping its capacity.
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.writes.clear();
+    }
+
+    #[inline]
+    fn push(&mut self, block: BlockAddr, is_write: bool) {
+        self.blocks.push(block);
+        self.writes.push(is_write);
+    }
+}
+
+/// Where a chunk body sends each access's outcome: nowhere (`()`, which
+/// the plain [`FusedLane::step_chunk`] passes and which compiles to
+/// nothing) or an [`Egress`] log. Lanes with their own chunk body make it
+/// generic over this, so [`FusedLane::step_chunk_egress`] runs the same
+/// body as `step_chunk`.
+pub trait EgressSink {
+    /// Sees the outcome `r` of one access to `block`.
+    fn access(&mut self, block: BlockAddr, r: &AccessResult);
+}
+
+impl EgressSink for () {
+    #[inline(always)]
+    fn access(&mut self, _block: BlockAddr, _r: &AccessResult) {}
+}
+
+impl EgressSink for Egress {
+    #[inline(always)]
+    fn access(&mut self, block: BlockAddr, r: &AccessResult) {
+        if !r.is_hit() {
+            self.push(block, false);
+            if let Some(victim) = r.evicted {
+                self.push(victim, true);
+            }
+        }
+    }
+}
+
 /// A cache model that can ride in a fused multi-scheme pass.
 ///
 /// The fused kernel decodes a [`BlockStream`] chunk once into plain
@@ -130,6 +195,17 @@ pub trait FusedLane: CacheModel {
             );
         }
     }
+
+    /// [`step_chunk`](Self::step_chunk), also appending the chunk's
+    /// [`Egress`] to `egress`. It leaves the lane exactly as `step_chunk`
+    /// would. The default runs [`CacheModel::access_block`] per record;
+    /// lanes with their own chunk body override it to run that body.
+    fn step_chunk_egress(&mut self, blocks: &[BlockAddr], writes: &[bool], egress: &mut Egress) {
+        for (&block, &is_write) in blocks.iter().zip(writes) {
+            let r = self.access_block(block, is_write);
+            egress.access(block, &r);
+        }
+    }
 }
 
 /// Blanket impl so `Box<dyn FusedLane>` is itself a lane — the fuse-group
@@ -137,6 +213,10 @@ pub trait FusedLane: CacheModel {
 impl<T: FusedLane + ?Sized> FusedLane for Box<T> {
     fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool]) {
         (**self).step_chunk(blocks, writes)
+    }
+
+    fn step_chunk_egress(&mut self, blocks: &[BlockAddr], writes: &[bool], egress: &mut Egress) {
+        (**self).step_chunk_egress(blocks, writes, egress)
     }
 }
 
@@ -164,6 +244,40 @@ pub trait TaggedLane: CacheModel {
 /// If any lane's line size differs from the stream's (the decoded block
 /// addresses would be wrong for it).
 pub fn run_fused(lanes: &mut [&mut dyn FusedLane], stream: &BlockStream) {
+    for_each_lane_chunk(lanes, stream, |_, lane, blocks, writes| {
+        lane.step_chunk(blocks, writes)
+    });
+}
+
+/// [`run_fused`], with every lane also logging its [`Egress`]: after lane
+/// `i` steps a chunk, `drain(i, egress)` sees lane `i`'s egress of that
+/// chunk, so a next level replays it chunk by chunk and no egress is held
+/// for the whole stream.
+///
+/// # Panics
+/// As [`run_fused`].
+pub fn run_fused_egress(
+    lanes: &mut [&mut dyn FusedLane],
+    stream: &BlockStream,
+    mut drain: impl FnMut(usize, &Egress),
+) {
+    let mut egress = Egress::default();
+    for_each_lane_chunk(lanes, stream, |i, lane, blocks, writes| {
+        egress.clear();
+        lane.step_chunk_egress(blocks, writes, &mut egress);
+        drain(i, &egress);
+    });
+}
+
+/// The fused traversal: decodes each chunk of `stream` once into shared
+/// scratch, then calls `step(i, lane, blocks, writes)` for every lane in
+/// order (chunk-outer, lane-inner).
+#[inline(always)]
+fn for_each_lane_chunk(
+    lanes: &mut [&mut dyn FusedLane],
+    stream: &BlockStream,
+    mut step: impl FnMut(usize, &mut dyn FusedLane, &[BlockAddr], &[bool]),
+) {
     for l in lanes.iter() {
         assert_eq!(
             l.geometry().line_bytes(),
@@ -180,8 +294,8 @@ pub fn run_fused(lanes: &mut [&mut dyn FusedLane], stream: &BlockStream) {
             *b = r.addr >> stream.shift;
             *w = r.kind.is_write();
         }
-        for lane in lanes.iter_mut() {
-            lane.step_chunk(&blocks[..n], &writes[..n]);
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            step(i, &mut **lane, &blocks[..n], &writes[..n]);
         }
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::cast::usize_from_u64;
 use crate::BlockAddr;
+use std::num::NonZeroU64;
 
 /// Fibonacci hashing multiplier (2^64 / φ, odd): the top bits of
 /// `block * MUL` spread strided and sequential block runs over the table.
@@ -25,32 +26,35 @@ const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// peak RSS read up to 11% higher on some command lines.
 const INITIAL_SLOTS: usize = 4096;
 
-/// Per-block reference counts over a stream of block addresses.
+/// A flat open-addressed map from block addresses to nonzero `u64`
+/// values: the table behind [`BlockCounter`], and behind any pass that
+/// keeps one word per distinct block (Belady MIN keeps each block's last
+/// position).
 ///
-/// A slot is `(block, count)`, and `count == 0` marks it empty, so every
+/// A slot is `(block, value)`, and `value == 0` marks it empty, so every
 /// block value — 0 and `u64::MAX` included — is a valid key. The table
 /// doubles whenever it would become more than half full.
 #[derive(Debug, Clone)]
-pub struct BlockCounter {
+pub struct BlockMap {
     slots: Vec<(BlockAddr, u64)>,
     /// `64 - log2(slots.len())`: the home slot is the hash's top bits.
     shift: u32,
     distinct: usize,
-    /// Slot of the most recently added block (`usize::MAX` if none), so
+    /// Slot of the most recently updated block (`usize::MAX` if none), so
     /// a run of references to one block skips the hash and probe.
     last: usize,
 }
 
-impl Default for BlockCounter {
+impl Default for BlockMap {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl BlockCounter {
-    /// An empty counter.
+impl BlockMap {
+    /// An empty map.
     pub fn new() -> Self {
-        BlockCounter {
+        BlockMap {
             slots: vec![(0, 0); INITIAL_SLOTS],
             shift: 64 - INITIAL_SLOTS.trailing_zeros(),
             distinct: 0,
@@ -58,16 +62,17 @@ impl BlockCounter {
         }
     }
 
-    /// Counts one reference to `block`.
+    /// Replaces `block`'s value `v` with `f(v)`, where `v` is 0 if
+    /// `block` has no value yet.
     #[inline]
-    pub fn add(&mut self, block: BlockAddr) {
+    pub fn update(&mut self, block: BlockAddr, f: impl FnOnce(u64) -> NonZeroU64) {
         if let Some(slot) = self.slots.get_mut(self.last) {
             if slot.0 == block {
-                slot.1 += 1;
+                slot.1 = f(slot.1).get();
                 return;
             }
         }
-        self.last = self.probe(block);
+        self.last = self.probe(block, f);
     }
 
     /// The home slot of `block` in a table of `2^(64 - shift)` slots.
@@ -76,9 +81,9 @@ impl BlockCounter {
         usize_from_u64(block.wrapping_mul(MUL) >> shift)
     }
 
-    /// Finds or claims `block`'s slot, counts the reference, and returns
-    /// the slot.
-    fn probe(&mut self, block: BlockAddr) -> usize {
+    /// Finds or claims `block`'s slot, applies `f` to its value, and
+    /// returns the slot.
+    fn probe(&mut self, block: BlockAddr, f: impl FnOnce(u64) -> NonZeroU64) -> usize {
         let mask = self.slots.len() - 1;
         let mut i = Self::home(block, self.shift);
         loop {
@@ -87,7 +92,7 @@ impl BlockCounter {
                 break;
             }
             if slot.0 == block {
-                slot.1 += 1;
+                slot.1 = f(slot.1).get();
                 return i;
             }
             i = (i + 1) & mask;
@@ -98,7 +103,7 @@ impl BlockCounter {
             self.grow();
             i = self.free_slot(block);
         }
-        self.slots[i] = (block, 1);
+        self.slots[i] = (block, f(0).get());
         self.distinct += 1;
         i
     }
@@ -118,25 +123,45 @@ impl BlockCounter {
         let grown = vec![(0, 0); 2 * self.slots.len()];
         let old = std::mem::replace(&mut self.slots, grown);
         self.shift -= 1;
-        for (block, count) in old.into_iter().filter(|s| s.1 != 0) {
+        for (block, value) in old.into_iter().filter(|s| s.1 != 0) {
             let i = self.free_slot(block);
-            self.slots[i] = (block, count);
+            self.slots[i] = (block, value);
         }
         self.last = usize::MAX;
+    }
+}
+
+/// Per-block reference counts over a stream of block addresses, in a
+/// [`BlockMap`] whose values are the counts.
+#[derive(Debug, Clone, Default)]
+pub struct BlockCounter(BlockMap);
+
+impl BlockCounter {
+    /// An empty counter.
+    pub fn new() -> Self {
+        BlockCounter(BlockMap::new())
+    }
+
+    /// Counts one reference to `block`.
+    #[inline]
+    pub fn add(&mut self, block: BlockAddr) {
+        self.0
+            .update(block, |count| NonZeroU64::MIN.saturating_add(count));
     }
 
     /// The distinct blocks, ascending, and `counts[i]` — the references
     /// to `blocks[i]`.
-    pub fn into_blocks_and_counts(mut self) -> (Vec<BlockAddr>, Vec<u64>) {
-        self.slots.retain(|s| s.1 != 0);
-        self.slots.sort_unstable_by_key(|s| s.0);
-        self.slots.into_iter().unzip()
+    pub fn into_blocks_and_counts(self) -> (Vec<BlockAddr>, Vec<u64>) {
+        let mut slots = self.0.slots;
+        slots.retain(|s| s.1 != 0);
+        slots.sort_unstable_by_key(|s| s.0);
+        slots.into_iter().unzip()
     }
 
     /// The distinct blocks, ascending.
     pub fn into_blocks(self) -> Vec<BlockAddr> {
-        let mut blocks: Vec<BlockAddr> = Vec::with_capacity(self.distinct);
-        blocks.extend(self.slots.iter().filter(|s| s.1 != 0).map(|s| s.0));
+        let mut blocks: Vec<BlockAddr> = Vec::with_capacity(self.0.distinct);
+        blocks.extend(self.0.slots.iter().filter(|s| s.1 != 0).map(|s| s.0));
         blocks.sort_unstable();
         blocks
     }
@@ -224,7 +249,7 @@ mod tests {
         for stride in [1u64, 64, 4096, 1 << 32] {
             let colliding: Vec<u64> = (0..1u64 << 22)
                 .map(|i| i * stride)
-                .filter(|&b| BlockCounter::home(b, shift) == INITIAL_SLOTS - 1)
+                .filter(|&b| BlockMap::home(b, shift) == INITIAL_SLOTS - 1)
                 .take(12)
                 .collect();
             assert!(colliding.len() >= 4, "stride {stride}: too few collisions");

@@ -33,11 +33,11 @@ pub mod record;
 pub mod stats;
 
 pub use batch::{
-    core_routes, pack_coherent_chunk, run_fused, unpack_blocks, BlockStream, CoherentStream,
-    FusedLane, TaggedLane, FUSE_CHUNK,
+    core_routes, pack_coherent_chunk, run_fused, run_fused_egress, unpack_blocks, BlockStream,
+    CoherentStream, Egress, EgressSink, FusedLane, TaggedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
-pub use footprint::BlockCounter;
+pub use footprint::{BlockCounter, BlockMap};
 pub use geometry::CacheGeometry;
 pub use hasher::{DetHashMap, DetHashSet, DetState};
 pub use index::{set_histogram, IndexFunction};

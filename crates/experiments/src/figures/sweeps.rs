@@ -11,15 +11,11 @@
 use crate::figures::paper_geom;
 use crate::{ExperimentTable, SchemeId, SimStore};
 use std::sync::Arc;
-use unicache_assoc::{AdaptiveGroupCache, BCache, ColumnAssociativeCache};
-use unicache_core::{
-    run_fused, BlockStream, CacheGeometry, CacheModel, FusedLane, IndexFunction, MemRecord,
-    FUSE_CHUNK,
-};
+use unicache_core::{CacheGeometry, CacheModel, FusedLane, IndexFunction, FUSE_CHUNK};
 use unicache_indexing::{ModuloIndex, OddMultiplierIndex, PrimeModuloIndex, XorIndex};
 use unicache_sim::{Cache, CacheBuilder};
 use unicache_stats::Moments;
-use unicache_timing::{Hierarchy, LatencyModel};
+use unicache_timing::{EgressL2, LatencyModel};
 use unicache_trace::synth;
 use unicache_workloads::Workload;
 
@@ -82,36 +78,43 @@ pub fn associativity(store: &SimStore) -> ExperimentTable {
     )
 }
 
+/// The L1s of [`hierarchy_cycles`], in its column order, with the cycles
+/// each charges for a secondary hit.
+pub fn hierarchy_l1s(lat: &LatencyModel) -> [(SchemeId, f64); 4] {
+    [
+        (SchemeId::Baseline, lat.rehash_hit),
+        (SchemeId::Adaptive, lat.out_hit),
+        (SchemeId::BCache, lat.rehash_hit),
+        (SchemeId::ColumnAssoc, lat.rehash_hit),
+    ]
+}
+
+/// The AMAT of `w` through the paper's hierarchy behind each of the
+/// [`hierarchy_l1s`], in their order. Each L1 runs as a lane that logs
+/// its egress ([`SimStore::run_egress`], which fills the store's result
+/// cell for it), the egress is replayed chunk by chunk through the L2,
+/// and the AMAT comes from counts ([`EgressL2::finish`]). The L1s run
+/// one at a time, so one L1 and one L2 are alive at once.
+pub fn hierarchy_amats(store: &SimStore, w: Workload, lat: &LatencyModel) -> [f64; 4] {
+    let geom = paper_geom();
+    hierarchy_l1s(lat).map(|(scheme, secondary)| {
+        let mut l2 = EgressL2::paper(geom);
+        let l1 = store.run_egress(w, scheme, geom, |egress| l2.replay(egress));
+        l2.finish(&l1, secondary, lat)
+    })
+}
+
 /// End-to-end cycles through the paper's two-level hierarchy for the
-/// baseline and the three Section III schemes, per workload. Each of the
-/// four L1 replays counts the trace's length as simulated records.
+/// baseline and the three Section III schemes, per workload
+/// ([`hierarchy_amats`]). Each L1 lane counts the trace's length as
+/// simulated records.
 pub fn hierarchy_cycles(store: &SimStore) -> ExperimentTable {
     let workloads = Workload::mibench();
     store.prefetch_traces(&workloads);
-    let geom = paper_geom();
     let lat = LatencyModel::default();
     let rows = workloads.iter().map(|w| w.name().to_string()).collect();
     let values: Vec<Vec<f64>> = unicache_exec::map(&workloads, |&w| {
-        let trace = store.get(w);
-        let run = |l1: Box<dyn CacheModel>, secondary: f64| -> f64 {
-            let mut h = Hierarchy::paper(l1, secondary, lat);
-            h.run(trace.records());
-            store.count_records(trace.len() as u64);
-            h.amat()
-        };
-        let base = run(
-            Box::new(CacheBuilder::new(geom).build().expect("cache")),
-            lat.rehash_hit,
-        );
-        let adaptive = run(
-            Box::new(AdaptiveGroupCache::new(geom).expect("valid")),
-            lat.out_hit,
-        );
-        let bcache = run(Box::new(BCache::new(geom).expect("valid")), lat.rehash_hit);
-        let column = run(
-            Box::new(ColumnAssociativeCache::new(geom).expect("valid")),
-            lat.rehash_hit,
-        );
+        let [base, adaptive, bcache, column] = hierarchy_amats(store, w, &lat);
         vec![
             base,
             adaptive,
@@ -236,9 +239,9 @@ fn icache_schemes(sets: usize) -> Vec<(&'static str, Arc<dyn IndexFunction>)> {
 }
 
 /// Miss rate % of a `geom` cache under each scheme over one synthetic
-/// instruction stream. The fetches are generated into a `FUSE_CHUNK`
-/// record buffer and every cache replays a view of it with `run_fused`
-/// before the next block is drawn, so the stream is never held whole.
+/// instruction stream. Each `FUSE_CHUNK` of fetches is generated straight
+/// into block scratch and every cache steps that chunk before the next is
+/// drawn, so the stream is never held whole, not even as records.
 fn icache_miss_rates(
     geom: CacheGeometry,
     schemes: &[(&str, Arc<dyn IndexFunction>)],
@@ -256,21 +259,19 @@ fn icache_miss_rates(
         })
         .collect();
     let mut stream = synth::instruction_fetches(ICACHE_SEED, fetches, functions, func_bytes);
-    let mut buf: Vec<MemRecord> = Vec::with_capacity(FUSE_CHUNK);
-    let mut lanes: Vec<&mut dyn FusedLane> =
-        caches.iter_mut().map(|c| c as &mut dyn FusedLane).collect();
+    let mut blocks = [0; FUSE_CHUNK];
+    // Instruction fetches are reads.
+    let writes = [false; FUSE_CHUNK];
     loop {
-        buf.clear();
-        buf.extend(stream.by_ref().take(FUSE_CHUNK));
-        if buf.is_empty() {
+        let n = stream.fill_blocks(geom.offset_bits(), &mut blocks);
+        if n == 0 {
             break;
         }
-        run_fused(
-            &mut lanes,
-            &BlockStream::from_records(&buf, geom.line_bytes()),
-        );
+        for cache in &mut caches {
+            cache.step_chunk(&blocks[..n], &writes[..n]);
+        }
     }
-    lanes
+    caches
         .iter()
         .map(|c| 100.0 * c.stats().miss_rate())
         .collect()

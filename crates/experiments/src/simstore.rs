@@ -34,7 +34,10 @@
 //! results are collected in canonical order, so output is
 //! schedule-independent), and pre-generates traces only for groups that
 //! still have pending work — fully-cached groups touch neither the trace
-//! store nor the executor.
+//! store nor the executor. [`SimStore::run_egress`] runs one scheme as
+//! a lane that also logs its L2 traffic for the AMAT hierarchy; that
+//! traffic is not memoized, so the pass always runs, and it fills the
+//! key's result cell if still empty, like any other pass.
 //!
 //! Coherent-hierarchy results go through the same machinery: a
 //! [`CoherentKey`] memoizes one `(mix, policy, scheme, geometry, cores,
@@ -61,8 +64,8 @@ use unicache_assoc::{AdaptiveGroupCache, BCache, ColumnAssociativeCache, SkewedC
 use unicache_core::hasher::det_map;
 use unicache_core::DetHashMap;
 use unicache_core::{
-    run_fused, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats, CoherentStream,
-    FusedLane,
+    run_fused, run_fused_egress, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats,
+    CoherentStream, Egress, FusedLane,
 };
 use unicache_hierarchy::{
     run_coherent_stream, CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode,
@@ -456,27 +459,8 @@ impl SimStore {
             return;
         }
         let _span = unicache_obs::span("simulate");
-        let training = if pending.iter().any(|(s, _)| s.needs_training()) {
-            Some(self.unique_blocks(w, geom.line_bytes()))
-        } else {
-            None
-        };
-        let trace = self.traces.get(w);
-        let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
-        let mut lanes: Vec<Box<dyn FusedLane>> = pending
-            .iter()
-            .map(|(s, _)| s.build_lane(geom, training.as_ref().map(|u| u.as_slice())))
-            .collect();
-        {
-            let mut refs: Vec<&mut dyn FusedLane> = lanes
-                .iter_mut()
-                .map(|m| m.as_mut() as &mut dyn FusedLane)
-                .collect();
-            unicache_obs::count(unicache_obs::Event::FusedPass);
-            unicache_obs::observe(unicache_obs::HistEvent::FusedGroupLanes, refs.len() as u64);
-            run_fused(&mut refs, &stream);
-        }
-        self.fused_passes.fetch_add(1, Ordering::Relaxed);
+        let schemes: Vec<SchemeId> = pending.iter().map(|(s, _)| *s).collect();
+        let lanes = self.fused_pass(w, &schemes, geom, |refs, stream| run_fused(refs, stream));
         for ((_, cell), lane) in pending.iter().zip(&lanes) {
             // set() can only fail if someone else initialized the cell,
             // which the group lock rules out.
@@ -485,10 +469,72 @@ impl SimStore {
         }
         self.sims_run
             .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        self.records_simulated.fetch_add(
-            stream.len() as u64 * pending.len() as u64,
-            Ordering::Relaxed,
-        );
+    }
+
+    /// One fused pass of `schemes` over `w`'s trace at `geom`: builds a
+    /// lane per scheme (with the training list if any scheme needs it),
+    /// lets `drive` step them over the trace's block stream, counts the
+    /// pass and its records, and returns the lanes.
+    fn fused_pass(
+        &self,
+        w: Workload,
+        schemes: &[SchemeId],
+        geom: CacheGeometry,
+        drive: impl FnOnce(&mut [&mut dyn FusedLane], &BlockStream),
+    ) -> Vec<Box<dyn FusedLane>> {
+        let training = if schemes.iter().any(|s| s.needs_training()) {
+            Some(self.unique_blocks(w, geom.line_bytes()))
+        } else {
+            None
+        };
+        let trace = self.traces.get(w);
+        let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
+        let mut lanes: Vec<Box<dyn FusedLane>> = schemes
+            .iter()
+            .map(|s| s.build_lane(geom, training.as_ref().map(|u| u.as_slice())))
+            .collect();
+        {
+            let mut refs: Vec<&mut dyn FusedLane> = lanes
+                .iter_mut()
+                .map(|m| m.as_mut() as &mut dyn FusedLane)
+                .collect();
+            unicache_obs::count(unicache_obs::Event::FusedPass);
+            unicache_obs::observe(unicache_obs::HistEvent::FusedGroupLanes, refs.len() as u64);
+            drive(&mut refs, &stream);
+        }
+        self.fused_passes.fetch_add(1, Ordering::Relaxed);
+        self.records_simulated
+            .fetch_add(stream.len() as u64 * lanes.len() as u64, Ordering::Relaxed);
+        lanes
+    }
+
+    /// Runs `scheme` over `w`'s trace at `geom` as a lane that also logs
+    /// its [`Egress`], chunk by chunk, to `drain` (see
+    /// [`run_fused_egress`]), and returns its stats. The egress is not
+    /// memoized, so the pass runs even when the result is cached; it
+    /// fills the result cell if still empty, under the group lock, so
+    /// later `stats`/`prefetch` requests for the key are memo hits.
+    pub fn run_egress(
+        &self,
+        w: Workload,
+        scheme: SchemeId,
+        geom: CacheGeometry,
+        mut drain: impl FnMut(&Egress),
+    ) -> Arc<CacheStats> {
+        let cell = Self::cell_of(&self.results, (w, scheme, geom));
+        let lock = self.group_lock((w, geom));
+        let _guard = lock.lock().unwrap();
+        let lanes = self.fused_pass(w, &[scheme], geom, |refs, stream| {
+            run_fused_egress(refs, stream, |_, egress| drain(egress))
+        });
+        let mut filled = false;
+        let stats = Arc::clone(cell.get_or_init(|| {
+            filled = true;
+            Arc::new(lanes[0].stats().clone())
+        }));
+        self.sims_run
+            .fetch_add(u64::from(filled), Ordering::Relaxed);
+        stats
     }
 
     /// The final statistics of `w` simulated under `scheme` at `geom`,

@@ -12,9 +12,20 @@
 //! * every L1 victim the model reports, clean or dirty, is written back
 //!   into the L2 (an L2 store): [`AccessResult::evicted`] names any valid
 //!   victim, not only dirty ones.
+//!
+//! Two drivers implement it. [`Hierarchy`] runs it one record at a time
+//! through a boxed L1 and sums each reference's cycles; it is the
+//! per-record reference, and the facade the benchmark's
+//! `timing.hierarchy_ns_per_ref` probe times. [`EgressL2`] is the fast
+//! path: the L1 runs as a fused lane that logs its [`Egress`] (the L2
+//! traffic above, in the same order), only that egress is replayed
+//! through the L2, and the AMAT comes from counts. The two agree bit for
+//! bit whenever the latency costs are integers (see [`EgressL2::finish`]).
 
 use crate::latency::LatencyModel;
-use unicache_core::{AccessKind, AccessResult, CacheModel, HitWhere, MemRecord};
+use unicache_core::{
+    AccessKind, AccessResult, CacheModel, CacheStats, Egress, HitWhere, MemRecord,
+};
 use unicache_sim::{Cache, CacheBuilder};
 
 /// A pluggable-L1 + unified-L2 memory hierarchy with cycle accounting.
@@ -33,13 +44,9 @@ impl Hierarchy {
     /// Builds the paper's configuration around the provided L1D model:
     /// 256 KB 4-way LRU unified L2.
     pub fn paper(l1d: Box<dyn CacheModel>, secondary_cost: f64, lat: LatencyModel) -> Self {
-        let l2 = CacheBuilder::new(unicache_core::CacheGeometry::paper_l2())
-            .name("unified_l2")
-            .build()
-            .expect("paper L2 geometry is valid");
         Hierarchy {
             l1d,
-            l2,
+            l2: paper_l2(),
             lat,
             secondary_cost,
             cycles: 0.0,
@@ -135,6 +142,113 @@ impl Hierarchy {
         self.cycles = 0.0;
         self.refs = 0;
     }
+}
+
+/// The paper's unified L2 fed by one L1's [`Egress`], which turns the
+/// L1's final stats into the AMAT [`Hierarchy`] measures without a
+/// per-record pass over the trace.
+pub struct EgressL2 {
+    l2: Cache,
+    /// L2 hits and misses of the fill reads (write-backs cost no cycles).
+    fill_hits: u64,
+    fill_misses: u64,
+    writebacks: u64,
+}
+
+impl EgressL2 {
+    /// The paper's 256 KB 4-way LRU L2, empty, behind an L1 of geometry
+    /// `l1`.
+    ///
+    /// # Panics
+    /// If `l1`'s line size differs from the L2's: the egress carries L1
+    /// block addresses, which are L2 block addresses only at equal line
+    /// sizes.
+    pub fn paper(l1: unicache_core::CacheGeometry) -> Self {
+        let l2 = unicache_core::CacheGeometry::paper_l2();
+        assert_eq!(
+            l1.line_bytes(),
+            l2.line_bytes(),
+            "the L1's egress must use the L2's line size"
+        );
+        EgressL2 {
+            l2: paper_l2(),
+            fill_hits: 0,
+            fill_misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    /// Replays the next part of the L1's egress through the L2, in order.
+    pub fn replay(&mut self, egress: &Egress) {
+        for (&block, &is_write) in egress.blocks().iter().zip(egress.writes()) {
+            let hit = self.l2.access_block(block, is_write).is_hit();
+            if is_write {
+                self.writebacks += 1;
+            } else if hit {
+                self.fill_hits += 1;
+            } else {
+                self.fill_misses += 1;
+            }
+        }
+    }
+
+    /// The unified L2.
+    pub fn l2(&self) -> &Cache {
+        &self.l2
+    }
+
+    /// The AMAT of the hierarchy whose L1 ended with stats `l1` and sent
+    /// this L2 its egress: with `P`/`S` primary/secondary hits, `MD`/`MP`
+    /// direct/probed misses and `F` fills that missed the L2,
+    ///
+    /// ```text
+    /// cycles = P·l1 + S·sec + MD·(l1 + l2) + MP·(sec + l2) + F·mem
+    /// AMAT   = cycles / (P + S + MD + MP)
+    /// ```
+    ///
+    /// [`Hierarchy`] adds the same costs one reference at a time. With
+    /// integer costs (the default [`LatencyModel`]) every partial sum is
+    /// an integer below 2^53, so both sums are exact and the AMATs are
+    /// the same `f64`; with fractional costs the rounding of the two
+    /// sums differs, so such a model must use [`Hierarchy`].
+    ///
+    /// Also counts the hierarchy's observability events, which
+    /// [`Hierarchy::access`] counts one reference at a time.
+    ///
+    /// # Panics
+    /// If any cost used is not an integer.
+    pub fn finish(self, l1: &CacheStats, secondary_cost: f64, lat: &LatencyModel) -> f64 {
+        let costs = [secondary_cost, lat.l1_hit, lat.l2_hit, lat.memory];
+        assert!(
+            costs.iter().all(|c| c.fract() == 0.0),
+            "AMAT from counts is exact only for integer costs: {costs:?}"
+        );
+        use unicache_obs::{count_by, Event};
+        count_by(Event::HierL1Hit, l1.primary_hits);
+        count_by(Event::HierL1SecondaryHit, l1.secondary_hits);
+        count_by(Event::HierL2Access, self.fill_hits + self.fill_misses);
+        count_by(Event::HierL2Hit, self.fill_hits);
+        count_by(Event::HierMemoryAccess, self.fill_misses);
+        count_by(Event::HierWriteback, self.writebacks);
+        let refs = l1.accesses();
+        if refs == 0 {
+            return 0.0;
+        }
+        let cycles = l1.primary_hits as f64 * lat.l1_hit
+            + l1.secondary_hits as f64 * secondary_cost
+            + l1.misses_direct as f64 * (lat.l1_hit + lat.l2_hit)
+            + l1.misses_after_probe as f64 * (secondary_cost + lat.l2_hit)
+            + self.fill_misses as f64 * lat.memory;
+        cycles / refs as f64
+    }
+}
+
+/// The paper's 256 KB 4-way LRU unified L2.
+fn paper_l2() -> Cache {
+    CacheBuilder::new(unicache_core::CacheGeometry::paper_l2())
+        .name("unified_l2")
+        .build()
+        .expect("paper L2 geometry is valid")
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! [`hierarchy::Hierarchy`] composes an L1 (any [`unicache_core::CacheModel`],
 //! including the programmable-associativity schemes) with the paper's
 //! unified L2 and a flat memory, accumulating real cycles reference by
-//! reference.
+//! reference; [`hierarchy::EgressL2`] reaches the same AMAT from an L1
+//! lane's egress and final counts.
 
 pub mod amat;
 pub mod hierarchy;
@@ -25,7 +26,7 @@ pub mod logical;
 pub mod stopwatch;
 
 pub use amat::{amat_adaptive, amat_column_associative, amat_conventional, amat_exact};
-pub use hierarchy::Hierarchy;
+pub use hierarchy::{EgressL2, Hierarchy};
 pub use latency::LatencyModel;
 pub use logical::LogicalClock;
 pub use stopwatch::Stopwatch;

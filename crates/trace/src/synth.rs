@@ -9,8 +9,8 @@
 
 use crate::trace::Trace;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use unicache_core::{Addr, MemRecord};
+use rand::{Rng, RngCore, SeedableRng};
+use unicache_core::{Addr, BlockAddr, MemRecord};
 
 /// Uniformly random reads over `[base, base + span)`.
 pub fn uniform(seed: u64, n: usize, base: Addr, span: u64) -> Trace {
@@ -239,28 +239,37 @@ pub struct InstructionFetches {
     pc: Addr,
 }
 
+/// `ceil(p · 2^53)`: a draw `x` has `(x >> 11) as f64 / 2^53 < p`
+/// exactly when `(x >> 11) < roll_threshold(p)`, since both sides are
+/// exact (`x >> 11` has 53 bits and scaling by a power of two is exact).
+const fn roll_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 impl InstructionFetches {
     const TEXT_BASE: Addr = 0x0040_0000;
 
     fn func_base(&self, f: usize) -> Addr {
         Self::TEXT_BASE + f as u64 * self.func_bytes
     }
-}
 
-impl Iterator for InstructionFetches {
-    type Item = MemRecord;
-
-    fn next(&mut self) -> Option<MemRecord> {
-        self.remaining = self.remaining.checked_sub(1)?;
-        let rec = MemRecord::fetch(self.pc);
-        let roll: f64 = self.rng.gen();
-        if roll < 0.70 {
+    /// The current fetch address; then moves the pc on to the next one.
+    /// The branch roll is the top 53 bits of one draw, compared against
+    /// the 70/90/97% thresholds as integers.
+    #[inline]
+    fn advance(&mut self) -> Addr {
+        let pc = self.pc;
+        const FALL_THROUGH: u64 = roll_threshold(0.70);
+        const LOOP: u64 = roll_threshold(0.90);
+        const CALL: u64 = roll_threshold(0.97);
+        let roll = self.rng.next_u64() >> 11;
+        if roll < FALL_THROUGH {
             self.pc += 4;
-        } else if roll < 0.90 {
+        } else if roll < LOOP {
             // Loop back-edge: jump back a short distance.
             let back = self.rng.gen_range(1..=16) * 4;
             self.pc = self.pc.saturating_sub(back).max(self.func_base(self.func));
-        } else if roll < 0.97 && self.stack.len() < 64 {
+        } else if roll < CALL && self.stack.len() < 64 {
             // Call a random function.
             self.stack.push((self.func, self.pc + 4));
             self.func = self.rng.gen_range(0..self.functions);
@@ -275,7 +284,29 @@ impl Iterator for InstructionFetches {
         if self.pc >= self.func_base(self.func) + self.func_bytes {
             self.pc = self.func_base(self.func);
         }
-        Some(rec)
+        pc
+    }
+
+    /// Generates the next fetches straight into `blocks` as block
+    /// addresses (`addr >> shift`), the decoded form a cache chunk step
+    /// consumes, and returns how many it wrote: `blocks.len()`, or fewer
+    /// once the stream runs out.
+    pub fn fill_blocks(&mut self, shift: u32, blocks: &mut [BlockAddr]) -> usize {
+        let n = blocks.len().min(self.remaining);
+        for b in &mut blocks[..n] {
+            *b = self.advance() >> shift;
+        }
+        self.remaining -= n;
+        n
+    }
+}
+
+impl Iterator for InstructionFetches {
+    type Item = MemRecord;
+
+    fn next(&mut self) -> Option<MemRecord> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(MemRecord::fetch(self.advance()))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -310,6 +341,39 @@ mod instruction_tests {
             .count();
         let frac = seq as f64 / (t.len() - 1) as f64;
         assert!((0.5..0.9).contains(&frac), "sequential fraction {frac}");
+    }
+
+    #[test]
+    fn integer_roll_equals_the_float_roll_at_each_threshold() {
+        for p in [0.70, 0.90, 0.97] {
+            let t = roll_threshold(p);
+            for k in [t - 1, t, t + 1] {
+                // The draw whose top 53 bits are k, as `gen::<f64>()`
+                // turns it into a float.
+                let float: f64 = (k as f64) * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(k < t, float < p, "p {p} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn filled_blocks_equal_the_materialised_stream() {
+        // Not a multiple of the fill size, so the last fill is ragged.
+        let n = 3 * 1024 + 517;
+        let shift = 5;
+        let trace = instruction_stream(9, n, 64, 2048);
+        let mut fetches = instruction_fetches(9, n, 64, 2048);
+        let mut blocks = Vec::new();
+        let mut buf = [0; 1024];
+        loop {
+            let got = fetches.fill_blocks(shift, &mut buf);
+            if got == 0 {
+                break;
+            }
+            blocks.extend_from_slice(&buf[..got]);
+        }
+        let expect: Vec<BlockAddr> = trace.iter().map(|r| r.addr >> shift).collect();
+        assert_eq!(blocks, expect);
     }
 
     #[test]

@@ -169,19 +169,24 @@ impl<const N: usize> Standard for [u8; N] {
     }
 }
 
-/// Uniform integer in `[0, bound)` by Lemire-style widening multiply with a
-/// rejection pass to stay unbiased.
+/// Uniform integer in `[0, bound)` by Lemire's nearly divisionless
+/// widening multiply: a draw is rejected when the low product word is
+/// below `threshold = 2^64 mod bound`. Since `threshold < bound`, a low
+/// word at or above `bound` is accepted without computing the threshold,
+/// so the division runs only on the rare draws that land below `bound`.
+/// The accept test is the same, so the draws consumed and the values
+/// returned are those of the plain rejection loop.
 #[inline]
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    let threshold = bound.wrapping_neg() % bound;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (bound as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (bound as u128);
+    if (m as u64) < bound {
+        let threshold = bound.wrapping_neg() % bound;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128) * (bound as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 /// Types `gen_range` can sample (mirrors `rand`'s `SampleUniform`). A
@@ -258,7 +263,7 @@ impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -306,6 +311,35 @@ mod tests {
         assert!((28_000..32_000).contains(&hits), "p=0.3 gave {hits}");
         assert_eq!((0..100).filter(|_| r.gen_bool(0.0)).count(), 0);
         assert_eq!((0..100).filter(|_| r.gen_bool(1.0)).count(), 100);
+    }
+
+    /// The rejection loop `uniform_below` replaced, kept as its oracle:
+    /// the threshold computed for every draw.
+    fn uniform_below_by_division(rng: &mut StdRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.next_u64() as u128) * (bound as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn divisionless_draws_equal_the_division_loop() {
+        for bound in [1u64, 3, 16, 1000, (1 << 32) + 1, (1 << 63) + 1] {
+            let mut fast = StdRng::seed_from_u64(bound);
+            let mut slow = StdRng::seed_from_u64(bound);
+            for _ in 0..100_000 {
+                assert_eq!(
+                    super::uniform_below(&mut fast, bound),
+                    uniform_below_by_division(&mut slow, bound),
+                    "bound {bound}"
+                );
+            }
+            // Both consumed the same draws.
+            assert_eq!(fast.next_u64(), slow.next_u64(), "bound {bound}");
+        }
     }
 
     #[test]

@@ -30,13 +30,25 @@
 //!
 //! A fifth check replays the coherent sweep's real interleave through
 //! every sweep cell with the chunked kernel on and off.
+//!
+//! A sixth property pins the AMAT hierarchy's fast path: each `hierarchy`
+//! L1 run as a fused lane that logs its egress, that egress replayed
+//! through the paper's L2 and the AMAT taken from counts must equal
+//! `timing::Hierarchy`'s per-record walk bit for bit, L2 stats included;
+//! and the store's egress lanes must fill exactly the result cells a
+//! plain prefetch would, so the `online` table that follows simulates
+//! nothing.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use unicache::core::{run_fused_egress, Egress};
 use unicache::experiments::figures::coherent::coherent_groups;
+use unicache::experiments::figures::extras::online_selection;
+use unicache::experiments::figures::sweeps::{self, hierarchy_amats, hierarchy_cycles};
 use unicache::experiments::CoherentKey;
 use unicache::prelude::*;
 use unicache::smt::interleave_refs;
+use unicache::timing::EgressL2;
 use unicache::trace::synth;
 
 fn reference_geometries() -> [CacheGeometry; 5] {
@@ -378,6 +390,110 @@ fn coherent_sweep_cells_match_per_record_walk() {
             assert_eq!(fast.merged_recency(), slow.merged_recency(), "{what}");
             assert_eq!(fast.now(), slow.now(), "{what}");
             assert_eq!(fast.now(), stream.len() as u64, "{what}");
+        }
+    }
+}
+
+/// The `hierarchy` table's L1s at the default latencies.
+fn hierarchy_l1s() -> [(SchemeId, f64); 4] {
+    sweeps::hierarchy_l1s(&LatencyModel::default())
+}
+
+/// The AMAT and L2 stats of `records` through the paper's hierarchy
+/// behind `l1`: per record through `timing::Hierarchy`, and through the
+/// egress path (a fused lane logging its egress, the egress replayed
+/// through `EgressL2`, the AMAT from counts).
+fn both_paths(l1: SchemeId, secondary: f64, records: &[MemRecord]) -> [(u64, CacheStats); 2] {
+    let geom = CacheGeometry::paper_l1();
+    let lat = LatencyModel::default();
+    let mut walk = Hierarchy::paper(l1.build_model(geom, None), secondary, lat);
+    walk.run(records);
+    let mut lane = l1.build_lane(geom, None);
+    let mut l2 = EgressL2::paper(geom);
+    let mut logged = 0;
+    run_fused_egress(
+        &mut [&mut lane],
+        &BlockStream::from_records(records, geom.line_bytes()),
+        |i, egress: &Egress| {
+            assert_eq!(i, 0);
+            logged += egress.blocks().len();
+            l2.replay(egress);
+        },
+    );
+    let l2_stats = l2.l2().stats().clone();
+    assert_eq!(l2_stats.accesses(), logged as u64);
+    let amat = l2.finish(lane.stats(), secondary, &lat);
+    assert_eq!(lane.stats(), walk.l1d().stats(), "{l1:?} L1 stats");
+    [
+        (walk.amat().to_bits(), walk.l2().stats().clone()),
+        (amat.to_bits(), l2_stats),
+    ]
+}
+
+#[test]
+fn egress_hierarchy_matches_the_per_record_walk_on_every_mibench_trace() {
+    let store = SimStore::new(Scale::Tiny);
+    let lat = LatencyModel::default();
+    for w in Workload::mibench() {
+        let trace = store.get(w);
+        let mut walked = Vec::new();
+        for (l1, secondary) in hierarchy_l1s() {
+            let [walk, egress] = both_paths(l1, secondary, trace.records());
+            assert_eq!(walk, egress, "{w:?} behind {l1:?}");
+            walked.push(f64::from_bits(walk.0));
+        }
+        // The store's group reaches the same AMATs.
+        let amats: Vec<u64> = hierarchy_amats(&store, w, &lat)
+            .iter()
+            .map(|a| a.to_bits())
+            .collect();
+        let walked: Vec<u64> = walked.iter().map(|a| a.to_bits()).collect();
+        assert_eq!(amats, walked, "{w:?} through the store");
+    }
+}
+
+#[test]
+fn egress_hierarchy_matches_the_per_record_walk_on_a_ragged_conflict_trace() {
+    // Writes over 4x the L1, plus a 32 KB-strided sweep that every
+    // direct-mapped set conflicts on; the length leaves a ragged last
+    // chunk.
+    let n = 3 * FUSE_CHUNK + 517;
+    let mut records = synth::uniform_rw(5, n, 0, 4 * 32 * 1024, 0.3).into_records();
+    records.extend(synth::strided(n, 0x40, 32 * 1024, 8 * 32 * 1024).into_records());
+    assert_ne!(records.len() % FUSE_CHUNK, 0);
+    for (l1, secondary) in hierarchy_l1s() {
+        let [walk, egress] = both_paths(l1, secondary, &records);
+        assert!(walk.1.writes > 0, "{l1:?}: no write-back reached the L2");
+        assert_eq!(walk, egress, "{l1:?}");
+    }
+}
+
+#[test]
+fn hierarchy_group_fills_the_cells_online_reads() {
+    let store = SimStore::new(Scale::Tiny);
+    hierarchy_cycles(&store);
+    let workloads = Workload::mibench();
+    let l1s: Vec<SchemeId> = hierarchy_l1s().iter().map(|&(s, _)| s).collect();
+    assert_eq!(store.sims_run(), (workloads.len() * l1s.len()) as u64);
+    online_selection(&store);
+    assert_eq!(
+        store.sims_run(),
+        (workloads.len() * l1s.len()) as u64,
+        "online simulated"
+    );
+    // A second egress pass re-runs the lanes but fills nothing.
+    hierarchy_cycles(&store);
+    assert_eq!(store.sims_run(), (workloads.len() * l1s.len()) as u64);
+    let plain = SimStore::new(Scale::Tiny);
+    plain.prefetch(&workloads, &l1s, CacheGeometry::paper_l1());
+    for &w in &workloads {
+        for &s in &l1s {
+            let geom = CacheGeometry::paper_l1();
+            assert_eq!(
+                *store.stats(w, s, geom),
+                *plain.stats(w, s, geom),
+                "{w:?} {s:?}"
+            );
         }
     }
 }
