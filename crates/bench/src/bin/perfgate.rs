@@ -1,156 +1,235 @@
 //! `perfgate` — the CI gate over `xp --timing-json` artifacts.
 //!
 //! ```text
-//! perfgate compare <baseline.json> <current.json> [--max-regress F]
-//!                  [--phase NAME]... [--out diff.json]
+//! perfgate compare <baseline.json> <current.json> [--max-regress F] [--out diff.json]
 //! perfgate speedup <serial.json> <parallel.json> [--min F]
 //! ```
 //!
-//! `compare` fails (exit 1) when the current run's aggregate records/sec
-//! has regressed more than `--max-regress` (default 0.25) below the
-//! baseline, or when any `--phase` (repeatable, e.g. `--phase coherent`)
-//! grew its share of total wall-clock by more than the same limit, or —
-//! when both artifacts carry per-phase `records_per_sec` — when a gated
-//! phase's own throughput dropped by more than the limit;
-//! `--out` writes the diff verdict as a JSON artifact either way; a
-//! failed write exits 2 after the verdict is printed.
-//! `speedup` fails when wall-clock speedup of the parallel artifact
-//! over the serial one is below `--min` (default 2.0). Logic and parsing
-//! live in [`unicache_bench::gate`].
+//! `compare` fails (exit 1) when the calibrated time (seconds over the
+//! run's yardstick) of any phase that took at least 0.3 s in the
+//! baseline rose by more than `--max-regress` (default 0.25), or the
+//! total calibrated time did while both runs simulated the same records;
+//! otherwise the total prints as `not comparable`. `--out` writes the
+//! diff verdict as a JSON artifact either way; a failed write exits 2
+//! after the verdict is printed. `speedup` fails when wall-clock speedup
+//! of the parallel artifact over the serial one is below `--min`
+//! (default 2.0). An unknown flag, a flag without a value, or a bound
+//! that is not a finite non-negative number prints usage and exits 2, as
+//! does an artifact the gate cannot read. Logic and parsing live in
+//! [`unicache_bench::gate`].
 
 use std::process::ExitCode;
-use unicache_bench::gate;
+use unicache_bench::gate::{self, Comparison, PhaseVerdict};
 
-fn usage() -> ExitCode {
+/// Prints usage; returns the usage exit code.
+fn usage() -> u8 {
     eprintln!(
-        "usage: perfgate compare <baseline.json> <current.json> [--max-regress F] \
-         [--phase NAME]... [--out FILE]\n\
+        "usage: perfgate compare <baseline.json> <current.json> [--max-regress F] [--out FILE]\n\
          \x20      perfgate speedup <serial.json> <parallel.json> [--min F]"
     );
-    ExitCode::from(2)
+    2
 }
 
-fn read(path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("perfgate: cannot read {path}: {e}");
-        ExitCode::from(2)
-    })
+/// Prints `e`; returns the exit code of an artifact the gate cannot use.
+fn fail(e: String) -> u8 {
+    eprintln!("perfgate: {e}");
+    2
 }
 
-fn parse_flag(args: &[String], flag: &str, default: f64) -> Result<f64, ExitCode> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(default),
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) => Ok(v),
-            None => Err(usage()),
-        },
+fn read(path: &str) -> Result<String, u8> {
+    std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))
+}
+
+/// The `--flag VALUE` pairs after the two artifact paths, or `None` when
+/// a flag is not in `known` or lacks a value.
+fn flags<'a>(rest: &'a [String], known: &[&str]) -> Option<Vec<(&'a str, &'a str)>> {
+    rest.chunks(2)
+        .map(|pair| match pair {
+            [flag, value] if known.contains(&flag.as_str()) && !value.starts_with("--") => {
+                Some((flag.as_str(), value.as_str()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The last value of `flag`, if given.
+fn last<'a>(flags: &[(&str, &'a str)], flag: &str) -> Option<&'a str> {
+    flags
+        .iter()
+        .rev()
+        .find(|(f, _)| *f == flag)
+        .map(|(_, v)| *v)
+}
+
+/// The verdict lines `compare` prints.
+fn report(cmp: &Comparison) -> String {
+    let line = |v: &PhaseVerdict, status: &str| {
+        format!(
+            "perfgate: {} {:.1} -> {:.1} cal ({:+.1}%, limit +{:.0}%): {status}\n",
+            v.name,
+            v.base,
+            v.cur,
+            100.0 * v.regress(),
+            100.0 * cmp.max_regress
+        )
+    };
+    let mut out = format!(
+        "perfgate: yardstick {:.3} -> {:.3} ms per call\n",
+        1e3 * cmp.yardstick.0,
+        1e3 * cmp.yardstick.1
+    );
+    for p in &cmp.phases {
+        out += &line(p, pass_fail(p.pass));
     }
+    out += &if cmp.comparable() {
+        line(&cmp.total, pass_fail(cmp.total.pass))
+    } else {
+        let (b, c) = cmp.records;
+        line(
+            &cmp.total,
+            &format!("not comparable (records_simulated {b} -> {c})"),
+        )
+    };
+    out + &format!(
+        "perfgate: {} gated phases: {}\n",
+        cmp.phases.len(),
+        pass_fail(cmp.pass())
+    )
+}
+
+fn pass_fail(pass: bool) -> &'static str {
+    if pass {
+        "PASS"
+    } else {
+        "FAIL"
+    }
+}
+
+/// Runs one command: `Ok(pass)`, or `Err` with the exit code of a usage
+/// error, an unreadable artifact or an unwritable `--out`.
+fn run(args: &[String]) -> Result<bool, u8> {
+    let [cmd, a, b, rest @ ..] = args else {
+        return Err(usage());
+    };
+    let (known, limit_flag, default): (&[&str], &str, f64) = match cmd.as_str() {
+        "compare" => (&["--max-regress", "--out"], "--max-regress", 0.25),
+        "speedup" => (&["--min"], "--min", 2.0),
+        _ => return Err(usage()),
+    };
+    let flags = flags(rest, known).ok_or_else(usage)?;
+    let limit = match last(&flags, limit_flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+            .ok_or_else(usage)?,
+    };
+    let (base, cur) = (read(a)?, read(b)?);
+    if cmd == "speedup" {
+        let s = gate::speedup(&base, &cur).map_err(fail)?;
+        let pass = s >= limit;
+        eprintln!(
+            "perfgate: wall-clock speedup {s:.2}x (minimum {limit:.2}x): {}",
+            pass_fail(pass)
+        );
+        return Ok(pass);
+    }
+    let cmp = gate::compare(&base, &cur, limit).map_err(fail)?;
+    eprint!("{}", report(&cmp));
+    if let Some(path) = last(&flags, "--out") {
+        std::fs::write(path, cmp.to_json())
+            .map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+    }
+    Ok(cmp.pass())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(cmd), Some(a), Some(b)) = (args.first(), args.get(1), args.get(2)) else {
-        return usage();
-    };
-    match cmd.as_str() {
-        "compare" => {
-            let max_regress = match parse_flag(&args, "--max-regress", 0.25) {
-                Ok(v) => v,
-                Err(c) => return c,
-            };
-            let out = args
-                .iter()
-                .position(|x| x == "--out")
-                .and_then(|i| args.get(i + 1));
-            let phases: Vec<&str> = args
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| x.as_str() == "--phase")
-                .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
-                .collect();
-            let (base, cur) = match (read(a), read(b)) {
-                (Ok(x), Ok(y)) => (x, y),
-                (Err(c), _) | (_, Err(c)) => return c,
-            };
-            let cmp = match gate::compare_with_phases(&base, &cur, max_regress, &phases) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("perfgate: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let written = match out {
-                Some(path) => std::fs::write(path, cmp.to_json())
-                    .map_err(|e| eprintln!("perfgate: cannot write {path}: {e}"))
-                    .is_ok(),
-                None => true,
-            };
-            for w in &cmp.warnings {
-                eprintln!("perfgate: warning: {w}");
-            }
-            for p in &cmp.phases {
-                let rps = if p.base_rps > 0.0 && p.cur_rps > 0.0 {
-                    format!(
-                        ", {:.0} -> {:.0} rec/s ({:+.1}%)",
-                        p.base_rps,
-                        p.cur_rps,
-                        -100.0 * p.rps_regress
-                    )
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "perfgate: phase '{}' share {:.1}% -> {:.1}% of wall-clock{rps}: {}",
-                    p.name,
-                    100.0 * p.base_share,
-                    100.0 * p.cur_share,
-                    if p.pass { "PASS" } else { "FAIL" }
-                );
-            }
-            eprintln!(
-                "perfgate: baseline {:.0} rec/s, current {:.0} rec/s, change {:+.1}% \
-                 (limit -{:.0}%): {}",
-                cmp.base_rps,
-                cmp.cur_rps,
-                -100.0 * cmp.regress,
-                100.0 * cmp.max_regress,
-                if cmp.pass { "PASS" } else { "FAIL" }
-            );
-            if !written {
-                ExitCode::from(2)
-            } else if cmp.pass {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(code) => ExitCode::from(code),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: &str = "{\"phases\": [{\"name\": \"coherent\", \"seconds\": 3.0}], \
+                        \"total_seconds\": 4.0, \"yardstick_seconds\": 0.003, \
+                        \"records_simulated\": 100}";
+
+    /// Writes `json` to a per-process temporary file; returns its path.
+    fn artifact(name: &str, json: &str) -> String {
+        let path = std::env::temp_dir().join(format!("perfgate-{}-{name}", std::process::id()));
+        std::fs::write(&path, json).expect("write artifact");
+        path.to_str().expect("utf-8 temp path").to_string()
+    }
+
+    fn run_with(args: &[&str]) -> Result<bool, u8> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn calibrated_verdicts_and_exit_codes() {
+        let base = artifact("base.json", BASE);
+        let slow = artifact("slow.json", &BASE.replace("3.0", "3.9"));
+        let drift = artifact(
+            "drift.json",
+            &BASE.replace("4.0", "9.0").replace("100}", "120}"),
+        );
+        let no_cal = artifact("nocal.json", &BASE.replace("yardstick", "other"));
+        assert_eq!(run_with(&["compare", &base, &base]), Ok(true));
+        assert_eq!(run_with(&["compare", &base, &slow]), Ok(false));
+        assert_eq!(run_with(&["compare", &base, &drift]), Ok(true));
+        assert_eq!(run_with(&["compare", &base, &no_cal]), Err(2));
+        assert_eq!(run_with(&["compare", &no_cal, &base]), Err(2));
+        let cmp = gate::compare(BASE, &std::fs::read_to_string(&drift).unwrap(), 0.25).unwrap();
+        let text = report(&cmp);
+        assert!(
+            text.contains(
+                "total 1333.3 -> 3000.0 cal (+125.0%, limit +25%): not comparable \
+                           (records_simulated 100 -> 120)"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("perfgate: 1 gated phases: PASS"), "{text}");
+        for path in [base, slow, drift, no_cal] {
+            let _ = std::fs::remove_file(path);
         }
-        "speedup" => {
-            let min = match parse_flag(&args, "--min", 2.0) {
-                Ok(v) => v,
-                Err(c) => return c,
-            };
-            let (serial, parallel) = match (read(a), read(b)) {
-                (Ok(x), Ok(y)) => (x, y),
-                (Err(c), _) | (_, Err(c)) => return c,
-            };
-            let s = match gate::speedup(&serial, &parallel) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("perfgate: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let pass = s >= min;
-            eprintln!(
-                "perfgate: wall-clock speedup {s:.2}x (minimum {min:.2}x): {}",
-                if pass { "PASS" } else { "FAIL" }
-            );
-            if pass {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
+    }
+
+    #[test]
+    fn bad_arguments_are_usage_errors_that_write_nothing() {
+        let base = artifact("args.json", BASE);
+        let diff = std::env::temp_dir().join(format!("perfgate-{}-diff.json", std::process::id()));
+        let _ = std::fs::remove_file(&diff);
+        let out = diff.to_str().expect("utf-8 temp path");
+        for args in [
+            vec!["compare", &base, &base, "--out"],
+            vec!["compare", &base, &base, "--out", "--max-regress", "0.1"],
+            vec!["compare", &base, &base, "--max-regress", "NaN"],
+            vec!["compare", &base, &base, "--max-regress", "inf"],
+            vec!["compare", &base, &base, "--max-regress", "-0.1"],
+            vec!["compare", &base, &base, "--max-regress"],
+            vec!["compare", &base, &base, "--phase", "coherent"],
+            vec!["compare", &base, &base, "--min", "1", "--out", out],
+            vec!["speedup", &base, &base, "--min", "-1"],
+            vec!["speedup", &base, &base, "--min", "nan"],
+            vec!["speedup", &base, &base, "--max-regress", "0.1"],
+            vec!["bogus", &base, &base],
+            vec!["compare", &base],
+        ] {
+            assert_eq!(run_with(&args), Err(2), "{args:?}");
         }
-        _ => usage(),
+        assert!(!diff.exists(), "a usage error writes nothing");
+        assert_eq!(run_with(&["compare", &base, &base, "--out", out]), Ok(true));
+        assert!(diff.exists());
+        let _ = std::fs::remove_file(&diff);
+        assert_eq!(run_with(&["speedup", &base, &base, "--min", "1"]), Ok(true));
+        let _ = std::fs::remove_file(base);
     }
 }

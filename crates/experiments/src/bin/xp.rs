@@ -19,10 +19,14 @@
 //! * `--timing` prints per-experiment wall-clock to stderr plus a summary
 //!   of the [`SimStore`]'s work: simulations run vs served from cache,
 //!   aggregate records/sec through the batched engine, and the seconds
-//!   spent in phases that simulated no records. `--timing-json`
-//!   additionally writes the same numbers as JSON (the CI perf artifact),
-//!   including per-phase records/sec (the per-phase perfgate's input) and
-//!   a `parallel` section with per-job and wall-clock figures.
+//!   spent in phases that simulated no records. It also times
+//!   [`unicache_timing::yardstick_secs`] before the first phase and after
+//!   each one, never alongside other work; that time counts toward no
+//!   phase and not toward the total, and each phase's seconds over the
+//!   yardstick's lower median is its calibrated time (the perfgate's
+//!   metric). `--timing-json` additionally writes the same numbers as
+//!   JSON (the CI perf artifact), with a `parallel` section of per-job
+//!   and wall-clock figures.
 //! * `--metrics-json` writes the deterministic observability metrics
 //!   (event counters, histograms, span counts — no wall-clock, byte-
 //!   identical across runs). Meaningful with the `obs` feature; without
@@ -39,10 +43,8 @@
 
 use std::env;
 use std::process::ExitCode;
-use unicache_experiments::{
-    render_experiment, tune_allocator_for_traces, SimStore, ALL_EXPERIMENTS,
-};
-use unicache_timing::Stopwatch;
+use unicache_experiments::{render_experiment, SimStore, ALL_EXPERIMENTS};
+use unicache_timing::{yardstick_secs, Stopwatch};
 use unicache_workloads::{Scale, Workload};
 
 fn usage() -> ExitCode {
@@ -59,20 +61,22 @@ fn usage() -> ExitCode {
 }
 
 /// One `--timing` sample: an experiment name, its wall-clock seconds,
-/// and the records the SimStore simulated during it (the per-phase
-/// records/sec numerator the perfgate gates on).
+/// and the records the SimStore simulated during it.
 struct Phase {
     name: String,
     secs: f64,
     records: u64,
 }
 
-/// Renders the timing report (stderr text + optional JSON file);
-/// returns `false` if the JSON file could not be written.
+/// Renders the timing report (stderr text + optional JSON file) from
+/// the phases, the yardstick calls timed between them and the
+/// wall-clock of the whole run; returns `false` if the JSON file could
+/// not be written.
 fn report_timing(
     store: &SimStore,
     phases: &[Phase],
-    total_secs: f64,
+    yardsticks: &[f64],
+    wall_secs: f64,
     json_path: Option<&str>,
 ) -> bool {
     let records = store.records_simulated();
@@ -80,37 +84,45 @@ fn report_timing(
     let hits = store.hits();
     let decodes = store.streams_decoded();
     let summaries = store.summaries_built();
-    let rps = if total_secs > 0.0 {
-        records as f64 / total_secs
-    } else {
-        0.0
-    };
+    let yardstick_total: f64 = yardsticks.iter().sum();
+    let total_secs = wall_secs - yardstick_total;
+    // The lower median, so that of two calls the faster counts: the
+    // first call also pays the page faults of a fresh 4 MiB table.
+    let mut sorted = yardsticks.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let yardstick = sorted[(sorted.len() - 1) / 2];
+    let per_sec = |n: f64, secs: f64| if secs > 0.0 { n / secs } else { 0.0 };
+    let rps = per_sec(records as f64, total_secs);
     // Wall-clock no phase accounts for with simulated records. A fold
     // from +0.0: an empty f64 `sum` is -0.0, which would print "-0.000".
     let unaccounted = phases
         .iter()
         .filter(|p| p.records == 0)
         .fold(0.0, |acc, p| acc + p.secs);
-    let unaccounted_pct = if total_secs > 0.0 {
-        100.0 * unaccounted / total_secs
-    } else {
-        0.0
-    };
+    let unaccounted_pct = 100.0 * per_sec(unaccounted, total_secs);
     let jobs = unicache_exec::global_jobs();
     let exec = unicache_exec::stats();
     eprintln!("-- timing --");
     for p in phases {
-        let prps = if p.secs > 0.0 {
-            p.records as f64 / p.secs
-        } else {
-            0.0
-        };
         eprintln!(
-            "{:>24}  {:8.3}s  ({} records, {prps:.0} rec/s)",
-            p.name, p.secs, p.records
+            "{:>24}  {:8.3}s  {:9.2} cal  ({} records, {:.0} rec/s)",
+            p.name,
+            p.secs,
+            p.secs / yardstick,
+            p.records,
+            per_sec(p.records as f64, p.secs)
         );
     }
-    eprintln!("{:>24}  {total_secs:8.3}s", "total");
+    eprintln!(
+        "{:>24}  {total_secs:8.3}s  {:9.2} cal",
+        "total",
+        total_secs / yardstick
+    );
+    eprintln!(
+        "yardstick: {:.3} ms per call (median of {}); {yardstick_total:.3}s outside every phase",
+        1e3 * yardstick,
+        yardsticks.len()
+    );
     eprintln!(
         "unaccounted: {unaccounted:.3}s ({unaccounted_pct:.1}% of wall-clock) in phases \
          reporting 0 records"
@@ -129,28 +141,32 @@ fn report_timing(
         let mut out = String::from("{\n  \"phases\": [\n");
         for (i, p) in phases.iter().enumerate() {
             let comma = if i + 1 < phases.len() { "," } else { "" };
-            // "seconds" must stay directly after "name": the perfgate
-            // phase parser anchors on that exact byte sequence.
-            let prps = if p.secs > 0.0 {
-                p.records as f64 / p.secs
-            } else {
-                0.0
-            };
+            // "name" must stay the first key: the perfgate's phase scanner
+            // splits the list on `{"name": "`.
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"seconds\": {:.6}, \"records\": {}, \
-                 \"records_per_sec\": {prps:.0}}}{comma}\n",
-                p.name, p.secs, p.records
+                 \"records_per_sec\": {:.0}, \"calibrated\": {:.4}}}{comma}\n",
+                p.name,
+                p.secs,
+                p.records,
+                per_sec(p.records as f64, p.secs),
+                p.secs / yardstick
             ));
         }
         out.push_str(&format!(
             "  ],\n  \"total_seconds\": {total_secs:.6},\n  \
+             \"yardstick_seconds\": {yardstick:.9},\n  \
+             \"total_calibrated\": {:.4},\n  \
              \"unaccounted_seconds\": {unaccounted:.6},\n  \"sims_run\": {sims},\n  \
              \"cache_hits\": {hits},\n  \"records_simulated\": {records},\n  \
              \"streams_decoded\": {decodes},\n  \"summaries_built\": {summaries},\n  \
              \"records_per_sec\": {rps:.0},\n  \"jobs\": {jobs},\n  \
              \"parallel\": {{\"tasks\": {}, \"busy_seconds\": {:.6}, \
              \"max_task_seconds\": {:.6}}}\n}}\n",
-            exec.tasks, exec.busy_seconds, exec.max_task_seconds
+            total_secs / yardstick,
+            exec.tasks,
+            exec.busy_seconds,
+            exec.max_task_seconds
         ));
         return write_artifact(path, &out);
     }
@@ -170,7 +186,7 @@ fn write_artifact(path: &str, contents: &str) -> bool {
 }
 
 fn main() -> ExitCode {
-    tune_allocator_for_traces();
+    unicache_exec::tune_allocator();
     let args: Vec<String> = env::args().skip(1).collect();
     let mut which: Option<String> = None;
     let mut fig1_workload = Workload::Fft;
@@ -202,33 +218,18 @@ fn main() -> ExitCode {
                 }
             }
             "--timing" => timing = true,
-            "--timing-json" => {
+            flag @ ("--timing-json" | "--metrics-json" | "--model-json" | "--trace-out") => {
                 i += 1;
-                match args.get(i) {
-                    Some(p) => timing_json = Some(p.clone()),
-                    None => return usage(),
-                }
-            }
-            "--metrics-json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => metrics_json = Some(p.clone()),
-                    None => return usage(),
-                }
-            }
-            "--model-json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => model_json = Some(p.clone()),
-                    None => return usage(),
-                }
-            }
-            "--trace-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => trace_out = Some(p.clone()),
-                    None => return usage(),
-                }
+                let Some(path) = args.get(i) else {
+                    return usage();
+                };
+                let slot = match flag {
+                    "--timing-json" => &mut timing_json,
+                    "--metrics-json" => &mut metrics_json,
+                    "--model-json" => &mut model_json,
+                    _ => &mut trace_out,
+                };
+                *slot = Some(path.clone());
             }
             a if which.is_none() && !a.starts_with('-') => which = Some(a.to_string()),
             a if which.as_deref() == Some("fig1") && Workload::from_name(a).is_some() => {
@@ -241,8 +242,13 @@ fn main() -> ExitCode {
     let Some(which) = which else { return usage() };
     let store = SimStore::new(scale);
 
+    let timed = timing || timing_json.is_some();
     let started = Stopwatch::start();
     let mut phases: Vec<Phase> = Vec::new();
+    let mut yardsticks: Vec<f64> = Vec::new();
+    if timed {
+        yardsticks.push(yardstick_secs());
+    }
     let mut timed_run = |name: &str| -> bool {
         let t0 = Stopwatch::start();
         let records_before = store.records_simulated();
@@ -255,6 +261,9 @@ fn main() -> ExitCode {
             secs: t0.elapsed_secs(),
             records: store.records_simulated() - records_before,
         });
+        if timed {
+            yardsticks.push(yardstick_secs());
+        }
         true
     };
 
@@ -269,10 +278,11 @@ fn main() -> ExitCode {
         return usage();
     }
     let mut written = true;
-    if timing || timing_json.is_some() {
+    if timed {
         written &= report_timing(
             &store,
             &phases,
+            &yardsticks,
             started.elapsed_secs(),
             timing_json.as_deref(),
         );

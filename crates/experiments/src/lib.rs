@@ -28,13 +28,3 @@ pub use runner::{metrics_json, render_all, render_experiment, ALL_EXPERIMENTS};
 pub use simstore::{CoherentGroup, CoherentKey, CoherentOutcome, FuseGroup, SchemeId, SimStore};
 pub use store::TraceStore;
 pub use table::ExperimentTable;
-
-/// Tunes glibc's allocator for the experiment drivers' allocation
-/// pattern (multi-hundred-megabyte trace and stream buffers, allocated
-/// and released phase after phase). Delegates to
-/// [`unicache_exec::tune_allocator`] — the audited home for
-/// process-tuning FFI — so no `unsafe` lives in this crate. Call once at
-/// program start, before spawning threads.
-pub fn tune_allocator_for_traces() {
-    unicache_exec::tune_allocator();
-}

@@ -140,4 +140,9 @@ fn timing_json_reports_unaccounted_seconds() {
         .nth(1)
         .and_then(|v| v.split(|c: char| !(c.is_ascii_digit() || c == '.')).next());
     assert!(value.is_some_and(|v| v.parse::<f64>().is_ok()), "{json}");
+    // The yardstick is timed, reported on its own line and calibrates
+    // every phase.
+    assert!(err.contains("yardstick: "), "{err}");
+    assert!(json.contains("\"yardstick_seconds\": 0."), "{json}");
+    assert!(json.contains("\"calibrated\": "), "{json}");
 }

@@ -29,4 +29,4 @@ pub use amat::{amat_adaptive, amat_column_associative, amat_conventional, amat_e
 pub use hierarchy::{EgressL2, Hierarchy};
 pub use latency::LatencyModel;
 pub use logical::LogicalClock;
-pub use stopwatch::Stopwatch;
+pub use stopwatch::{yardstick_secs, Stopwatch};
