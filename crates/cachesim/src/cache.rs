@@ -102,7 +102,6 @@ impl Lines for [CacheSet] {
 fn commit<L: Lines + ?Sized, S: StatsSink>(
     lines: &mut L,
     sink: &mut S,
-    write_allocate: bool,
     set: usize,
     block: BlockAddr,
     is_write: bool,
@@ -117,12 +116,7 @@ fn commit<L: Lines + ?Sized, S: StatsSink>(
         };
     }
     sink.record(set, HitWhere::MissDirect);
-    // Write-around: a store miss neither fills nor evicts.
-    let evicted = if !write_allocate && is_write {
-        None
-    } else {
-        lines.fill(set, block, is_write)
-    };
+    let evicted = lines.fill(set, block, is_write);
     if evicted.is_some() {
         sink.eviction(set);
     }
@@ -139,7 +133,6 @@ fn commit<L: Lines + ?Sized, S: StatsSink>(
 fn replay<L: Lines + ?Sized, E: EgressSink>(
     lines: &mut L,
     stats: &mut CacheStats,
-    write_allocate: bool,
     sets: &[usize],
     blocks: &[BlockAddr],
     writes: &[bool],
@@ -147,7 +140,7 @@ fn replay<L: Lines + ?Sized, E: EgressSink>(
 ) {
     stats.tally(|t| {
         for ((&set, &block), &w) in sets.iter().zip(blocks).zip(writes) {
-            let r = commit(lines, t, write_allocate, set, block, w);
+            let r = commit(lines, t, set, block, w);
             egress.access(block, &r);
         }
     });
@@ -159,7 +152,6 @@ pub struct Cache {
     index: Arc<dyn IndexFunction>,
     store: SetStore,
     stats: CacheStats,
-    write_allocate: bool,
     name: String,
     /// Chunk-sized set-index scratch reused across fused steps.
     idx_buf: Vec<usize>,
@@ -178,20 +170,18 @@ pub struct CacheBuilder {
     geom: CacheGeometry,
     index: Option<Arc<dyn IndexFunction>>,
     policy: ReplacementPolicy,
-    write_allocate: bool,
     seed: u64,
     name: Option<String>,
 }
 
 impl CacheBuilder {
-    /// A builder with the paper's defaults: conventional indexing, LRU,
-    /// write-allocate.
+    /// A builder with the paper's defaults: conventional indexing, LRU.
+    /// Every store miss allocates (write-allocate).
     pub fn new(geom: CacheGeometry) -> Self {
         CacheBuilder {
             geom,
             index: None,
             policy: ReplacementPolicy::Lru,
-            write_allocate: true,
             seed: 0x5EED,
             name: None,
         }
@@ -206,12 +196,6 @@ impl CacheBuilder {
     /// Selects the replacement policy (default LRU).
     pub fn replacement(mut self, p: ReplacementPolicy) -> Self {
         self.policy = p;
-        self
-    }
-
-    /// Enables/disables write-allocation (default enabled).
-    pub fn write_allocate(mut self, on: bool) -> Self {
-        self.write_allocate = on;
         self
     }
 
@@ -273,7 +257,6 @@ impl CacheBuilder {
             index,
             store,
             stats: CacheStats::new(geom.num_sets()),
-            write_allocate: self.write_allocate,
             name,
             idx_buf: Vec::new(),
         })
@@ -312,10 +295,10 @@ impl Cache {
     #[inline]
     fn access_at(&mut self, set: usize, block: BlockAddr, is_write: bool) -> AccessResult {
         unicache_obs::count(unicache_obs::Event::CacheProbe);
-        let (stats, wa) = (&mut self.stats, self.write_allocate);
+        let stats = &mut self.stats;
         match &mut self.store {
-            SetStore::Packed(s) => commit(s, stats, wa, set, block, is_write),
-            SetStore::PerSet(s) => commit(s.as_mut_slice(), stats, wa, set, block, is_write),
+            SetStore::Packed(s) => commit(s, stats, set, block, is_write),
+            SetStore::PerSet(s) => commit(s.as_mut_slice(), stats, set, block, is_write),
         }
     }
 }
@@ -364,21 +347,13 @@ impl Cache {
         self.index.index_many(blocks, &mut sets);
         unicache_obs::count_by(unicache_obs::Event::CacheProbe, blocks.len() as u64);
         // The commit loop: the store's shape is picked once per chunk.
-        let (stats, wa) = (&mut self.stats, self.write_allocate);
+        let stats = &mut self.stats;
         match &mut self.store {
-            SetStore::Packed(s) if self.geom.ways() == 1 => replay(
-                &mut DirectMapped(s),
-                stats,
-                wa,
-                &sets,
-                blocks,
-                writes,
-                egress,
-            ),
-            SetStore::Packed(s) => replay(s, stats, wa, &sets, blocks, writes, egress),
-            SetStore::PerSet(s) => {
-                replay(s.as_mut_slice(), stats, wa, &sets, blocks, writes, egress)
+            SetStore::Packed(s) if self.geom.ways() == 1 => {
+                replay(&mut DirectMapped(s), stats, &sets, blocks, writes, egress)
             }
+            SetStore::Packed(s) => replay(s, stats, &sets, blocks, writes, egress),
+            SetStore::PerSet(s) => replay(s.as_mut_slice(), stats, &sets, blocks, writes, egress),
         }
         self.idx_buf = sets;
     }
@@ -484,22 +459,6 @@ mod tests {
             c.access(MemRecord::read(i * 32));
         }
         assert_eq!(c.stats().per_set()[7].accesses, 0, "fragmented set");
-    }
-
-    #[test]
-    fn write_allocate_toggle() {
-        let mut wa = CacheBuilder::new(small_geom()).build().unwrap();
-        let mut nwa = CacheBuilder::new(small_geom())
-            .write_allocate(false)
-            .build()
-            .unwrap();
-        wa.access(MemRecord::write(0x40));
-        nwa.access(MemRecord::write(0x40));
-        // Allocating cache now hits; non-allocating misses again.
-        assert!(wa.access(MemRecord::read(0x40)).is_hit());
-        assert!(!nwa.access(MemRecord::read(0x40)).is_hit());
-        assert_eq!(wa.stats().writes, 1);
-        assert_eq!(nwa.stats().writes, 1);
     }
 
     #[test]

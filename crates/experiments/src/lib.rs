@@ -25,6 +25,6 @@ pub mod store;
 pub mod table;
 
 pub use runner::{metrics_json, render_all, render_experiment, ALL_EXPERIMENTS};
-pub use simstore::{CoherentGroup, CoherentKey, CoherentOutcome, FuseGroup, SchemeId, SimStore};
+pub use simstore::{FuseGroup, SchemeId, SimStore};
 pub use store::TraceStore;
 pub use table::ExperimentTable;

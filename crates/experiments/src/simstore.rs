@@ -39,16 +39,11 @@
 //! traffic is not memoized, so the pass always runs, and it fills the
 //! key's result cell if still empty, like any other pass.
 //!
-//! Coherent-hierarchy results go through the same machinery: a
-//! [`CoherentKey`] memoizes one `(mix, policy, scheme, geometry, cores,
-//! victim depth, L2)` outcome, keys differing only in scheme share a
-//! [`CoherentGroup`], and every still-missing scheme of a group runs
-//! over one memoized [`CoherentStream`] per `(mix, policy, line size)`
-//! (`unicache_hierarchy::run_coherent_stream`). The stream is packed
-//! once per store, straight out of the streaming interleave — the merged
-//! `MemRecord` trace is never materialised — and every hierarchy of
-//! every group decodes its chunks with a shift, a mask and a table
-//! lookup.
+//! The coherent sweep shares only its input here: one [`CoherentStream`]
+//! per `(mix, policy, line size)`, packed straight out of the streaming
+//! interleave (the merged `MemRecord` trace is never materialised). Its
+//! hierarchies are replayed by the figure itself, as no other figure
+//! reads their outcomes.
 //!
 //! The [`SimStore::hits`]/[`SimStore::sims_run`]/
 //! [`SimStore::streams_decoded`] counters make the exactly-once property
@@ -67,13 +62,9 @@ use unicache_core::{
     run_fused, run_fused_egress, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats,
     CoherentStream, Egress, FusedLane,
 };
-use unicache_hierarchy::{
-    run_coherent_stream, CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode,
-};
 use unicache_indexing::IndexScheme;
 use unicache_sim::CacheBuilder;
 use unicache_smt::{for_each_interleaved, InterleavePolicy};
-use unicache_stats::{LifetimeTotals, RecencyLens};
 use unicache_trace::{Trace, WorkloadSummary};
 use unicache_workloads::{Scale, Workload};
 
@@ -167,130 +158,6 @@ type SummaryKey = (Workload, u64);
 type ResultKey = (Workload, SchemeId, CacheGeometry);
 type GroupKey = (Workload, CacheGeometry);
 type CohStreamKey = (Vec<Workload>, InterleavePolicy, u64);
-type CohGroupKey = (
-    Vec<Workload>,
-    InterleavePolicy,
-    CacheGeometry,
-    usize,
-    usize,
-    Option<CacheGeometry>,
-);
-
-/// Identity of one coherent-hierarchy simulation — the [`SimStore`] key
-/// for `xp coherent` rows. Two keys differing only in `scheme` share a
-/// [`CoherentGroup`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CoherentKey {
-    /// The workload mix interleaved into the shared reference stream.
-    pub mix: Vec<Workload>,
-    /// How the mix is interleaved.
-    pub policy: InterleavePolicy,
-    /// The L1 indexing scheme (must be training-free: the merged mix
-    /// has no single-workload training list).
-    pub scheme: IndexScheme,
-    /// Per-core L1 geometry.
-    pub geom: CacheGeometry,
-    /// Core count.
-    pub cores: usize,
-    /// Per-core victim-buffer depth.
-    pub victim_depth: usize,
-    /// Shared-L2 geometry, or `None` for pass-through.
-    pub l2: Option<CacheGeometry>,
-}
-
-/// The memoized result of one coherent-hierarchy run: everything the
-/// figure computes its columns from.
-#[derive(Debug, Clone)]
-pub struct CoherentOutcome {
-    /// Per-core L1 stats merged over all cores.
-    pub merged: CacheStats,
-    /// Bus and coherence counters.
-    pub coh: CoherenceStats,
-    /// Dead-time/live-time totals merged over all cores.
-    pub lifetime: LifetimeTotals,
-    /// MRU-hit lens merged over all cores.
-    pub recency: RecencyLens,
-}
-
-/// One schedulable unit of fused coherent simulation: every scheme in
-/// `schemes` shares one hierarchy configuration and the store's one
-/// [`CoherentStream`] of the mix. The members run one at a time over
-/// the stream ([`run_coherent_stream`]), each decoding it per chunk —
-/// a shift, a mask and a core-table lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoherentGroup {
-    /// The workload mix of the shared stream.
-    pub mix: Vec<Workload>,
-    /// How the mix is interleaved.
-    pub policy: InterleavePolicy,
-    /// Per-core L1 geometry.
-    pub geom: CacheGeometry,
-    /// Core count.
-    pub cores: usize,
-    /// Per-core victim-buffer depth.
-    pub victim_depth: usize,
-    /// Shared-L2 geometry, or `None` for pass-through.
-    pub l2: Option<CacheGeometry>,
-    /// The member schemes, in the order results are returned.
-    pub schemes: Vec<IndexScheme>,
-}
-
-impl CoherentGroup {
-    /// The result key of member `scheme`.
-    pub fn key_for(&self, scheme: IndexScheme) -> CoherentKey {
-        CoherentKey {
-            mix: self.mix.clone(),
-            policy: self.policy,
-            scheme,
-            geom: self.geom,
-            cores: self.cores,
-            victim_depth: self.victim_depth,
-            l2: self.l2,
-        }
-    }
-
-    /// The hierarchy of member `scheme`: this group's geometry, cores,
-    /// victim depth and L2, with the chunked kernel on.
-    pub fn hierarchy(&self, scheme: IndexScheme) -> HierarchyBuilder {
-        let index = scheme
-            .build(self.geom, None)
-            .expect("coherent sweep schemes are training-free");
-        HierarchyBuilder::new(self.geom, index)
-            .cores(self.cores)
-            .victim_depth(self.victim_depth)
-            .l2(match self.l2 {
-                Some(l2) => L2Mode::Shared(l2),
-                None => L2Mode::PassThrough,
-            })
-    }
-
-    fn group_key(&self) -> CohGroupKey {
-        (
-            self.mix.clone(),
-            self.policy,
-            self.geom,
-            self.cores,
-            self.victim_depth,
-            self.l2,
-        )
-    }
-}
-
-impl CoherentKey {
-    /// The single-member group that simulates just this key.
-    fn solo_group(&self) -> CoherentGroup {
-        CoherentGroup {
-            mix: self.mix.clone(),
-            policy: self.policy,
-            geom: self.geom,
-            cores: self.cores,
-            victim_depth: self.victim_depth,
-            l2: self.l2,
-            schemes: vec![self.scheme],
-        }
-    }
-}
-
 /// Memoized simulation results (plus their shared inputs), one scale per
 /// store.
 pub struct SimStore {
@@ -299,8 +166,6 @@ pub struct SimStore {
     coherent_streams: Mutex<DetHashMap<CohStreamKey, Cell<CoherentStream>>>,
     results: Mutex<DetHashMap<ResultKey, Cell<CacheStats>>>,
     groups: Mutex<DetHashMap<GroupKey, Arc<Mutex<()>>>>,
-    coherent: Mutex<DetHashMap<CoherentKey, Cell<CoherentOutcome>>>,
-    coherent_groups: Mutex<DetHashMap<CohGroupKey, Arc<Mutex<()>>>>,
     hits: AtomicU64,
     sims_run: AtomicU64,
     records_simulated: AtomicU64,
@@ -354,8 +219,6 @@ impl SimStore {
             coherent_streams: Mutex::new(det_map()),
             results: Mutex::new(det_map()),
             groups: Mutex::new(det_map()),
-            coherent: Mutex::new(det_map()),
-            coherent_groups: Mutex::new(det_map()),
             hits: AtomicU64::new(0),
             sims_run: AtomicU64::new(0),
             records_simulated: AtomicU64::new(0),
@@ -606,105 +469,6 @@ impl SimStore {
             .map(|&w| FuseGroup::new(w, geom, schemes))
             .collect();
         self.prefetch_groups(&groups);
-    }
-
-    /// Simulates every scheme of a coherent group whose outcome cell is
-    /// still empty, each in a chunked pass over the mix's coherent
-    /// stream, under the group lock (exactly-once per key, like
-    /// [`SimStore::simulate_group`]).
-    fn simulate_coherent_group(&self, g: &CoherentGroup) {
-        let cells: Vec<(IndexScheme, Cell<CoherentOutcome>)> = g
-            .schemes
-            .iter()
-            .map(|&s| (s, Self::cell_of(&self.coherent, g.key_for(s))))
-            .collect();
-        let lock = {
-            let mut guard = self.coherent_groups.lock().unwrap();
-            Arc::clone(guard.entry(g.group_key()).or_default())
-        };
-        let _guard = lock.lock().unwrap();
-        let pending: Vec<&(IndexScheme, Cell<CoherentOutcome>)> = cells
-            .iter()
-            .filter(|(_, cell)| cell.get().is_none())
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        let _span = unicache_obs::span("simulate-coherent");
-        // One pass event per group with pending work: independent of
-        // `--jobs` and of `HierarchyBuilder::chunked`, so the metrics
-        // artifact stays byte-identical across worker counts.
-        unicache_obs::count(unicache_obs::Event::CohFusedPass);
-        unicache_obs::observe(unicache_obs::HistEvent::CohGroupLanes, pending.len() as u64);
-        let stream = self.coherent_stream(&g.mix, g.policy, g.geom.line_bytes());
-        let mut hiers: Vec<CoherentHierarchy> = pending
-            .iter()
-            .map(|(s, _)| g.hierarchy(*s).build().expect("valid hierarchy"))
-            .collect();
-        // One lane at a time: each hierarchy's working set (3 L1s + L2
-        // + lenses) is small enough to stay host-cache-resident for a
-        // whole stream pass, which is worth more than sharing each
-        // chunk's decode (a shift and a table lookup per record) across
-        // lanes would save. The chunked kernel still batch-indexes
-        // within the lane.
-        for h in &mut hiers {
-            run_coherent_stream(&mut [h], &stream);
-        }
-        for ((_, cell), h) in pending.iter().zip(&hiers) {
-            use unicache_core::CoherentModel;
-            cell.set(Arc::new(CoherentOutcome {
-                merged: h.merged_core_stats(),
-                coh: *h.coherence_stats(),
-                lifetime: h.merged_lifetime(),
-                recency: h.merged_recency(),
-            }))
-            .expect("group lock guarantees sole initializer");
-        }
-        self.sims_run
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        self.records_simulated.fetch_add(
-            stream.len() as u64 * pending.len() as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// The outcome of one coherent-hierarchy configuration, simulated at
-    /// most once per distinct key across all threads and figures.
-    pub fn coherent(&self, key: &CoherentKey) -> Arc<CoherentOutcome> {
-        let cell = Self::cell_of(&self.coherent, key.clone());
-        if let Some(v) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(v);
-        }
-        self.simulate_coherent_group(&key.solo_group());
-        Arc::clone(cell.get().expect("simulate_coherent_group filled the cell"))
-    }
-
-    /// Pre-simulates a set of coherent fuse-groups, one executor task
-    /// per group. Fully-cached groups are dropped up front, and trace
-    /// pre-generation covers only the remaining groups' mixes.
-    pub fn prefetch_coherent_groups(&self, groups: &[CoherentGroup]) {
-        let pending: Vec<&CoherentGroup> = groups
-            .iter()
-            .filter(|g| {
-                g.schemes
-                    .iter()
-                    .any(|&s| Self::cell_of(&self.coherent, g.key_for(s)).get().is_none())
-            })
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        let mut workloads: Vec<Workload> = Vec::new();
-        for g in &pending {
-            for &w in &g.mix {
-                if !workloads.contains(&w) {
-                    workloads.push(w);
-                }
-            }
-        }
-        self.traces.prefetch(&workloads);
-        let _: Vec<()> = unicache_exec::map(&pending, |g| self.simulate_coherent_group(g));
     }
 
     /// Result-cache hits: `stats` calls served from an already-populated

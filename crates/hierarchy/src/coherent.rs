@@ -281,11 +281,6 @@ impl CoherentHierarchy {
         self.victim_depth
     }
 
-    /// Whether `step_chunk` runs the chunked classify/commit kernel.
-    pub fn is_chunked(&self) -> bool {
-        self.chunked
-    }
-
     /// Hits committed by the chunked private-line fast path (zero bus
     /// bookkeeping). `fast_path_commits + serial_path_commits` equals
     /// total accesses — `uca check` pins this conservation down.

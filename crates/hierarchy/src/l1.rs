@@ -87,8 +87,8 @@ pub struct CoherentL1 {
     stats: CacheStats,
     /// Dead/live totals over *closed* generations; open ones live in
     /// the slots and are folded in by [`CoherentL1::lifetime`]. A slot's
-    /// generation is open iff its state is valid — fills open, evictions
-    /// and invalidations close, exactly the `LifetimeLens` protocol.
+    /// generation is open iff its state is valid — fills open (closing
+    /// the victim's), evictions and invalidations close.
     closed: LifetimeTotals,
     recency: RecencyLens,
 }

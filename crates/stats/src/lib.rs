@@ -13,7 +13,8 @@
 //! * percent-change helpers matching how the paper reports every figure
 //!   ("% reduction in miss rate", "% increase in kurtosis");
 //! * line-generation lenses for the coherent hierarchy — dead-time /
-//!   live-time ([`lifetime::LifetimeLens`]) and MRU-hit rank profiles
+//!   live-time totals ([`lifetime::LifetimeTotals`], kept slot by slot
+//!   in the hierarchy's L1) and MRU-hit rank profiles
 //!   ([`recency::RecencyLens`]).
 
 pub mod change;
@@ -28,7 +29,7 @@ pub mod uniformity;
 pub use change::{percent_change, percent_reduction};
 pub use classify::SetClassification;
 pub use histogram::Histogram;
-pub use lifetime::{LifetimeLens, LifetimeTotals};
+pub use lifetime::LifetimeTotals;
 pub use moments::Moments;
 pub use phases::PhaseSeries;
 pub use recency::RecencyLens;

@@ -11,20 +11,16 @@
 //! per access observed by the owning cache — see
 //! `unicache_timing::LogicalClock`).
 //!
-//! By construction `live + dead == resident` per generation; the
-//! property tests cross-check the incremental bookkeeping against a
-//! brute-force replay of the event log.
+//! The per-slot bookkeeping lives with the line state it describes: the
+//! hierarchy's `CoherentL1` keeps each open generation's fill and
+//! last-touch ticks in the way slot and reports [`LifetimeTotals`]. A
+//! hierarchy property test (`one_set_lifetimes_match_naive_generation_replay`
+//! in `tests/hierarchy_equivalence.rs`) holds those totals to a
+//! brute-force replay of every generation.
 
-/// An open generation: when the slot was filled and last touched.
-#[derive(Debug, Clone, Copy)]
-struct OpenGen {
-    fill: u64,
-    last_touch: u64,
-}
-
-/// Aggregated dead/live totals (ticks) over closed generations, plus —
-/// via [`LifetimeLens::snapshot`] — generations still open at snapshot
-/// time, closed as if evicted at the snapshot tick.
+/// Aggregated dead/live totals (ticks) over generations; a report may
+/// include generations still open, closed as if evicted at the report's
+/// tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LifetimeTotals {
     /// Ticks from fill to last touch, summed over generations.
@@ -52,156 +48,19 @@ impl LifetimeTotals {
     }
 }
 
-/// Tracks per-slot line generations. Slots are dense indices
-/// (`set * ways + way` for a set-associative cache), so the lens does no
-/// hashing and stays deterministic.
-#[derive(Debug, Clone)]
-pub struct LifetimeLens {
-    open: Vec<Option<OpenGen>>,
-    closed: LifetimeTotals,
-}
-
-impl LifetimeLens {
-    /// A lens over `slots` line slots, all empty.
-    pub fn new(slots: usize) -> Self {
-        LifetimeLens {
-            open: vec![None; slots],
-            closed: LifetimeTotals::default(),
-        }
-    }
-
-    /// Number of line slots tracked.
-    pub fn slots(&self) -> usize {
-        self.open.len()
-    }
-
-    /// A fill installs a block into `slot` at tick `now`, opening a
-    /// generation. If the slot still held an open generation (caller
-    /// evicted without telling us), it is closed at `now` first.
-    pub fn fill(&mut self, slot: usize, now: u64) {
-        if self.open[slot].is_some() {
-            self.evict(slot, now);
-        }
-        self.open[slot] = Some(OpenGen {
-            fill: now,
-            last_touch: now,
-        });
-    }
-
-    /// A hit touches the block in `slot` at tick `now`, extending its
-    /// live span. Ignored if the slot is empty (cannot happen when the
-    /// caller reports every fill).
-    pub fn touch(&mut self, slot: usize, now: u64) {
-        if let Some(gen) = self.open[slot].as_mut() {
-            gen.last_touch = gen.last_touch.max(now);
-        }
-    }
-
-    /// An eviction/invalidation removes the block in `slot` at tick
-    /// `now`, closing its generation. Ignored if the slot is empty.
-    pub fn evict(&mut self, slot: usize, now: u64) {
-        if let Some(gen) = self.open[slot].take() {
-            self.closed.live += gen.last_touch - gen.fill;
-            self.closed.dead += now.saturating_sub(gen.last_touch);
-            self.closed.generations += 1;
-        }
-    }
-
-    /// Totals including generations still open, each closed as if
-    /// evicted at tick `now`. Non-destructive, so the lens keeps
-    /// accumulating afterwards.
-    pub fn snapshot(&self, now: u64) -> LifetimeTotals {
-        let mut t = self.closed;
-        for gen in self.open.iter().flatten() {
-            t.live += gen.last_touch - gen.fill;
-            t.dead += now.saturating_sub(gen.last_touch);
-            t.generations += 1;
-        }
-        t
-    }
-
-    /// Empties every slot and zeroes the totals.
-    pub fn reset(&mut self) {
-        self.open.iter_mut().for_each(|g| *g = None);
-        self.closed = LifetimeTotals::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn single_generation_splits_live_and_dead() {
-        let mut lens = LifetimeLens::new(1);
-        lens.fill(0, 10);
-        lens.touch(0, 14);
-        lens.touch(0, 17);
-        lens.evict(0, 25);
-        let t = lens.snapshot(25);
-        assert_eq!(t.live, 7); // 10 -> 17
-        assert_eq!(t.dead, 8); // 17 -> 25
-        assert_eq!(t.generations, 1);
+    fn dead_fraction_splits_residency() {
+        let t = LifetimeTotals {
+            live: 7,
+            dead: 8,
+            generations: 1,
+        };
         assert_eq!(t.resident(), 15);
-    }
-
-    #[test]
-    fn untouched_generation_is_all_dead() {
-        let mut lens = LifetimeLens::new(1);
-        lens.fill(0, 3);
-        lens.evict(0, 9);
-        let t = lens.snapshot(9);
-        assert_eq!(t.live, 0);
-        assert_eq!(t.dead, 6);
-        assert!((t.dead_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_closes_open_generations_nondestructively() {
-        let mut lens = LifetimeLens::new(2);
-        lens.fill(0, 1);
-        lens.touch(0, 4);
-        let t = lens.snapshot(10);
-        assert_eq!(t.live, 3);
-        assert_eq!(t.dead, 6);
-        assert_eq!(t.generations, 1);
-        // Still open: more touches keep counting.
-        lens.touch(0, 12);
-        lens.evict(0, 15);
-        let t2 = lens.snapshot(15);
-        assert_eq!(t2.live, 11);
-        assert_eq!(t2.dead, 3);
-    }
-
-    #[test]
-    fn refill_closes_previous_generation() {
-        let mut lens = LifetimeLens::new(1);
-        lens.fill(0, 0);
-        lens.touch(0, 2);
-        lens.fill(0, 5); // implicit evict at 5
-        lens.evict(0, 6);
-        let t = lens.snapshot(6);
-        assert_eq!(t.generations, 2);
-        assert_eq!(t.live, 2); // gen 1: 0->2; gen 2 untouched
-        assert_eq!(t.dead, 4); // gen 1: 2->5; gen 2: 5->6
-    }
-
-    #[test]
-    fn empty_lens_reports_zero_dead_fraction() {
-        let lens = LifetimeLens::new(4);
-        let t = lens.snapshot(100);
-        assert_eq!(t, LifetimeTotals::default());
-        assert_eq!(t.dead_fraction(), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut lens = LifetimeLens::new(1);
-        lens.fill(0, 1);
-        lens.touch(0, 3);
-        lens.evict(0, 4);
-        lens.fill(0, 5);
-        lens.reset();
-        assert_eq!(lens.snapshot(10), LifetimeTotals::default());
+        assert!((t.dead_fraction() - 8.0 / 15.0).abs() < 1e-12);
+        assert_eq!(LifetimeTotals::default().dead_fraction(), 0.0);
     }
 }

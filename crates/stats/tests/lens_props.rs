@@ -1,129 +1,17 @@
-//! Property tests for the hierarchy uniformity lenses: the incremental
-//! [`LifetimeLens`] / [`RecencyLens`] bookkeeping must agree with a
-//! brute-force replay of the same event log, and both must conserve
-//! totals against the driving trace.
+//! Property tests for the [`RecencyLens`]: its rank histogram must
+//! conserve hits against the driving trace. (The dead-time lens is held
+//! to a brute-force oracle where it is kept, in the hierarchy's L1: see
+//! `tests/hierarchy_equivalence.rs`.)
 
 use proptest::prelude::*;
-use unicache_stats::{LifetimeLens, LifetimeTotals, RecencyLens};
-
-/// Brute-force lifetime accounting: replay the event log keeping every
-/// generation explicitly, then sum.
-#[derive(Default)]
-struct NaiveLifetimes {
-    open: Vec<Option<(u64, u64)>>, // (fill, last_touch) per slot
-    closed: Vec<(u64, u64, u64)>,  // (fill, last_touch, evict)
-}
-
-impl NaiveLifetimes {
-    fn new(slots: usize) -> Self {
-        NaiveLifetimes {
-            open: vec![None; slots],
-            closed: Vec::new(),
-        }
-    }
-
-    fn fill(&mut self, slot: usize, now: u64) {
-        if let Some((f, l)) = self.open[slot].take() {
-            self.closed.push((f, l, now));
-        }
-        self.open[slot] = Some((now, now));
-    }
-
-    fn touch(&mut self, slot: usize, now: u64) {
-        if let Some((_, l)) = self.open[slot].as_mut() {
-            *l = (*l).max(now);
-        }
-    }
-
-    fn evict(&mut self, slot: usize, now: u64) {
-        if let Some((f, l)) = self.open[slot].take() {
-            self.closed.push((f, l, now));
-        }
-    }
-
-    fn totals(&self, now: u64) -> LifetimeTotals {
-        let mut t = LifetimeTotals::default();
-        let all = self
-            .closed
-            .iter()
-            .copied()
-            .chain(self.open.iter().flatten().map(|&(f, l)| (f, l, now)));
-        for (fill, last, end) in all {
-            t.live += last - fill;
-            t.dead += end.saturating_sub(last);
-            t.generations += 1;
-        }
-        t
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Fill,
-    Touch,
-    Evict,
-}
-
-fn event_strategy() -> impl Strategy<Value = Vec<(usize, Ev)>> {
-    proptest::collection::vec(
-        (
-            0usize..4,
-            prop_oneof![Just(Ev::Fill), Just(Ev::Touch), Just(Ev::Evict)],
-        ),
-        0..200,
-    )
-}
-
-proptest! {
-    /// The incremental lens equals the brute-force generation replay on
-    /// arbitrary (including ill-formed) event logs.
-    #[test]
-    fn lifetime_lens_matches_naive_replay(events in event_strategy()) {
-        let mut lens = LifetimeLens::new(4);
-        let mut naive = NaiveLifetimes::new(4);
-        let mut now = 0u64;
-        for &(slot, ev) in &events {
-            now += 1;
-            match ev {
-                Ev::Fill => { lens.fill(slot, now); naive.fill(slot, now); }
-                Ev::Touch => { lens.touch(slot, now); naive.touch(slot, now); }
-                Ev::Evict => { lens.evict(slot, now); naive.evict(slot, now); }
-            }
-        }
-        let end = now + 3;
-        prop_assert_eq!(lens.snapshot(end), naive.totals(end));
-    }
-
-    /// live + dead per snapshot equals total residency, and residency is
-    /// bounded by generations x elapsed time.
-    #[test]
-    fn lifetime_conservation(events in event_strategy()) {
-        let mut lens = LifetimeLens::new(4);
-        let mut now = 0u64;
-        for &(slot, ev) in &events {
-            now += 1;
-            match ev {
-                Ev::Fill => lens.fill(slot, now),
-                Ev::Touch => lens.touch(slot, now),
-                Ev::Evict => lens.evict(slot, now),
-            }
-        }
-        let t = lens.snapshot(now);
-        prop_assert_eq!(t.live + t.dead, t.resident());
-        prop_assert!(t.resident() <= t.generations * now);
-        let f = t.dead_fraction();
-        prop_assert!((0.0..=1.0).contains(&f));
-    }
-}
+use unicache_stats::RecencyLens;
 
 /// Drives a tiny fully-associative LRU cache over a random trace, feeding
-/// both lenses, and cross-checks every derived number against
-/// independently computed ground truth.
-fn lru_sim(ways: usize, trace: &[u64]) -> (RecencyLens, LifetimeLens, u64, u64) {
+/// the lens, and returns it with the hit count.
+fn lru_sim(ways: usize, trace: &[u64]) -> (RecencyLens, u64) {
     // The simulated cache: per-slot (block, last-use stamp).
     let mut slots: Vec<Option<(u64, u64)>> = vec![None; ways];
     let mut recency = RecencyLens::new(ways);
-    let mut lifetime = LifetimeLens::new(ways);
     let (mut hits, mut now) = (0u64, 0u64);
     for &block in trace {
         now += 1;
@@ -135,23 +23,19 @@ fn lru_sim(ways: usize, trace: &[u64]) -> (RecencyLens, LifetimeLens, u64, u64) 
             let stamp = slots[slot].unwrap().1;
             let rank = slots.iter().flatten().filter(|&&(_, s)| s > stamp).count();
             recency.record(rank);
-            lifetime.touch(slot, now);
             slots[slot] = Some((block, now));
             hits += 1;
         } else {
             // Miss: fill the first empty slot, else evict the LRU one.
             let slot = slots.iter().position(Option::is_none).unwrap_or_else(|| {
-                let lru = (0..ways)
+                (0..ways)
                     .min_by_key(|&i| slots[i].map(|(_, s)| s).unwrap_or(0))
-                    .unwrap();
-                lifetime.evict(lru, now);
-                lru
+                    .unwrap()
             });
-            lifetime.fill(slot, now);
             slots[slot] = Some((block, now));
         }
     }
-    (recency, lifetime, hits, now)
+    (recency, hits)
 }
 
 proptest! {
@@ -163,7 +47,7 @@ proptest! {
         ways in 1usize..5,
         trace in proptest::collection::vec(0u64..8, 0..300),
     ) {
-        let (recency, _, hits, _) = lru_sim(ways, &trace);
+        let (recency, hits) = lru_sim(ways, &trace);
         prop_assert_eq!(recency.hits(), hits);
         prop_assert_eq!(recency.ranks().len(), ways);
         prop_assert!(hits <= trace.len() as u64);
@@ -173,37 +57,12 @@ proptest! {
         prop_assert_eq!(sum, hits);
     }
 
-    /// Dead/live accounting on the same simulation conserves against the
-    /// trace: total residency never exceeds generations x trace length,
-    /// and the number of generations equals the number of fills (misses).
-    #[test]
-    fn lifetime_lens_conserves_on_lru_traces(
-        ways in 1usize..5,
-        trace in proptest::collection::vec(0u64..8, 0..300),
-    ) {
-        let (_, lifetime, hits, now) = lru_sim(ways, &trace);
-        let t = lifetime.snapshot(now);
-        let misses = trace.len() as u64 - hits;
-        prop_assert_eq!(t.generations, misses);
-        prop_assert_eq!(t.resident(), t.live + t.dead);
-        prop_assert!(t.resident() <= t.generations * now);
-        // Every touch extends some open generation, so with at least one
-        // hit there must be live time recorded...
-        if hits > 0 {
-            prop_assert!(t.live > 0);
-        }
-        // ...and with no hits every generation is pure dead time.
-        if hits == 0 {
-            prop_assert_eq!(t.live, 0);
-        }
-    }
-
     /// A direct-mapped (1-way) simulation serves every hit at rank 0.
     #[test]
     fn direct_mapped_hits_are_all_mru(
         trace in proptest::collection::vec(0u64..4, 1..200),
     ) {
-        let (recency, _, hits, _) = lru_sim(1, &trace);
+        let (recency, hits) = lru_sim(1, &trace);
         prop_assert_eq!(recency.mru_hits(), hits);
         if hits > 0 {
             prop_assert!((recency.mru_ratio() - 1.0).abs() < 1e-12);

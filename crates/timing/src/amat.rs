@@ -53,9 +53,9 @@ pub fn amat_column_associative(stats: &CacheStats, lat: &LatencyModel) -> f64 {
 /// * probed miss → `secondary_cost + penalty`
 ///
 /// Unlike the paper's formulas (which average hit time over all accesses,
-/// including misses), this charges each access its own path, making it the
-/// reference the formula-based values are sanity-checked against in tests
-/// and the `xp fig7 --exact` variant.
+/// including misses), this charges each access its own path: it is the
+/// per-path reference the formula tests compare the paper's formulas
+/// against. No figure reports it.
 pub fn amat_exact(stats: &CacheStats, secondary_cost: f64, lat: &LatencyModel) -> f64 {
     let total = stats.accesses();
     if total == 0 {

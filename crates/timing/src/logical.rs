@@ -8,8 +8,9 @@
 //! hierarchy is driven by exactly one task, the tick sequence is a pure
 //! function of the input trace — byte-identical across `--jobs 1/2/8`.
 //!
-//! The tick values feed the dead-time/live-time lens
-//! (`unicache_stats::LifetimeLens`): a line's residency is measured in
+//! The tick values feed the dead-time/live-time lens (the
+//! `unicache_stats::LifetimeTotals` that the hierarchy's L1 keeps slot
+//! by slot): a line's residency is measured in
 //! accesses observed by its cache, the standard trace-driven notion of
 //! time.
 

@@ -98,7 +98,7 @@ pub mod prelude {
         interleave, run_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
         PerThreadIndexCache,
     };
-    pub use unicache_stats::{LifetimeLens, Moments, RecencyLens, SetClassification};
+    pub use unicache_stats::{LifetimeTotals, Moments, RecencyLens, SetClassification};
     pub use unicache_timing::{
         amat_adaptive, amat_column_associative, amat_conventional, Hierarchy, LatencyModel,
         LogicalClock,

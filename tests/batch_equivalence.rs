@@ -140,8 +140,8 @@ proptest! {
     /// `Cache`'s commit loop == per-record `access` in stats and in final
     /// contents, for every set-store shape it picks per chunk: 1/2/4/8
     /// ways under LRU and FIFO (direct-mapped and N-way `PackedSets`),
-    /// Random and TreePlru (per-set `CacheSet`s), each write-allocate
-    /// and write-around. The trace ends on a ragged chunk.
+    /// Random and TreePlru (per-set `CacheSet`s). The trace ends on a
+    /// ragged chunk.
     #[test]
     fn cache_commit_loop_matches_per_record_access_for_every_store_shape(seed in 0u64..4000) {
         let trace = synth::uniform_rw(seed, 2 * FUSE_CHUNK + 459, 0x1000, 1 << 14, 0.3);
@@ -155,30 +155,27 @@ proptest! {
             let geom = CacheGeometry::from_sets(32, 32, ways).unwrap();
             let stream = BlockStream::from_records(trace.records(), geom.line_bytes());
             for policy in policies {
-                for write_allocate in [true, false] {
-                    let mk = || {
-                        CacheBuilder::new(geom)
-                            .replacement(policy)
-                            .write_allocate(write_allocate)
-                            .seed(seed)
-                            .build()
-                            .unwrap()
-                    };
-                    let (mut legacy, mut streamed) = (mk(), mk());
-                    for rec in trace.records() {
-                        legacy.access(*rec);
-                    }
-                    run_alone(&mut streamed, &stream);
-                    let shape = format!("{ways}-way {policy:?} write_allocate={write_allocate}");
-                    prop_assert_eq!(legacy.stats(), streamed.stats(), "{}", shape);
-                    for rec in trace.records() {
-                        let b = geom.block_addr(rec.addr);
-                        prop_assert_eq!(
-                            legacy.contains_block(b),
-                            streamed.contains_block(b),
-                            "{} contents diverged at block {}", shape, b
-                        );
-                    }
+                let mk = || {
+                    CacheBuilder::new(geom)
+                        .replacement(policy)
+                        .seed(seed)
+                        .build()
+                        .unwrap()
+                };
+                let (mut legacy, mut streamed) = (mk(), mk());
+                for rec in trace.records() {
+                    legacy.access(*rec);
+                }
+                run_alone(&mut streamed, &stream);
+                let shape = format!("{ways}-way {policy:?}");
+                prop_assert_eq!(legacy.stats(), streamed.stats(), "{}", shape);
+                for rec in trace.records() {
+                    let b = geom.block_addr(rec.addr);
+                    prop_assert_eq!(
+                        legacy.contains_block(b),
+                        streamed.contains_block(b),
+                        "{} contents diverged at block {}", shape, b
+                    );
                 }
             }
         }

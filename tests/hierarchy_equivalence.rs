@@ -45,7 +45,6 @@ use unicache::core::{run_fused_egress, Egress};
 use unicache::experiments::figures::coherent::coherent_groups;
 use unicache::experiments::figures::extras::online_selection;
 use unicache::experiments::figures::sweeps::{self, hierarchy_amats, hierarchy_cycles};
-use unicache::experiments::CoherentKey;
 use unicache::prelude::*;
 use unicache::smt::interleave_refs;
 use unicache::timing::EgressL2;
@@ -300,6 +299,108 @@ proptest! {
     }
 }
 
+/// Brute-force lifetime accounting: every generation kept explicitly as
+/// `(fill, last touch, end)` and summed only at the end.
+struct NaiveLifetimes {
+    open: Vec<Option<(u64, u64)>>, // (fill, last_touch) per slot
+    closed: Vec<(u64, u64, u64)>,  // (fill, last_touch, evict)
+}
+
+impl NaiveLifetimes {
+    fn new(slots: usize) -> Self {
+        NaiveLifetimes {
+            open: vec![None; slots],
+            closed: Vec::new(),
+        }
+    }
+
+    /// Fills `slot` at `now`, first closing the generation it held.
+    fn fill(&mut self, slot: usize, now: u64) {
+        if let Some((f, l)) = self.open[slot].take() {
+            self.closed.push((f, l, now));
+        }
+        self.open[slot] = Some((now, now));
+    }
+
+    fn touch(&mut self, slot: usize, now: u64) {
+        if let Some((_, l)) = self.open[slot].as_mut() {
+            *l = (*l).max(now);
+        }
+    }
+
+    /// Totals with every open generation closed at `now`.
+    fn totals(&self, now: u64) -> LifetimeTotals {
+        let mut t = LifetimeTotals::default();
+        let all = self
+            .closed
+            .iter()
+            .copied()
+            .chain(self.open.iter().flatten().map(|&(f, l)| (f, l, now)));
+        for (fill, last, end) in all {
+            t.live += last - fill;
+            t.dead += end.saturating_sub(last);
+            t.generations += 1;
+        }
+        t
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The dead-time lens `CoherentL1` keeps slot by slot equals the
+    /// brute-force generation replay: one core, a pass-through L2, no
+    /// victim buffer, and a read/write trace whose blocks all map to one
+    /// set, replayed by the chunked kernel and, independently, by a
+    /// fully-associative LRU over the set's ways feeding the oracle.
+    #[test]
+    fn one_set_lifetimes_match_naive_generation_replay(
+        ways_log2 in 0u32..4,
+        refs in proptest::collection::vec((0u64..12, 0u8..3), 0..2600),
+    ) {
+        let ways = 1usize << ways_log2;
+        let geom = CacheGeometry::from_sets(8, 32, ways as u32).unwrap();
+        let sets = geom.num_sets();
+        let stride = sets as u64 * geom.line_bytes();
+        let records: Vec<MemRecord> = refs
+            .iter()
+            .map(|&(k, w)| {
+                let addr = k * stride;
+                if w == 0 { MemRecord::write(addr) } else { MemRecord::read(addr) }
+            })
+            .collect();
+        let mut hier = HierarchyBuilder::new(geom, Arc::new(ModuloIndex::new(sets).unwrap()))
+            .cores(1)
+            .victim_depth(0)
+            .l2(L2Mode::PassThrough)
+            .build()
+            .unwrap();
+        hier.run(&records);
+        // (block, last use) per way: first empty way, else the LRU one.
+        let mut lines: Vec<Option<(u64, u64)>> = vec![None; ways];
+        let mut naive = NaiveLifetimes::new(ways);
+        for (i, &(block, _)) in refs.iter().enumerate() {
+            let now = i as u64 + 1;
+            let slot = match lines.iter().position(|l| l.is_some_and(|(b, _)| b == block)) {
+                Some(hit) => {
+                    naive.touch(hit, now);
+                    hit
+                }
+                None => {
+                    let victim = lines.iter().position(Option::is_none).unwrap_or_else(|| {
+                        (0..ways).min_by_key(|&w| lines[w].map_or(0, |(_, t)| t)).unwrap()
+                    });
+                    naive.fill(victim, now);
+                    victim
+                }
+            };
+            lines[slot] = Some((block, now));
+        }
+        prop_assert_eq!(hier.now(), refs.len() as u64);
+        prop_assert_eq!(hier.merged_lifetime(), naive.totals(hier.now()), "{}-way", ways);
+    }
+}
+
 /// The materialised merge of `mix` — the reference the streamed builds
 /// are compared against.
 fn merged(store: &SimStore, mix: &[Workload], policy: InterleavePolicy) -> Trace {
@@ -334,28 +435,25 @@ fn stochastic_coherent_group_equals_record_replay() {
     let policy = InterleavePolicy::Stochastic { seed: 11 };
     let geom = CacheGeometry::from_sets(64, 32, 2).unwrap();
     let l2 = CacheGeometry::from_sets(256, 32, 4).unwrap();
-    let key = CoherentKey {
-        mix: vec![Workload::Crc, Workload::Sha],
-        policy,
-        scheme: IndexScheme::Xor,
-        geom,
-        cores: 2,
-        victim_depth: 4,
-        l2: Some(l2),
+    let mix = [Workload::Crc, Workload::Sha];
+    let hierarchy = || {
+        HierarchyBuilder::new(geom, IndexScheme::Xor.build(geom, None).unwrap())
+            .cores(2)
+            .victim_depth(4)
+            .l2(L2Mode::Shared(l2))
+            .build()
+            .unwrap()
     };
-    let out = store.coherent(&key);
+    let stream = store.coherent_stream(&mix, policy, geom.line_bytes());
     assert_eq!(store.streams_decoded(), 1);
-    let mut h = HierarchyBuilder::new(geom, IndexScheme::Xor.build(geom, None).unwrap())
-        .cores(2)
-        .victim_depth(4)
-        .l2(L2Mode::Shared(l2))
-        .build()
-        .unwrap();
-    h.run(merged(&store, &key.mix, policy).records());
-    assert_eq!(out.merged, h.merged_core_stats());
-    assert_eq!(out.coh, *h.coherence_stats());
-    assert_eq!(out.lifetime, h.merged_lifetime());
-    assert_eq!(out.recency, h.merged_recency());
+    let mut fast = hierarchy();
+    run_coherent_stream(&mut [&mut fast], &stream);
+    let mut h = hierarchy();
+    h.run(merged(&store, &mix, policy).records());
+    assert_eq!(fast.merged_core_stats(), h.merged_core_stats());
+    assert_eq!(fast.coherence_stats(), h.coherence_stats());
+    assert_eq!(fast.merged_lifetime(), h.merged_lifetime());
+    assert_eq!(fast.merged_recency(), h.merged_recency());
 }
 
 /// The `xp coherent` sweep, cell by cell: its real four-thread

@@ -96,8 +96,8 @@ proptest! {
 
 /// Deterministic worst case for the commit loop: conflicting blocks
 /// revisited inside a single chunk, in every hit/miss interleaving the
-/// 4-set cache can express — with writes mixed in, under both
-/// write-allocate policies — against per-record `access`.
+/// 4-set cache can express — with writes mixed in — against per-record
+/// `access`.
 #[test]
 fn intra_chunk_conflicts_match_scalar_path_exactly() {
     let geom = CacheGeometry::from_sets(4, 32, 1).unwrap();
@@ -125,23 +125,15 @@ fn intra_chunk_conflicts_match_scalar_path_exactly() {
         })
         .collect();
     let stream = BlockStream::from_records(&records, geom.line_bytes());
-    for write_allocate in [true, false] {
-        let mk = || {
-            CacheBuilder::new(geom)
-                .write_allocate(write_allocate)
-                .build()
-                .unwrap()
-        };
-        let mut fused = mk();
-        let mut per_record = mk();
-        run_fused(&mut [&mut fused as &mut dyn FusedLane], &stream);
-        per_record.run(&records);
-        assert_eq!(
-            fused.stats(),
-            per_record.stats(),
-            "commit loop diverged from per-record access (write_allocate={write_allocate})"
-        );
-    }
+    let mut fused = CacheBuilder::new(geom).build().unwrap();
+    let mut per_record = CacheBuilder::new(geom).build().unwrap();
+    run_fused(&mut [&mut fused as &mut dyn FusedLane], &stream);
+    per_record.run(&records);
+    assert_eq!(
+        fused.stats(),
+        per_record.stats(),
+        "commit loop diverged from per-record access"
+    );
 }
 
 /// `Arc`-wrapped functions forward `index_many` to the concrete batched

@@ -375,3 +375,26 @@ fn fused_commit_attributes_counters_like_per_record_replay() {
         assert_eq!(outcome_sum(s), s.accesses());
     }
 }
+
+/// One `xp coherent` render on a fresh store runs its six (cores,
+/// victim depth) groups once each: one `coh.fused_pass` per group, and
+/// one `coh.group_lanes` sample of 3 per group, its three schemes'
+/// hierarchies — 18 in all, each replaying the whole mix stream once.
+#[test]
+fn coherent_render_counts_one_pass_per_group() {
+    use unicache::experiments::figures::coherent::{coherent, coherent_mix};
+    use unicache_obs::{Event, HistEvent, BUCKETS};
+    let _guard = obs_guard!();
+    unicache_obs::reset();
+    let store = SimStore::new(Scale::Tiny);
+    coherent(&store);
+    assert_eq!(unicache_obs::counter_value(Event::CohFusedPass), 6);
+    let lanes: Vec<u64> = (0..BUCKETS)
+        .map(|i| unicache_obs::hist_bucket(HistEvent::CohGroupLanes, i))
+        .collect();
+    let three = unicache_obs::bucket_index(3);
+    assert_eq!(lanes[three], 6, "six samples in 3's bucket: {lanes:?}");
+    assert_eq!(lanes.iter().sum::<u64>(), 6, "{lanes:?}");
+    let stream = store.coherent_stream(&coherent_mix(), InterleavePolicy::RoundRobin, 32);
+    assert_eq!(store.records_simulated(), 18 * stream.len() as u64);
+}
