@@ -1300,7 +1300,7 @@ pub fn check_coherence(report: &mut Report) {
             slow.run(&records);
             let same = slow.coherence_stats() == coh
                 && slow.merged_core_stats() == merged
-                && slow.shared_l2_stats() == hier.shared_l2_stats();
+                && slow.shared_stats() == hier.shared_stats();
             report.push(
                 "coherent",
                 glabel,

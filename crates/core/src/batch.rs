@@ -20,8 +20,8 @@
 //! — are [`TaggedLane`]s: they step the same decoded chunk plus one
 //! thread id per record, filled straight from the streaming interleave
 //! (`unicache_smt::run_interleaved`). Coherent hierarchies, which also
-//! route by thread id, read [`CoherentStream`]: packed
-//! `(block << 1) | is_write` words plus one thread-id byte per record.
+//! route by thread id, step the same tagged chunk, mapping each thread id
+//! to its serving core through a [`core_routes`] table.
 
 use crate::footprint::BlockCounter;
 use crate::model::{AccessResult, CacheModel};
@@ -300,145 +300,6 @@ fn for_each_lane_chunk(
     }
 }
 
-/// A merged multi-thread trace pre-decoded for coherent hierarchies:
-/// `(block << 1) | is_write`, one `u64` per record, plus one thread-id
-/// byte per record, which coherent models need to route each reference
-/// to its serving core.
-///
-/// At 9 bytes per record (against 16 for a [`MemRecord`]) one stream
-/// serves every hierarchy replaying the mix at its line size. Each
-/// hierarchy then decodes a chunk with a shift ([`unpack_blocks`]), a
-/// mask (the write flag) and its own thread-to-core table
-/// ([`core_routes`]), so differing core counts share one stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoherentStream {
-    line_bytes: u64,
-    packed: Vec<u64>,
-    tids: Vec<ThreadId>,
-}
-
-impl CoherentStream {
-    /// An empty stream for `line_bytes`-byte lines with room for
-    /// `capacity` records — the streaming builder: [`push`](Self::push)
-    /// each record of a merge as it is produced, so the merged
-    /// `MemRecord` sequence is never materialised.
-    ///
-    /// # Panics
-    /// If `line_bytes` is not a power of two.
-    pub fn with_capacity(line_bytes: u64, capacity: usize) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size {line_bytes} not a power of two"
-        );
-        CoherentStream {
-            line_bytes,
-            packed: Vec::with_capacity(capacity),
-            tids: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Decodes `records` for caches with `line_bytes`-byte lines.
-    ///
-    /// # Panics
-    /// As [`with_capacity`](Self::with_capacity) and [`push`](Self::push).
-    pub fn from_records(records: &[MemRecord], line_bytes: u64) -> Self {
-        let mut s = Self::with_capacity(line_bytes, records.len());
-        for &r in records {
-            s.push(r);
-        }
-        s
-    }
-
-    /// Appends one record.
-    ///
-    /// # Panics
-    /// If the record's block number needs all 64 bits (no room for the
-    /// write flag).
-    #[inline]
-    pub fn push(&mut self, rec: MemRecord) {
-        self.packed
-            .push(pack_coherent(&rec, self.line_bytes.trailing_zeros()));
-        self.tids.push(rec.tid);
-    }
-
-    /// The line size this stream was decoded for.
-    #[inline]
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
-    }
-
-    /// Number of references.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// True when the stream holds no references.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
-    }
-
-    /// The stream in [`FUSE_CHUNK`]-record chunks of `(packed words,
-    /// thread ids)` — the form the coherent chunk kernel consumes.
-    pub fn chunks(&self) -> impl Iterator<Item = (&[u64], &[ThreadId])> + '_ {
-        self.packed
-            .chunks(FUSE_CHUNK)
-            .zip(self.tids.chunks(FUSE_CHUNK))
-    }
-}
-
-/// The coherent stream's encoder: `(block << 1) | is_write` for a line
-/// offset of `shift` bits.
-#[inline]
-fn pack_coherent(rec: &MemRecord, shift: u32) -> u64 {
-    let block = rec.addr >> shift;
-    assert!(
-        block < 1 << 63,
-        "block addresses exceed 63 bits; cannot pack write flag"
-    );
-    (block << 1) | u64::from(rec.kind.is_write())
-}
-
-/// Packs one chunk of raw records into [`CoherentStream`] form — the
-/// same words and thread ids [`CoherentStream::from_records`] stores —
-/// so a caller holding a `&[MemRecord]` drives the same chunk kernel
-/// as one holding a stream.
-///
-/// # Panics
-/// As [`CoherentStream::with_capacity`] and [`CoherentStream::push`],
-/// or if the scratch slices are not exactly `records.len()` long.
-pub fn pack_coherent_chunk(
-    records: &[MemRecord],
-    line_bytes: u64,
-    packed: &mut [u64],
-    tids: &mut [ThreadId],
-) {
-    assert!(
-        line_bytes.is_power_of_two(),
-        "line size {line_bytes} not a power of two"
-    );
-    assert!(
-        packed.len() == records.len() && tids.len() == records.len(),
-        "pack_coherent_chunk: scratch length differs from the record chunk"
-    );
-    let shift = line_bytes.trailing_zeros();
-    for ((p, t), r) in packed.iter_mut().zip(tids.iter_mut()).zip(records) {
-        *p = pack_coherent(r, shift);
-        *t = r.tid;
-    }
-}
-
-/// The block numbers of a chunk of packed `(block << 1) | is_write`
-/// words (the shift half of the decode; the write flag is `word & 1`).
-#[inline]
-pub fn unpack_blocks(packed: &[u64], blocks: &mut [BlockAddr]) {
-    debug_assert_eq!(packed.len(), blocks.len());
-    for (b, &p) in blocks.iter_mut().zip(packed) {
-        *b = p >> 1;
-    }
-}
-
 /// The serving core of every thread id on a `cores`-core model:
 /// `routes[tid] == tid % cores`, the routing rule of
 /// [`crate::CoherentModel::run`], as a table built once per model so
@@ -520,84 +381,14 @@ mod tests {
         let _ = BlockStream::from_records(&recs(), 48);
     }
 
-    /// Records with every access kind, a thread-id sweep over all 256
-    /// values and addresses spread over many lines.
-    fn mixed_records(n: usize) -> Vec<MemRecord> {
-        (0..n as u64)
-            .map(|i| MemRecord {
-                addr: i.wrapping_mul(0x9e37_79b9) % (1 << 40),
-                kind: [AccessKind::Read, AccessKind::Write, AccessKind::InstFetch]
-                    [(i % 3) as usize],
-                tid: (i * 7 % 256) as u8,
-            })
-            .collect()
-    }
-
     #[test]
-    fn coherent_stream_round_trips_the_per_record_decode() {
-        let ragged = [
-            0,
-            1,
-            7,
-            FUSE_CHUNK - 1,
-            FUSE_CHUNK,
-            FUSE_CHUNK + 1,
-            2 * FUSE_CHUNK + 333,
-        ];
-        for len in ragged {
-            let records = mixed_records(len);
-            for line in [1u64, 32, 64] {
-                let stream = CoherentStream::from_records(&records, line);
-                assert_eq!(stream.len(), len);
-                assert_eq!(stream.line_bytes(), line);
-                let shift = line.trailing_zeros();
-                // The chunk kernel's decode: shift, mask, route table.
-                for cores in 1..=8usize {
-                    let routes = core_routes(cores);
-                    let mut at = 0;
-                    for (packed, tids) in stream.chunks() {
-                        assert!(packed.len() <= FUSE_CHUNK && packed.len() == tids.len());
-                        let mut blocks = vec![0; packed.len()];
-                        unpack_blocks(packed, &mut blocks);
-                        for i in 0..packed.len() {
-                            let r = &records[at + i];
-                            assert_eq!(blocks[i], r.addr >> shift);
-                            assert_eq!(packed[i] & 1 == 1, r.kind.is_write());
-                            assert_eq!(tids[i], r.tid);
-                            assert_eq!(
-                                usize::from(routes[usize::from(tids[i])]),
-                                usize::from(r.tid) % cores,
-                                "cores {cores}"
-                            );
-                        }
-                        at += packed.len();
-                    }
-                    assert_eq!(at, len);
-                }
+    fn core_routes_wrap_thread_ids_by_core_count() {
+        for cores in 1..=8usize {
+            let routes = core_routes(cores);
+            for (tid, &core) in routes.iter().enumerate() {
+                assert_eq!(usize::from(core), tid % cores, "cores {cores}");
             }
         }
-    }
-
-    #[test]
-    fn packed_record_chunks_equal_stream_chunks() {
-        let records = mixed_records(2 * FUSE_CHUNK + 77);
-        let stream = CoherentStream::from_records(&records, 32);
-        let mut pushed = CoherentStream::with_capacity(32, 0);
-        records.iter().for_each(|&r| pushed.push(r));
-        assert_eq!(pushed, stream, "streaming build equals from_records");
-        for (chunk, (packed, tids)) in records.chunks(FUSE_CHUNK).zip(stream.chunks()) {
-            let mut p = vec![0; chunk.len()];
-            let mut t = vec![0; chunk.len()];
-            pack_coherent_chunk(chunk, 32, &mut p, &mut t);
-            assert_eq!(p, packed);
-            assert_eq!(t, tids);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 63 bits")]
-    fn coherent_stream_rejects_64_bit_blocks() {
-        let _ = CoherentStream::from_records(&[MemRecord::read(u64::MAX)], 1);
     }
 
     /// A minimal model that remembers exactly what it was driven with, to

@@ -33,8 +33,8 @@ pub mod record;
 pub mod stats;
 
 pub use batch::{
-    core_routes, pack_coherent_chunk, run_fused, run_fused_egress, unpack_blocks, BlockStream,
-    CoherentStream, Egress, EgressSink, FusedLane, TaggedLane, FUSE_CHUNK,
+    core_routes, run_fused, run_fused_egress, BlockStream, Egress, EgressSink, FusedLane,
+    TaggedLane, FUSE_CHUNK,
 };
 pub use error::{ConfigError, Result};
 pub use footprint::{BlockCounter, BlockMap};
@@ -72,7 +72,6 @@ const _: () = {
     sendable::<Box<dyn CacheModel>>();
     sendable::<Box<dyn CoherentModel>>();
     shareable::<BlockStream<'static>>();
-    shareable::<CoherentStream>();
     shareable::<CacheStats>();
     shareable::<CacheGeometry>();
     shareable::<MemRecord>();

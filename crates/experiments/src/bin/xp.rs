@@ -82,7 +82,6 @@ fn report_timing(
     let records = store.records_simulated();
     let sims = store.sims_run();
     let hits = store.hits();
-    let decodes = store.streams_decoded();
     let summaries = store.summaries_built();
     let yardstick_total: f64 = yardsticks.iter().sum();
     let total_secs = wall_secs - yardstick_total;
@@ -130,7 +129,7 @@ fn report_timing(
     eprintln!(
         "simulations: {sims} run, {hits} served from cache; \
          {records} records simulated ({rps:.0} records/sec overall); \
-         {decodes} streams decoded, {summaries} summaries built"
+         {summaries} summaries built"
     );
     eprintln!(
         "parallel: {jobs} jobs, {} tasks, busy {:.3}s (max task {:.3}s, wall {total_secs:.3}s)",
@@ -159,7 +158,7 @@ fn report_timing(
              \"total_calibrated\": {:.4},\n  \
              \"unaccounted_seconds\": {unaccounted:.6},\n  \"sims_run\": {sims},\n  \
              \"cache_hits\": {hits},\n  \"records_simulated\": {records},\n  \
-             \"streams_decoded\": {decodes},\n  \"summaries_built\": {summaries},\n  \
+             \"summaries_built\": {summaries},\n  \
              \"records_per_sec\": {rps:.0},\n  \"jobs\": {jobs},\n  \
              \"parallel\": {{\"tasks\": {}, \"busy_seconds\": {:.6}, \
              \"max_task_seconds\": {:.6}}}\n}}\n",

@@ -22,16 +22,18 @@
 //! Scheduling is *fused*: the three schemes of each (cores, victim
 //! depth) cell form one [`CoherentGroup`], so the sweep runs 6 chunked
 //! groups instead of 18 per-record replays — groups fanned out through
-//! `unicache_exec::map` (order-preserving). All 18 hierarchies read the
-//! [`SimStore`]'s one packed coherent stream of the mix, built once
-//! straight from the interleave; each hierarchy decodes it per chunk.
-//! The hierarchies themselves are replayed directly, like the SMT
-//! figures' mixes: no other figure reads their outcomes, so the store
-//! memoizes only the stream.
+//! `unicache_exec::map` (order-preserving). Each group streams the mix's
+//! interleave once, straight into tagged chunks, exactly as the SMT
+//! figures replay theirs (`SimStore::replay_mix`), and steps its three
+//! hierarchies over each chunk in turn (chunk-outer, hierarchy-inner).
+//! That shape was measured: streaming the merge once per hierarchy
+//! instead of once per group made the tiny-scale sweep about 10%
+//! slower, so the merge is shared by the group's hierarchies.
+//! Nothing is memoized: no other figure reads the hierarchies' outcomes.
 
 use crate::{ExperimentTable, SimStore};
 use unicache_core::{CacheGeometry, CoherentModel};
-use unicache_hierarchy::{run_coherent_stream, CoherentHierarchy, HierarchyBuilder, L2Mode};
+use unicache_hierarchy::{CoherentHierarchy, HierarchyBuilder, L2Mode};
 use unicache_indexing::IndexScheme;
 use unicache_smt::InterleavePolicy;
 use unicache_stats::Moments;
@@ -75,13 +77,12 @@ fn l2_geom(l1: CacheGeometry) -> CacheGeometry {
 }
 
 /// One schedulable unit of fused coherent simulation: every scheme in
-/// `schemes` shares one hierarchy configuration and the store's one
-/// [`unicache_core::CoherentStream`] of the mix. The members run one at
-/// a time over the stream ([`run_coherent_stream`]), each decoding it
-/// per chunk — a shift, a mask and a core-table lookup.
+/// `schemes` shares one hierarchy configuration and one streamed
+/// interleave of the mix, each tagged chunk of which every member steps
+/// in turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoherentGroup {
-    /// The workload mix of the shared stream.
+    /// The workload mix the group interleaves.
     pub mix: Vec<Workload>,
     /// How the mix is interleaved.
     pub policy: InterleavePolicy,
@@ -114,9 +115,8 @@ impl CoherentGroup {
             })
     }
 
-    /// Replays every member over the store's stream of the mix, one
-    /// hierarchy at a time, and returns each member's row in `schemes`
-    /// order.
+    /// Replays every member over one streamed interleave of the mix,
+    /// chunk-outer, and returns each member's row in `schemes` order.
     fn run(&self, store: &SimStore) -> Vec<Vec<f64>> {
         let _span = unicache_obs::span("simulate-coherent");
         // One pass event per group: independent of `--jobs` and of
@@ -127,24 +127,23 @@ impl CoherentGroup {
             unicache_obs::HistEvent::CohGroupLanes,
             self.schemes.len() as u64,
         );
-        let stream = store.coherent_stream(&self.mix, self.policy, self.geom.line_bytes());
-        // One lane at a time: each hierarchy's working set (3 L1s + L2
-        // + lenses) is small enough to stay host-cache-resident for a
-        // whole stream pass, which is worth more than sharing each
-        // chunk's decode (a shift and a table lookup per record) across
-        // lanes would save. The chunked kernel still batch-indexes
-        // within the lane.
-        let rows = self
+        let mut hiers: Vec<CoherentHierarchy> = self
             .schemes
             .iter()
-            .map(|&s| {
-                let mut h = self.hierarchy(s).build().expect("valid hierarchy");
-                run_coherent_stream(&mut [&mut h], &stream);
-                row(&h)
-            })
+            .map(|&s| self.hierarchy(s).build().expect("valid hierarchy"))
             .collect();
-        store.count_records(stream.len() as u64 * self.schemes.len() as u64);
-        rows
+        store.replay_mix(
+            &self.mix,
+            self.policy,
+            self.geom.line_bytes(),
+            hiers.len(),
+            |blocks, writes, tids| {
+                for h in &mut hiers {
+                    h.step_chunk(blocks, writes, tids);
+                }
+            },
+        );
+        hiers.iter().map(row).collect()
     }
 }
 
@@ -250,21 +249,15 @@ mod tests {
     fn coherent_sweep_replays_one_shared_stream() {
         let store = SimStore::new(Scale::Tiny);
         let t1 = coherent(&store);
-        // All 18 hierarchies read one coherent stream, and the trace
+        // All 18 hierarchies replay the streamed mix, and the trace
         // store holds only the mix's per-thread traces: no merged trace.
-        assert_eq!(
-            store.streams_decoded(),
-            1,
-            "one stream per (mix, policy, line)"
-        );
         assert_eq!(store.traces().cached(), coherent_mix().len());
-        let stream = store.coherent_stream(&coherent_mix(), InterleavePolicy::RoundRobin, 32);
-        let per_render = 18 * stream.len() as u64;
+        let mix_len: usize = coherent_mix().iter().map(|&w| store.get(w).len()).sum();
+        let per_render = 18 * mix_len as u64;
         assert_eq!(store.records_simulated(), per_render, "18 replays");
         // The hierarchies are replayed, not memoized: a second render
         // re-runs all 18 over the same stream, with the same values.
         let t2 = coherent(&store);
-        assert_eq!(store.streams_decoded(), 1);
         assert_eq!(store.records_simulated(), 2 * per_render);
         assert_eq!((store.sims_run(), store.hits()), (0, 0));
         assert_eq!(t1.values, t2.values, "re-render must be identical");

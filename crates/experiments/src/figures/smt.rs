@@ -6,8 +6,7 @@ use std::sync::Arc;
 use unicache_core::{CacheModel, IndexFunction, TaggedLane};
 use unicache_indexing::{ModuloIndex, OddMultiplierIndex, RECOMMENDED_MULTIPLIERS};
 use unicache_smt::{
-    run_interleaved, AdaptivePartitionedCache, InterleavePolicy, PartitionedCache,
-    PerThreadIndexCache,
+    AdaptivePartitionedCache, InterleavePolicy, PartitionedCache, PerThreadIndexCache,
 };
 use unicache_stats::percent_reduction;
 use unicache_timing::{amat_adaptive, amat_conventional, LatencyModel};
@@ -52,7 +51,7 @@ fn mix_label(mix: &[Workload]) -> String {
 }
 
 /// Replays the interleaved `mix` through every lane in one chunked
-/// traversal ([`run_interleaved`]: the merge streams straight into
+/// traversal ([`SimStore::replay_mix`]: the merge streams straight into
 /// tagged chunk scratch, so no merged or decoded copy is allocated) and
 /// counts the replayed lane-records into the store.
 fn replay_mix(
@@ -61,10 +60,17 @@ fn replay_mix(
     policy: InterleavePolicy,
     lanes: &mut [&mut dyn TaggedLane],
 ) {
-    let traces: Vec<Arc<unicache_trace::Trace>> = mix.iter().map(|&w| store.get(w)).collect();
-    let refs: Vec<&unicache_trace::Trace> = traces.iter().map(|t| &**t).collect();
-    let records = run_interleaved(&refs, policy, lanes);
-    store.count_records(records as u64 * lanes.len() as u64);
+    let line = lanes[0].geometry().line_bytes();
+    assert!(
+        lanes.iter().all(|l| l.geometry().line_bytes() == line),
+        "mix lanes differ in line size"
+    );
+    let n = lanes.len();
+    store.replay_mix(mix, policy, line, n, |blocks, writes, tids| {
+        for lane in lanes.iter_mut() {
+            lane.step_tagged(blocks, writes, tids);
+        }
+    });
 }
 
 /// **Figure 13** — % reduction in misses when each thread of a shared

@@ -137,12 +137,10 @@ pub fn metrics_json(store: &SimStore) -> String {
     let _ = write!(
         out,
         ",\n  \"simstore\": {{\n    \"sims_run\": {},\n    \"cache_hits\": {},\n    \
-         \"records_simulated\": {},\n    \"streams_decoded\": {},\n    \
-         \"summaries_built\": {}\n  }}\n}}\n",
+         \"records_simulated\": {},\n    \"summaries_built\": {}\n  }}\n}}\n",
         store.sims_run(),
         store.hits(),
         store.records_simulated(),
-        store.streams_decoded(),
         store.summaries_built()
     );
     out

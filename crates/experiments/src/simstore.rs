@@ -39,18 +39,16 @@
 //! traffic is not memoized, so the pass always runs, and it fills the
 //! key's result cell if still empty, like any other pass.
 //!
-//! The coherent sweep shares only its input here: one [`CoherentStream`]
-//! per `(mix, policy, line size)`, packed straight out of the streaming
-//! interleave (the merged `MemRecord` trace is never materialised). Its
-//! hierarchies are replayed by the figure itself, as no other figure
-//! reads their outcomes.
+//! The multi-thread figures — Figs. 13/14 and the coherent sweep —
+//! memoize nothing here: `SimStore::replay_mix` streams each mix's
+//! interleave straight into tagged chunks (the merged `MemRecord` trace
+//! is never materialised) and only counts the replayed records, as no
+//! other figure reads their outcomes.
 //!
-//! The [`SimStore::hits`]/[`SimStore::sims_run`]/
-//! [`SimStore::streams_decoded`] counters make the exactly-once property
-//! observable (and testable): after any sequence of figure runs,
-//! `sims_run` equals the number of *distinct* keys ever requested, and
-//! `streams_decoded` equals the number of distinct `(mix, policy, line
-//! size)` coherent streams — no matter how many hierarchies shared each.
+//! The [`SimStore::hits`]/[`SimStore::sims_run`] counters make the
+//! exactly-once property observable (and testable): after any sequence
+//! of figure runs, `sims_run` equals the number of *distinct* keys ever
+//! requested.
 
 use crate::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,11 +58,11 @@ use unicache_core::hasher::det_map;
 use unicache_core::DetHashMap;
 use unicache_core::{
     run_fused, run_fused_egress, BlockAddr, BlockStream, CacheGeometry, CacheModel, CacheStats,
-    CoherentStream, Egress, FusedLane,
+    Egress, FusedLane, ThreadId,
 };
 use unicache_indexing::IndexScheme;
 use unicache_sim::CacheBuilder;
-use unicache_smt::{for_each_interleaved, InterleavePolicy};
+use unicache_smt::{run_interleaved, InterleavePolicy};
 use unicache_trace::{Trace, WorkloadSummary};
 use unicache_workloads::{Scale, Workload};
 
@@ -157,19 +155,16 @@ type Cell<T> = Arc<OnceLock<Arc<T>>>;
 type SummaryKey = (Workload, u64);
 type ResultKey = (Workload, SchemeId, CacheGeometry);
 type GroupKey = (Workload, CacheGeometry);
-type CohStreamKey = (Vec<Workload>, InterleavePolicy, u64);
 /// Memoized simulation results (plus their shared inputs), one scale per
 /// store.
 pub struct SimStore {
     traces: Arc<TraceStore>,
     summaries: Mutex<DetHashMap<SummaryKey, Cell<WorkloadSummary>>>,
-    coherent_streams: Mutex<DetHashMap<CohStreamKey, Cell<CoherentStream>>>,
     results: Mutex<DetHashMap<ResultKey, Cell<CacheStats>>>,
     groups: Mutex<DetHashMap<GroupKey, Arc<Mutex<()>>>>,
     hits: AtomicU64,
     sims_run: AtomicU64,
     records_simulated: AtomicU64,
-    streams_decoded: AtomicU64,
     summaries_built: AtomicU64,
     /// Fused traversals run: one per fuse group with pending work.
     fused_passes: AtomicU64,
@@ -206,23 +201,14 @@ impl FuseGroup {
 impl SimStore {
     /// A store simulating workloads generated at `scale`.
     pub fn new(scale: Scale) -> Self {
-        Self::with_traces(Arc::new(TraceStore::new(scale)))
-    }
-
-    /// A store drawing traces from an existing (possibly shared) trace
-    /// store — lets benchmarks re-simulate with fresh result caches
-    /// without regenerating traces.
-    pub fn with_traces(traces: Arc<TraceStore>) -> Self {
         SimStore {
-            traces,
+            traces: Arc::new(TraceStore::new(scale)),
             summaries: Mutex::new(det_map()),
-            coherent_streams: Mutex::new(det_map()),
             results: Mutex::new(det_map()),
             groups: Mutex::new(det_map()),
             hits: AtomicU64::new(0),
             sims_run: AtomicU64::new(0),
             records_simulated: AtomicU64::new(0),
-            streams_decoded: AtomicU64::new(0),
             summaries_built: AtomicU64::new(0),
             fused_passes: AtomicU64::new(0),
         }
@@ -283,26 +269,25 @@ impl SimStore {
         Arc::clone(&self.summary(w, line_bytes).blocks)
     }
 
-    /// The coherent stream of `mix` interleaved under `policy`, packed
-    /// for `line_bytes`-byte lines at most once. The interleave streams
-    /// straight into the packed form, so no merged trace is built.
-    pub fn coherent_stream(
+    /// Streams the interleave of `mix` under `policy` to `step` in
+    /// tagged chunks at `line_bytes`-byte lines ([`run_interleaved`]: no
+    /// merged or decoded copy of the mix is allocated), and counts
+    /// `lanes` replays of every merged record into
+    /// [`SimStore::records_simulated`]. The SMT figures and the coherent
+    /// sweep replay their mixes this way, outside the result cells, as
+    /// no other figure reads their outcomes.
+    pub(crate) fn replay_mix(
         &self,
         mix: &[Workload],
         policy: InterleavePolicy,
         line_bytes: u64,
-    ) -> Arc<CoherentStream> {
-        let cell = Self::cell_of(&self.coherent_streams, (mix.to_vec(), policy, line_bytes));
-        Arc::clone(cell.get_or_init(|| {
-            let _span = unicache_obs::span("coherent-stream");
-            self.streams_decoded.fetch_add(1, Ordering::Relaxed);
-            let traces: Vec<Arc<Trace>> = mix.iter().map(|&w| self.traces.get(w)).collect();
-            let refs: Vec<&Trace> = traces.iter().map(|t| &**t).collect();
-            let total = refs.iter().map(|t| t.len()).sum();
-            let mut stream = CoherentStream::with_capacity(line_bytes, total);
-            for_each_interleaved(&refs, policy, |r| stream.push(r));
-            Arc::new(stream)
-        }))
+        lanes: usize,
+        step: impl FnMut(&[BlockAddr], &[bool], &[ThreadId]),
+    ) {
+        let traces: Vec<Arc<Trace>> = mix.iter().map(|&w| self.traces.get(w)).collect();
+        let refs: Vec<&Trace> = traces.iter().map(|t| &**t).collect();
+        let records = run_interleaved(&refs, policy, line_bytes, step);
+        self.count_records(records as u64 * lanes as u64);
     }
 
     /// Simulates every scheme of the `(w, geom)` group whose result cell
@@ -504,14 +489,13 @@ impl SimStore {
         self.records_simulated.load(Ordering::Relaxed) // uca:allow(relaxed-output)
     }
 
-    /// Number of coherent streams actually built: one per distinct
-    /// `(mix, policy, line size)`, however many hierarchies shared each.
-    /// Solo traversals decode per chunk and build no stream.
+    /// Always 0: no traversal materialises a decoded stream. Solo
+    /// traversals decode per chunk, and the multi-thread figures stream
+    /// their mixes in tagged chunks (`SimStore::replay_mix`). Kept only
+    /// for the `benchmark/` package, whose `experiments.streams_decoded`
+    /// metric reads it.
     pub fn streams_decoded(&self) -> u64 {
-        // Allowed Relaxed read: monotone counter, only rendered by
-        // `xp --timing` after the worker scope has joined (a happens-before
-        // edge), and timing output is explicitly host-dependent.
-        self.streams_decoded.load(Ordering::Relaxed) // uca:allow(relaxed-output)
+        0
     }
 
     /// Number of workload summaries actually computed (one per distinct
@@ -644,7 +628,6 @@ mod tests {
         assert_eq!(stats.len(), schemes.len());
         assert_eq!(store.sims_run(), schemes.len() as u64);
         assert_eq!(passes(&store), 1, "one traversal for the group");
-        assert_eq!(store.streams_decoded(), 0, "no stream is materialised");
         // Members are the same cells stats() serves.
         for (i, &s) in schemes.iter().enumerate() {
             let solo = store.stats(Workload::Crc, s, geom);

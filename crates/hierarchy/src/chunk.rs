@@ -3,19 +3,20 @@
 //!
 //! The solo engine's fused kernel decodes each trace chunk once and
 //! replays it through every lane; this module brings the same execution
-//! shape to [`CoherentHierarchy`]. The kernel consumes the packed form
-//! of a [`CoherentStream`] — one `(block << 1) | is_write` word and one
-//! thread-id byte per record. [`run_coherent_stream`] reads a stream
-//! built once (the `SimStore` memoizes one per mix, policy and line
-//! size); [`run_coherent_fused`] packs each chunk of raw `MemRecord`s
-//! into the same form first, so there is one kernel and one decoder.
-//! Each hierarchy then runs its single-pass chunk step:
+//! shape to [`CoherentHierarchy`]. The kernel consumes the tagged chunk
+//! the SMT figures' lanes step — one block, one write flag and one
+//! thread-id byte per record. The coherent sweep streams its mix's
+//! interleave straight into such chunks (`unicache_smt::run_interleaved`)
+//! and steps each group's hierarchies chunk by chunk;
+//! [`run_coherent_fused`] decodes each chunk of raw `MemRecord`s into the
+//! same form first, so there is one kernel. Each hierarchy then runs its
+//! single-pass chunk step ([`CoherentHierarchy::step_chunk`]):
 //!
-//! * The chunk's blocks are unpacked (a shift) into scratch allocated
-//!   once per run, and the set of every record comes from one
-//!   [`IndexFunction::index_many`] call (all cores of a hierarchy share
-//!   the index function, so a block's set is core-independent). The
-//!   serving core is a lookup in the hierarchy's thread-to-core table.
+//! * The set of every record comes from one
+//!   [`IndexFunction::index_many`] call into the hierarchy's own set
+//!   scratch (all cores of a hierarchy share the index function, so a
+//!   block's set is core-independent). The serving core is a lookup in
+//!   the hierarchy's thread-to-core table.
 //! * Each record, in trace order, is classified *inline against current
 //!   state* for a *provably bus-free* hit: resident in the packed L1,
 //!   and either a load (hits in any valid state) or a store to a
@@ -40,78 +41,44 @@
 //! [`CoherentModel::access`]: unicache_core::CoherentModel::access
 
 use crate::coherent::CoherentHierarchy;
-use unicache_core::{
-    pack_coherent_chunk, BlockAddr, CoherentModel, CoherentStream, MemRecord, ThreadId, FUSE_CHUNK,
-};
+use unicache_core::{BlockAddr, CoherentModel, MemRecord, ThreadId, FUSE_CHUNK};
 
-/// Per-run scratch of the chunk kernel: the unpacked blocks and the
-/// `index_many` output of one chunk, allocated once per run and reused
-/// by every chunk and every hierarchy of the run.
-pub(crate) struct ChunkScratch {
-    pub(crate) blocks: Vec<BlockAddr>,
-    pub(crate) sets: Vec<usize>,
-}
-
-impl ChunkScratch {
-    fn new() -> Self {
-        ChunkScratch {
-            blocks: vec![0; FUSE_CHUNK],
-            sets: vec![0; FUSE_CHUNK],
-        }
-    }
-}
-
-/// Checks that every hierarchy decodes blocks at `line_bytes`.
-fn assert_line_size(hiers: &[&mut CoherentHierarchy], line_bytes: u64) {
-    for h in hiers {
-        assert_eq!(
-            h.geometry().line_bytes(),
-            line_bytes,
-            "hierarchy '{}' line size does not match the fuse group",
-            h.name()
-        );
-    }
-}
-
-/// Drives every hierarchy in `hiers` over `stream` in one fused
-/// traversal (chunk-outer, hierarchy-inner). Statistically equivalent
-/// to calling [`CoherentModel::run`] on each hierarchy alone with the
-/// records the stream was built from — every hierarchy sees the same
-/// records in the same order and they never observe each other. Each
-/// hierarchy routes thread ids to cores by its own core count, so the
-/// group may mix core counts.
+/// Drives every hierarchy in `hiers` over `records` in one fused
+/// traversal (chunk-outer, hierarchy-inner): each chunk is decoded once
+/// into tagged scratch (block, write flag, thread id) shared by every
+/// hierarchy of the group, then each hierarchy steps it. Statistically
+/// equivalent to calling [`CoherentModel::run`] on each hierarchy alone
+/// — every hierarchy sees the same records in the same order and they
+/// never observe each other. Each hierarchy routes thread ids to cores
+/// by its own core count, so the group may mix core counts.
 ///
 /// # Panics
-/// If a hierarchy's line size differs from the stream's.
-pub fn run_coherent_stream(hiers: &mut [&mut CoherentHierarchy], stream: &CoherentStream) {
-    assert_line_size(hiers, stream.line_bytes());
-    let mut scratch = ChunkScratch::new();
-    for (packed, tids) in stream.chunks() {
-        for h in hiers.iter_mut() {
-            h.step_chunk(packed, tids, &mut scratch);
-        }
-    }
-}
-
-/// [`run_coherent_stream`] over raw `records`: each chunk is packed
-/// once into the stream's form (shared by every hierarchy of the
-/// group), then the same chunk kernel runs.
-///
-/// # Panics
-/// If the hierarchies disagree on line size (the shared packed chunk
+/// If the hierarchies disagree on line size (the shared decoded chunk
 /// would be wrong for them).
 pub fn run_coherent_fused(hiers: &mut [&mut CoherentHierarchy], records: &[MemRecord]) {
     let Some(first) = hiers.first() else { return };
     let line = first.geometry().line_bytes();
-    assert_line_size(hiers, line);
-    let mut scratch = ChunkScratch::new();
-    let mut packed = vec![0u64; FUSE_CHUNK];
-    let mut tids: Vec<ThreadId> = vec![0; FUSE_CHUNK];
+    for h in hiers.iter() {
+        assert_eq!(
+            h.geometry().line_bytes(),
+            line,
+            "hierarchy '{}' line size does not match the fuse group",
+            h.name()
+        );
+    }
+    let shift = line.trailing_zeros();
+    let mut blocks = [0 as BlockAddr; FUSE_CHUNK];
+    let mut writes = [false; FUSE_CHUNK];
+    let mut tids = [0 as ThreadId; FUSE_CHUNK];
     for chunk in records.chunks(FUSE_CHUNK) {
         let n = chunk.len();
-        pack_coherent_chunk(chunk, line, &mut packed[..n], &mut tids[..n]);
+        for (((b, w), t), r) in blocks.iter_mut().zip(&mut writes).zip(&mut tids).zip(chunk) {
+            *b = r.addr >> shift;
+            *w = r.kind.is_write();
+            *t = r.tid;
+        }
         for h in hiers.iter_mut() {
-            h.step_chunk(&packed[..n], &tids[..n], &mut scratch);
+            h.step_chunk(&blocks[..n], &writes[..n], &tids[..n]);
         }
     }
 }
@@ -196,9 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_entry_matches_record_entry_across_core_counts() {
+    fn fused_group_mixes_core_counts() {
         let recs = trace(2 * FUSE_CHUNK as u64 + 301);
-        let stream = CoherentStream::from_records(&recs, 32);
         let build_cores = |cores: usize| {
             let geom = CacheGeometry::from_sets(16, 32, 2).unwrap();
             HierarchyBuilder::new(geom, Arc::new(XorIndex::new(16).unwrap()))
@@ -208,27 +174,64 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        // One stream drives a group mixing 1, 3 and 4 cores.
+        // One decoded chunk drives a group mixing 1, 3 and 4 cores.
         let mut group: Vec<CoherentHierarchy> = [1, 3, 4].map(build_cores).into();
         {
             let mut refs: Vec<&mut CoherentHierarchy> = group.iter_mut().collect();
-            run_coherent_stream(&mut refs, &stream);
+            run_coherent_fused(&mut refs, &recs);
         }
         for (h, cores) in group.iter().zip([1, 3, 4]) {
             let mut solo = build_cores(cores);
-            run_coherent_fused(&mut [&mut solo], &recs);
+            solo.run(&recs);
             assert_eq!(h.merged_core_stats(), solo.merged_core_stats());
             assert_eq!(h.coherence_stats(), solo.coherence_stats());
-            assert_eq!(h.shared_l2_stats(), solo.shared_l2_stats());
+            assert_eq!(h.shared_stats(), solo.shared_stats());
             assert_eq!(h.fast_path_commits(), solo.fast_path_commits());
             assert_eq!(h.now(), recs.len() as u64);
         }
     }
 
     #[test]
+    fn run_decodes_a_full_64_bit_block_at_one_byte_lines() {
+        // The top address bit survives decode: `u64::MAX` and
+        // `u64::MAX >> 1` are distinct blocks, so the second read misses.
+        let records = [
+            MemRecord::write(u64::MAX),
+            MemRecord::read(u64::MAX >> 1).with_tid(1),
+            MemRecord::read(u64::MAX).with_tid(1),
+            MemRecord::read(0),
+        ];
+        let build_line1 = |chunked: bool| {
+            let geom = CacheGeometry::from_sets(16, 1, 2).unwrap();
+            HierarchyBuilder::new(geom, Arc::new(XorIndex::new(16).unwrap()))
+                .cores(2)
+                .l2(L2Mode::Shared(CacheGeometry::from_sets(64, 1, 4).unwrap()))
+                .chunked(chunked)
+                .build()
+                .unwrap()
+        };
+        let mut walk = build_line1(false);
+        for r in &records {
+            walk.access(usize::from(r.tid) % 2, r.addr, r.kind.is_write());
+        }
+        assert_eq!(walk.merged_core_stats().misses(), 4);
+        for chunked in [true, false] {
+            let mut h = build_line1(chunked);
+            h.run(&records);
+            assert_eq!(h.merged_core_stats(), walk.merged_core_stats());
+            assert_eq!(h.coherence_stats(), walk.coherence_stats());
+            assert_eq!(h.shared_stats(), walk.shared_stats());
+            assert_eq!(h.now(), walk.now());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "line size does not match")]
-    fn stream_entry_rejects_line_size_mismatch() {
-        let stream = CoherentStream::from_records(&trace(10), 64);
-        run_coherent_stream(&mut [&mut build(true)], &stream);
+    fn fused_group_rejects_line_size_mismatch() {
+        let geom = CacheGeometry::from_sets(16, 64, 2).unwrap();
+        let mut wide = HierarchyBuilder::new(geom, Arc::new(XorIndex::new(16).unwrap()))
+            .build()
+            .unwrap();
+        run_coherent_fused(&mut [&mut build(true), &mut wide], &trace(10));
     }
 }

@@ -23,14 +23,13 @@
 //! `uca check` asserts `misses == interventions + l2_demand_hits +
 //! memory_fetches` over replayed traces, in both L2 modes.
 
-use crate::chunk::ChunkScratch;
 use crate::l1::CoherentL1;
 use crate::l2::SharedL2;
 use crate::mesi::{fill_state, transition, LineEvent, Mesi};
 use std::sync::Arc;
 use unicache_core::{
-    core_routes, unpack_blocks, AccessResult, BlockAddr, CacheGeometry, CacheStats, CoherentModel,
-    ConfigError, HitWhere, IndexFunction, MemRecord, Result, ThreadId, FUSE_CHUNK,
+    core_routes, AccessResult, BlockAddr, CacheGeometry, CacheStats, CoherentModel, ConfigError,
+    HitWhere, IndexFunction, MemRecord, Result, ThreadId,
 };
 use unicache_obs as obs;
 use unicache_sim::VictimBuffer;
@@ -218,6 +217,7 @@ impl HierarchyBuilder {
             name,
             index: self.index,
             routes: core_routes(self.cores),
+            sets: Vec::new(),
             chunked: self.chunked,
             fast_commits: 0,
             serial_commits: 0,
@@ -240,6 +240,9 @@ pub struct CoherentHierarchy {
     /// Serving core of each thread id (`tid % cores`), built once so the
     /// chunk kernel routes a record with a load instead of a division.
     routes: [u8; 256],
+    /// The chunk kernel's set-index scratch: one chunk's `index_many`
+    /// output, reused by every chunk of the hierarchy's life.
+    sets: Vec<usize>,
     /// Whether `step_chunk` runs the classify/commit kernel (see
     /// [`HierarchyBuilder::chunked`]).
     chunked: bool,
@@ -268,12 +271,6 @@ impl CoherentHierarchy {
     /// One core's victim buffer.
     pub fn victim_buffer(&self, core: usize) -> &VictimBuffer<Mesi> {
         &self.cores[core].victim
-    }
-
-    /// The shared L2's hit/miss counters, if this hierarchy has one
-    /// (same as [`CoherentModel::shared_stats`], without the trait).
-    pub fn shared_l2_stats(&self) -> Option<&CacheStats> {
-        self.l2.as_ref().map(|c| c.stats())
     }
 
     /// Configured per-core victim-buffer depth.
@@ -459,47 +456,42 @@ impl CoherentHierarchy {
         }
     }
 
-    /// Processes one chunk of a coherent stream: `packed[i]` is record
-    /// `i`'s `(block << 1) | is_write` word and `tids[i]` its thread id
-    /// (`unicache_core::CoherentStream`'s form). The decode is a shift
-    /// into `scratch`, a mask for the write flag and a lookup in the
-    /// thread-to-core table. With chunking off this is the plain
-    /// per-record loop; with it on, the single-pass fused kernel of
-    /// DESIGN §16 runs: one batched `index_many` for the whole chunk,
-    /// then one commit loop, picked once per chunk by the L1's
-    /// associativity ([`Self::commit_chunk`]), and the clock advanced
-    /// once by the chunk's length. Byte-identical either way.
+    /// Processes one tagged chunk: `blocks[i]`, `writes[i]` and `tids[i]`
+    /// describe record `i`, in the form `unicache_smt::run_interleaved`
+    /// streams, and the thread-to-core table routes each thread id to
+    /// its core. With chunking off this is the plain per-record loop;
+    /// with it on, the single-pass fused kernel of DESIGN §16 runs: one
+    /// batched `index_many` for the whole chunk into the hierarchy's set
+    /// scratch, then one commit loop, picked once per chunk by the L1's
+    /// associativity (`commit_chunk`), and the clock advanced once by
+    /// the chunk's length. Byte-identical either way.
     ///
     /// # Panics
-    /// If the chunk is longer than [`FUSE_CHUNK`] (the scratch size) or
-    /// `packed` and `tids` disagree on length.
-    pub(crate) fn step_chunk(
-        &mut self,
-        packed: &[u64],
-        tids: &[ThreadId],
-        scratch: &mut ChunkScratch,
-    ) {
-        let n = packed.len();
-        assert!(n <= FUSE_CHUNK, "chunk of {n} exceeds FUSE_CHUNK");
-        assert_eq!(tids.len(), n, "packed words and thread ids disagree");
+    /// If `writes` or `tids` differ in length from `blocks`.
+    pub fn step_chunk(&mut self, blocks: &[BlockAddr], writes: &[bool], tids: &[ThreadId]) {
+        let n = blocks.len();
+        assert!(
+            writes.len() == n && tids.len() == n,
+            "step_chunk: chunk slices differ in length"
+        );
         if !self.chunked {
-            for (&p, &t) in packed.iter().zip(tids) {
-                self.access(usize::from(self.routes[usize::from(t)]), p >> 1, p & 1 == 1);
+            for ((&block, &is_write), &t) in blocks.iter().zip(writes).zip(tids) {
+                self.access(usize::from(self.routes[usize::from(t)]), block, is_write);
             }
             return;
         }
-        let blocks = &mut scratch.blocks[..n];
-        let sets = &mut scratch.sets[..n];
-        unpack_blocks(packed, blocks);
+        let mut sets = std::mem::take(&mut self.sets);
+        sets.resize(n, 0);
         // One batched index computation serves every core: the index
         // function is shared, so set numbers are core-independent.
-        self.index.index_many(blocks, sets);
+        self.index.index_many(blocks, &mut sets);
         // Every coherent L1 the sweep and the benchmarks build is 2-way;
         // any other associativity takes the runtime-ways instance.
         let fast = match self.geometry().ways() {
-            2 => self.commit_chunk::<2>(packed, tids, blocks, sets),
-            _ => self.commit_chunk::<0>(packed, tids, blocks, sets),
+            2 => self.commit_chunk::<2>(blocks, writes, tids, &sets),
+            _ => self.commit_chunk::<0>(blocks, writes, tids, &sets),
         };
+        self.sets = sets;
         self.clock.advance(n as u64);
         self.fast_commits += fast;
     }
@@ -516,21 +508,17 @@ impl CoherentHierarchy {
     /// track between records. Returns the fast-path commits.
     fn commit_chunk<const W: usize>(
         &mut self,
-        packed: &[u64],
-        tids: &[ThreadId],
         blocks: &[BlockAddr],
+        writes: &[bool],
+        tids: &[ThreadId],
         sets: &[usize],
     ) -> u64 {
         let start = self.clock.now();
         let mut fast = 0;
-        for (i, ((&p, &t), (&block, &set))) in packed
-            .iter()
-            .zip(tids)
-            .zip(blocks.iter().zip(sets))
-            .enumerate()
+        for (i, (((&block, &is_write), &t), &set)) in
+            blocks.iter().zip(writes).zip(tids).zip(sets).enumerate()
         {
             let core = usize::from(self.routes[usize::from(t)]);
-            let is_write = p & 1 == 1;
             let now = start + i as u64 + 1;
             if self.cores[core]
                 .l1
@@ -684,7 +672,7 @@ impl CoherentModel for CoherentHierarchy {
         self.access_at(core, set, block, is_write, now)
     }
 
-    /// Routes the whole trace through the chunked kernel (pack each
+    /// Routes the whole trace through the chunked kernel (decode each
     /// chunk, classify, commit) — or, with chunking resolved off,
     /// through a loop byte-identical to the trait's per-record default.
     fn run(&mut self, trace: &[MemRecord]) {

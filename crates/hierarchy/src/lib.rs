@@ -23,10 +23,10 @@
 //!   it);
 //! * [`coherent::CoherentHierarchy`] — the bus + victim buffers + L2
 //!   composition implementing `unicache_core::CoherentModel`;
-//! * [`chunk`] — the chunked fused kernel (DESIGN §16): chunk replay of
-//!   a packed coherent stream with a private-line fast path (the
-//!   per-record MESI walk, `HierarchyBuilder::chunked(false)`, is its
-//!   reference);
+//! * [`chunk`] — the chunked fused kernel (DESIGN §16): replay of tagged
+//!   record chunks (block, write flag, thread id) with a private-line
+//!   fast path (the per-record MESI walk,
+//!   `HierarchyBuilder::chunked(false)`, is its reference);
 //! * [`model`] — the litmus/model-check suite.
 
 pub mod chunk;
@@ -36,7 +36,7 @@ mod l2;
 pub mod mesi;
 pub mod model;
 
-pub use chunk::{run_coherent_fused, run_coherent_stream};
+pub use chunk::run_coherent_fused;
 pub use coherent::{CoherenceStats, CoherentHierarchy, HierarchyBuilder, L2Mode};
 pub use l1::CoherentL1;
 pub use mesi::{fill_state, transition, LineEvent, Mesi, Transition};

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use unicache_core::{BlockAddr, MemRecord, TaggedLane, ThreadId, FUSE_CHUNK};
+use unicache_core::{BlockAddr, MemRecord, ThreadId, FUSE_CHUNK};
 use unicache_trace::Trace;
 
 /// How per-thread streams are merged.
@@ -33,9 +33,8 @@ pub fn interleave(traces: &[Trace], policy: InterleavePolicy) -> Trace {
 /// record, stamping each with its thread index — the order
 /// [`interleave`] materializes, but without allocating the merged
 /// stream. The figure runners replay multi-hundred-megabyte mixes
-/// through several models at once, and the coherent sweep packs the
-/// merge straight into a `CoherentStream`; streaming keeps that working
-/// set at zero extra bytes.
+/// through several models at once ([`run_interleaved`]); streaming
+/// keeps that working set at zero extra bytes.
 ///
 /// # Panics
 /// Panics if more than 256 threads are supplied (`ThreadId` is a `u8`).
@@ -86,32 +85,30 @@ pub fn for_each_interleaved(
     }
 }
 
-/// Replays the interleaving of `traces` under `policy` through every
-/// lane in one chunked traversal and returns the number of merged
-/// records. Each record is decoded once, as the merge produces it, into
-/// [`FUSE_CHUNK`]-record tagged scratch (block, write flag, thread id);
-/// every full chunk, and the ragged last one, is then stepped through
-/// each lane in turn. Neither the merged trace nor a decoded copy of it
-/// is ever materialised, and each lane ends exactly as a per-record
-/// [`unicache_core::CacheModel::access`] replay would leave it.
+/// Streams the interleaving of `traces` under `policy` in tagged
+/// chunks and returns the number of merged records. Each record is
+/// decoded once, as the merge produces it, into [`FUSE_CHUNK`]-record
+/// scratch of block (at `line_bytes`-byte lines), write flag and thread
+/// id; every full chunk, and the ragged (possibly empty) last one, is
+/// then handed to `step(blocks, writes, tids)`. Neither the merged trace
+/// nor a decoded copy of it is ever materialised. Stepping each chunk
+/// through an SMT [`unicache_core::TaggedLane`] (Figs. 13/14) or a
+/// coherent hierarchy leaves it exactly as a per-record replay of the
+/// merge would.
 ///
 /// # Panics
-/// If the lanes' line sizes differ, or as [`for_each_interleaved`].
+/// If `line_bytes` is not a power of two, or as [`for_each_interleaved`].
 pub fn run_interleaved(
     traces: &[&Trace],
     policy: InterleavePolicy,
-    lanes: &mut [&mut dyn TaggedLane],
+    line_bytes: u64,
+    mut step: impl FnMut(&[BlockAddr], &[bool], &[ThreadId]),
 ) -> usize {
-    let line = lanes.first().map_or(1, |l| l.geometry().line_bytes());
-    for l in lanes.iter() {
-        assert_eq!(
-            l.geometry().line_bytes(),
-            line,
-            "lane '{}' line size differs from the first lane's",
-            l.name()
-        );
-    }
-    let shift = line.trailing_zeros();
+    assert!(
+        line_bytes.is_power_of_two(),
+        "line size {line_bytes} not a power of two"
+    );
+    let shift = line_bytes.trailing_zeros();
     let mut blocks = [0 as BlockAddr; FUSE_CHUNK];
     let mut writes = [false; FUSE_CHUNK];
     let mut tids = [0 as ThreadId; FUSE_CHUNK];
@@ -122,24 +119,12 @@ pub fn run_interleaved(
         tids[n] = r.tid;
         n += 1;
         if n == FUSE_CHUNK {
-            step(lanes, &blocks, &writes, &tids);
+            step(&blocks, &writes, &tids);
             n = 0;
         }
     });
-    step(lanes, &blocks[..n], &writes[..n], &tids[..n]);
+    step(&blocks[..n], &writes[..n], &tids[..n]);
     traces.iter().map(|t| t.len()).sum()
-}
-
-/// Steps every lane over one tagged chunk.
-fn step(
-    lanes: &mut [&mut dyn TaggedLane],
-    blocks: &[BlockAddr],
-    writes: &[bool],
-    tids: &[ThreadId],
-) {
-    for lane in lanes.iter_mut() {
-        lane.step_tagged(blocks, writes, tids);
-    }
 }
 
 /// [`interleave`] over borrowed traces — callers holding `Arc<Trace>`s

@@ -6,8 +6,9 @@
 //! * [`interleave()`] — merges per-thread traces into one shared-cache
 //!   reference stream (round-robin fetch like an SMT front end, or
 //!   stochastically); [`run_interleaved`] streams that merge in tagged
-//!   chunks through the caches below, which are all
-//!   [`unicache_core::TaggedLane`]s;
+//!   chunks, which the caches below step as
+//!   [`unicache_core::TaggedLane`]s and the coherent sweep steps through
+//!   its MESI hierarchies;
 //! * [`shared::PerThreadIndexCache`] — one shared direct-mapped L1 where
 //!   *each hardware thread applies its own index function* (the paper's
 //!   Fig. 5 design and the Fig. 13 experiment);

@@ -77,17 +77,15 @@ pub mod prelude {
         SkewedCache,
     };
     pub use unicache_core::CoherentModel;
-    pub use unicache_core::{
-        run_fused, BlockStream, CoherentStream, FusedLane, TaggedLane, FUSE_CHUNK,
-    };
+    pub use unicache_core::{run_fused, BlockStream, FusedLane, TaggedLane, FUSE_CHUNK};
     pub use unicache_core::{
         AccessKind, AccessResult, Addr, CacheGeometry, CacheModel, CacheStats, HitWhere,
         IndexFunction, MemRecord,
     };
     pub use unicache_experiments::{ExperimentTable, FuseGroup, SchemeId, SimStore, TraceStore};
     pub use unicache_hierarchy::{
-        check_coherence_protocol, run_coherent_fused, run_coherent_stream, CoherenceConfig,
-        CoherenceMutation, CoherentHierarchy, CoherentL1, HierarchyBuilder, L2Mode, Mesi,
+        check_coherence_protocol, run_coherent_fused, CoherenceConfig, CoherenceMutation,
+        CoherentHierarchy, CoherentL1, HierarchyBuilder, L2Mode, Mesi,
     };
     pub use unicache_indexing::{
         GivargisIndex, GivargisXorIndex, IndexScheme, ModuloIndex, OddMultiplierIndex, PatelSearch,

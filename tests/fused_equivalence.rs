@@ -146,11 +146,11 @@ proptest! {
                     let builders = tagged_builders(geom, threads);
                     let mut chunked: Vec<Box<dyn TaggedLane>> =
                         builders.iter().map(|mk| mk()).collect();
-                    let mut lanes: Vec<&mut dyn TaggedLane> = chunked
-                        .iter_mut()
-                        .map(|l| l.as_mut() as &mut dyn TaggedLane)
-                        .collect();
-                    let n = run_interleaved(&refs, policy, &mut lanes);
+                    let n = run_interleaved(&refs, policy, geom.line_bytes(), |b, w, t| {
+                        for lane in &mut chunked {
+                            lane.step_tagged(b, w, t);
+                        }
+                    });
                     prop_assert_eq!(n, merged.len());
                     prop_assert!(!n.is_multiple_of(FUSE_CHUNK), "last chunk must be ragged");
                     let suffix = tagged_suffix(seed, threads);

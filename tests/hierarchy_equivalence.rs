@@ -22,13 +22,13 @@
 //! one) and ragged trace lengths straddling the FUSE_CHUNK
 //! boundary.
 //!
-//! A fourth property pins the kernel's two entries: a run over a
-//! pre-packed `CoherentStream` must equal a run over the raw records it
-//! was packed from, commit-path counts included — and the `SimStore`
-//! must build that stream once per (mix, policy, line size), straight
-//! from the interleave, under either interleave policy.
+//! A fourth property pins the kernel's two entries: per-thread traces
+//! streamed through `run_interleaved` into a group of hierarchies, as
+//! the coherent sweep replays its mix, must equal `run_coherent_fused`
+//! over the materialised merge, commit-path counts included, under
+//! either interleave policy.
 //!
-//! A fifth check replays the coherent sweep's real interleave through
+//! A fifth check streams the coherent sweep's real interleave through
 //! every sweep cell with the chunked kernel on and off.
 //!
 //! A sixth property pins the AMAT hierarchy's fast path: each `hierarchy`
@@ -248,9 +248,11 @@ proptest! {
         }
     }
 
-    /// Stream entry == `&[MemRecord]` entry, exactly, for every registry
-    /// scheme × {1,2,4} cores × victim depth {0,4}, with thread ids
-    /// beyond the core count (routing wraps) and ragged lengths.
+    /// Streamed merge == `&[MemRecord]` entry over the materialised
+    /// merge, exactly, for every registry scheme × {1,2,4} cores ×
+    /// victim depth {0,4}, with thread counts beyond the core count
+    /// (routing wraps), ragged lengths and either interleave policy.
+    /// Each scheme's six hierarchies step the stream as one group.
     #[test]
     fn stream_entry_matches_record_entry(
         seed in 0u64..4000,
@@ -260,40 +262,50 @@ proptest! {
         let geom = CacheGeometry::from_sets(64, 32, 2).unwrap();
         let l2 = CacheGeometry::from_sets(256, 32, 4).unwrap();
         let base = synth::uniform_rw(seed, len, 0, 1 << 13, 0.3);
-        let records: Vec<MemRecord> = base
-            .records()
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| r.with_tid((i % usize::from(threads)) as u8))
+        let per_thread: Vec<Trace> = (0..usize::from(threads))
+            .map(|t| base.records().iter().skip(t).step_by(usize::from(threads)).copied().collect())
             .collect();
-        let stream = CoherentStream::from_records(&records, geom.line_bytes());
+        let refs: Vec<&Trace> = per_thread.iter().collect();
+        let policy = if seed % 2 == 0 {
+            InterleavePolicy::RoundRobin
+        } else {
+            InterleavePolicy::Stochastic { seed }
+        };
+        let records = interleave_refs(&refs, policy);
         let training = base.unique_blocks(geom.line_bytes());
+        let cells: Vec<(usize, usize)> = [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|c| [0usize, 4].map(|d| (c, d)))
+            .collect();
         for scheme in IndexScheme::all() {
             let index = scheme.build(geom, Some(&training)).unwrap();
-            for cores in [1usize, 2, 4] {
-                for depth in [0usize, 4] {
-                    let build = || {
-                        HierarchyBuilder::new(geom, index.clone())
-                            .cores(cores)
-                            .victim_depth(depth)
-                            .l2(L2Mode::Shared(l2))
-                            .build()
-                            .unwrap()
-                    };
-                    let mut packed = build();
-                    let mut raw = build();
-                    run_coherent_stream(&mut [&mut packed], &stream);
-                    run_coherent_fused(&mut [&mut raw], &records);
-                    let what = format!("{} cores={cores} depth={depth}", scheme.label());
-                    prop_assert_eq!(packed.merged_core_stats(), raw.merged_core_stats(), "{}", &what);
-                    prop_assert_eq!(packed.coherence_stats(), raw.coherence_stats(), "{}", &what);
-                    prop_assert_eq!(packed.merged_lifetime(), raw.merged_lifetime(), "{}", &what);
-                    prop_assert_eq!(&packed.merged_recency(), &raw.merged_recency(), "{}", &what);
-                    prop_assert_eq!(packed.shared_l2_stats(), raw.shared_l2_stats(), "{}", &what);
-                    prop_assert_eq!(packed.fast_path_commits(), raw.fast_path_commits(), "{}", &what);
-                    prop_assert_eq!(packed.serial_path_commits(), raw.serial_path_commits(), "{}", &what);
-                    prop_assert_eq!(packed.now(), records.len() as u64);
+            let build = |(cores, depth): (usize, usize)| {
+                HierarchyBuilder::new(geom, index.clone())
+                    .cores(cores)
+                    .victim_depth(depth)
+                    .l2(L2Mode::Shared(l2))
+                    .build()
+                    .unwrap()
+            };
+            let mut streamed: Vec<CoherentHierarchy> = cells.iter().map(|&c| build(c)).collect();
+            let n = run_interleaved(&refs, policy, geom.line_bytes(), |b, w, t| {
+                for h in &mut streamed {
+                    h.step_chunk(b, w, t);
                 }
+            });
+            prop_assert_eq!(n, records.len());
+            for (&(cores, depth), streamed) in cells.iter().zip(&streamed) {
+                let mut raw = build((cores, depth));
+                run_coherent_fused(&mut [&mut raw], records.records());
+                let what = format!("{} cores={cores} depth={depth}", scheme.label());
+                prop_assert_eq!(streamed.merged_core_stats(), raw.merged_core_stats(), "{}", &what);
+                prop_assert_eq!(streamed.coherence_stats(), raw.coherence_stats(), "{}", &what);
+                prop_assert_eq!(streamed.merged_lifetime(), raw.merged_lifetime(), "{}", &what);
+                prop_assert_eq!(&streamed.merged_recency(), &raw.merged_recency(), "{}", &what);
+                prop_assert_eq!(streamed.shared_stats(), raw.shared_stats(), "{}", &what);
+                prop_assert_eq!(streamed.fast_path_commits(), raw.fast_path_commits(), "{}", &what);
+                prop_assert_eq!(streamed.serial_path_commits(), raw.serial_path_commits(), "{}", &what);
+                prop_assert_eq!(streamed.now(), records.len() as u64);
             }
         }
     }
@@ -409,24 +421,23 @@ fn merged(store: &SimStore, mix: &[Workload], policy: InterleavePolicy) -> Trace
     interleave_refs(&refs, policy)
 }
 
-#[test]
-fn store_builds_one_coherent_stream_per_mix_policy_line() {
-    let store = SimStore::new(Scale::Tiny);
-    let mix = [Workload::Crc, Workload::Sha];
-    let rr = InterleavePolicy::RoundRobin;
-    let stream = store.coherent_stream(&mix, rr, 32);
-    assert!(Arc::ptr_eq(&stream, &store.coherent_stream(&mix, rr, 32)));
-    assert_eq!(store.streams_decoded(), 1);
-    // The streamed build packs exactly the materialised merge.
-    let reference = merged(&store, &mix, rr);
-    assert_eq!(
-        *stream,
-        CoherentStream::from_records(reference.records(), 32)
-    );
-    // Another policy or line size is another stream.
-    store.coherent_stream(&mix, InterleavePolicy::Stochastic { seed: 3 }, 32);
-    store.coherent_stream(&mix, rr, 64);
-    assert_eq!(store.streams_decoded(), 3);
+/// Streams the interleave of `mix` under `policy` through every
+/// hierarchy of `group`, chunk-outer, as the coherent sweep's groups
+/// replay their mix; returns the merged length.
+fn stream_group(
+    store: &SimStore,
+    mix: &[Workload],
+    policy: InterleavePolicy,
+    group: &mut [CoherentHierarchy],
+) -> usize {
+    let traces: Vec<Arc<Trace>> = mix.iter().map(|&w| store.get(w)).collect();
+    let refs: Vec<&Trace> = traces.iter().map(|t| &**t).collect();
+    let line = group[0].geometry().line_bytes();
+    run_interleaved(&refs, policy, line, |b, w, t| {
+        for h in group.iter_mut() {
+            h.step_chunk(b, w, t);
+        }
+    })
 }
 
 #[test]
@@ -436,42 +447,46 @@ fn stochastic_coherent_group_equals_record_replay() {
     let geom = CacheGeometry::from_sets(64, 32, 2).unwrap();
     let l2 = CacheGeometry::from_sets(256, 32, 4).unwrap();
     let mix = [Workload::Crc, Workload::Sha];
-    let hierarchy = || {
+    let hierarchy = |chunked: bool| {
         HierarchyBuilder::new(geom, IndexScheme::Xor.build(geom, None).unwrap())
             .cores(2)
             .victim_depth(4)
             .l2(L2Mode::Shared(l2))
+            .chunked(chunked)
             .build()
             .unwrap()
     };
-    let stream = store.coherent_stream(&mix, policy, geom.line_bytes());
-    assert_eq!(store.streams_decoded(), 1);
-    let mut fast = hierarchy();
-    run_coherent_stream(&mut [&mut fast], &stream);
-    let mut h = hierarchy();
+    let mut group = [hierarchy(true), hierarchy(false)];
+    stream_group(&store, &mix, policy, &mut group);
+    let mut h = hierarchy(false);
     h.run(merged(&store, &mix, policy).records());
-    assert_eq!(fast.merged_core_stats(), h.merged_core_stats());
-    assert_eq!(fast.coherence_stats(), h.coherence_stats());
-    assert_eq!(fast.merged_lifetime(), h.merged_lifetime());
-    assert_eq!(fast.merged_recency(), h.merged_recency());
+    for streamed in &group {
+        assert_eq!(streamed.merged_core_stats(), h.merged_core_stats());
+        assert_eq!(streamed.coherence_stats(), h.coherence_stats());
+        assert_eq!(streamed.merged_lifetime(), h.merged_lifetime());
+        assert_eq!(streamed.merged_recency(), h.merged_recency());
+    }
 }
 
 /// The `xp coherent` sweep, cell by cell: its real four-thread
 /// interleave at tiny scale through every scheme × {1,2,4} cores ×
 /// victim depth {0,4} on the sweep's L1 and shared L2, chunked kernel
-/// against the per-record MESI walk.
+/// against the per-record MESI walk, each group streamed once.
 #[test]
 fn coherent_sweep_cells_match_per_record_walk() {
     let store = SimStore::new(Scale::Tiny);
     let groups = coherent_groups();
     assert_eq!(groups.len(), 6);
     for g in &groups {
-        let stream = store.coherent_stream(&g.mix, g.policy, g.geom.line_bytes());
-        for &scheme in &g.schemes {
-            let mut fast = g.hierarchy(scheme).chunked(true).build().unwrap();
-            let mut slow = g.hierarchy(scheme).chunked(false).build().unwrap();
-            run_coherent_stream(&mut [&mut fast], &stream);
-            run_coherent_stream(&mut [&mut slow], &stream);
+        // Each scheme's chunked and per-record hierarchies, side by side.
+        let mut group: Vec<CoherentHierarchy> = g
+            .schemes
+            .iter()
+            .flat_map(|&s| [true, false].map(|on| g.hierarchy(s).chunked(on).build().unwrap()))
+            .collect();
+        let n = stream_group(&store, &g.mix, g.policy, &mut group);
+        for (&scheme, pair) in g.schemes.iter().zip(group.chunks(2)) {
+            let [fast, slow] = pair else { unreachable!() };
             let what = format!(
                 "{} cores={} depth={}",
                 scheme.label(),
@@ -483,11 +498,11 @@ fn coherent_sweep_cells_match_per_record_walk() {
                 assert_eq!(fast.core_stats(c), slow.core_stats(c), "{what} core {c}");
             }
             assert_eq!(fast.coherence_stats(), slow.coherence_stats(), "{what}");
-            assert_eq!(fast.shared_l2_stats(), slow.shared_l2_stats(), "{what}");
+            assert_eq!(fast.shared_stats(), slow.shared_stats(), "{what}");
             assert_eq!(fast.merged_lifetime(), slow.merged_lifetime(), "{what}");
             assert_eq!(fast.merged_recency(), slow.merged_recency(), "{what}");
             assert_eq!(fast.now(), slow.now(), "{what}");
-            assert_eq!(fast.now(), stream.len() as u64, "{what}");
+            assert_eq!(fast.now(), n as u64, "{what}");
         }
     }
 }

@@ -191,7 +191,12 @@ fn adaptive_directory_accounting() {
                 .collect();
             let refs: Vec<&Trace> = per_thread.iter().collect();
             let mut lane = partitioned();
-            run_interleaved(&refs, InterleavePolicy::RoundRobin, &mut [&mut lane]);
+            run_interleaved(
+                &refs,
+                InterleavePolicy::RoundRobin,
+                geom().line_bytes(),
+                |blocks, writes, tids| lane.step_tagged(blocks, writes, tids),
+            );
             lane.stats().clone()
         };
         assert_eq!(chunked_stats, s, "{}: chunked stats", c.name());
@@ -395,6 +400,6 @@ fn coherent_render_counts_one_pass_per_group() {
     let three = unicache_obs::bucket_index(3);
     assert_eq!(lanes[three], 6, "six samples in 3's bucket: {lanes:?}");
     assert_eq!(lanes.iter().sum::<u64>(), 6, "{lanes:?}");
-    let stream = store.coherent_stream(&coherent_mix(), InterleavePolicy::RoundRobin, 32);
-    assert_eq!(store.records_simulated(), 18 * stream.len() as u64);
+    let mix_len: usize = coherent_mix().iter().map(|&w| store.get(w).len()).sum();
+    assert_eq!(store.records_simulated(), 18 * mix_len as u64);
 }
